@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from zetaladder import _tables, _zkern_py
-from zetaladder.special import ThetaMode, _theta_batch
+from zetaladder.special import _theta_reduced
 
 try:
     from zetaladder import _zkern
@@ -63,7 +63,7 @@ def main() -> int:
           f"{'speedup':>8} {'max diff':>10}")
     for t in heights:
         ts = np.sort(t + rng.uniform(0.0, 64.0, args.size))
-        thetas = _theta_batch(ts, ThetaMode.EXACT_GAMMA)
+        thetas = _theta_reduced(ts)
         py_s, py_out = run_backend(_zkern_py, ts, thetas, args.order,
                                    args.repeats)
         terms = int(math.sqrt(t / _zkern_py.TWO_PI))

@@ -10,9 +10,8 @@ from .factorization import (AlphaSequence, FactorConfig, FactorizationReport,
                             lambda_factor, local_spectrum, multiform_G)
 from .kernels import backend_name
 from .ladder import (IterateDirection, LadderConfig, LadderPoint,
-                     OmegaMode, PrimePiTable, calibrate_c0, euler_constant,
-                     omega, phi1, phi1_inverse, phi1_iterates, pi_count,
-                     ztilde_sq)
+                     PrimePiTable, calibrate_c0, euler_constant, omega, phi1,
+                     phi1_inverse, phi1_iterates, pi_count, ztilde_sq)
 from .quadrature import (Interval, MomentReport, PanelChain, QuadConfig,
                          SecondMomentTable, adaptive_integrate,
                          admissible_h_range, cumulative_I, hl_moment,

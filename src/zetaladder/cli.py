@@ -32,7 +32,6 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -46,7 +45,7 @@ from .errors import (CalibrationError, DegenerateConfigurationError,
                      DomainError, PrecisionError, RangeError,
                      TableIntegrityError, ZetaLadderError)
 from .quadrature import (QuadConfig, SecondMomentTable, admissible_h_range,
-                         hl_moment, load_table, save_table)
+                         hl_moment, load_table, save_table, table_key)
 from .special import RSConfig, em_zeta_half, riemann_siegel_z, z_phase
 
 _log = logging.getLogger(__name__)
@@ -57,7 +56,6 @@ _DEFAULTS: Dict[str, object] = {
     "osc_factor": 0.5,
     "max_depth": 24,
     "correction_order": 1,
-    "error_constant": 2.0,
     "u0_exponent": 0.5001,
     "zero_threshold": 1e-6,
     "max_retries": 8,
@@ -73,22 +71,19 @@ _TABLE_FILE = "smtable.csv"
 _CALIB_FILE = "calibration.txt"
 
 
-@dataclass
-class RunManifest:
-    """Provenance record written beside every primary output."""
-
-    command: str
-    parameters: Dict[str, object]
-    config_fingerprint: str
-    timestamp: str = field(default_factory=lambda: datetime.now(
-        timezone.utc).isoformat(timespec="seconds"))
-    outputs: List[str] = field(default_factory=list)
-
-    def write(self, path: Path) -> None:
-        doc = {"command": self.command, "parameters": self.parameters,
-               "config_fingerprint": self.config_fingerprint,
-               "timestamp": self.timestamp, "outputs": self.outputs}
-        path.write_text(json.dumps(doc, indent=2) + "\n")
+def _write_manifest(command: str, out: Path, params: Dict[str, object],
+                    eff: Dict[str, object], *extra: Path) -> None:
+    """Write the provenance record of a run beside its primary output
+    `out`: command, parameters with the effective config, the config
+    fingerprint, a UTC timestamp and the files produced (`out`, then
+    `extra`)."""
+    doc = {"command": command, "parameters": {**params, "config": eff},
+           "config_fingerprint": _quad_config(eff).fingerprint,
+           "timestamp": datetime.now(timezone.utc).isoformat(
+               timespec="seconds"),
+           "outputs": [str(p) for p in (out,) + extra]}
+    out.with_suffix(out.suffix + ".manifest.json").write_text(
+        json.dumps(doc, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +127,7 @@ def _quad_config(eff: Dict[str, object]) -> QuadConfig:
 
 
 def _rs_config(eff: Dict[str, object]) -> RSConfig:
-    return RSConfig(correction_order=int(eff["correction_order"]),
-                    error_constant=float(eff["error_constant"]))
+    return RSConfig(correction_order=int(eff["correction_order"]))
 
 
 def _cache_dir(args: argparse.Namespace) -> Path:
@@ -182,11 +176,20 @@ def _calibrated_context(args, eff, qcfg, rs_cfg):
         anchors = _default_anchors(eff)
         _log.info("calibrating c0 at %d anchors (first run extends the "
                   "checkpoint table and takes minutes)", len(anchors))
-        cfg = ld.LadderConfig()
-        ld.calibrate_c0(anchors, cfg, table, pi_table)
-        ld.save_calibration(art, cfg, table, anchors)
-        save_table(table, cache / _TABLE_FILE)
+        cfg = _calibrate(cache, table, pi_table, anchors, art)
     return cache, table, cfg, pi_table
+
+
+def _calibrate(cache: Path, table: SecondMomentTable,
+               pi_table: ld.PrimePiTable, anchors: List[float],
+               out: Path) -> ld.LadderConfig:
+    """Fit c0 at the anchors, write the artifact to out, and save the
+    checkpoint table the fit extended."""
+    cfg = ld.LadderConfig()
+    ld.calibrate_c0(anchors, cfg, table, pi_table)
+    ld.save_calibration(out, cfg, table, anchors)
+    save_table(table, cache / _TABLE_FILE)
+    return cfg
 
 
 def _factor_config(eff, cfg_ladder, qcfg, rs_cfg) -> fz.FactorConfig:
@@ -243,13 +246,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             rows.append(",".join([repr(t), repr(point.z), repr(point.theta),
                                   repr(abs(zeta)), repr(diff)]))
     _write_rows(out, header, rows)
-    manifest = RunManifest(
-        command="eval",
-        parameters={"from": args.start, "to": args.stop, "step": args.step,
-                    "config": eff},
-        config_fingerprint=_quad_config(eff).fingerprint,
-        outputs=[str(out)])
-    manifest.write(out.with_suffix(out.suffix + ".manifest.json"))
+    _write_manifest("eval", out, {"from": args.start, "to": args.stop,
+                                  "step": args.step}, eff)
     print(f"eval: {len(rows)} rows -> {out}")
     return 0
 
@@ -257,9 +255,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def _moment_cache_key(T: float, H: float, eff, qcfg: QuadConfig,
                       rs_cfg: RSConfig) -> str:
     blob = "|".join(["moment", repr(float(T)), repr(float(H)),
-                     repr(float(eff["u0_exponent"])), qcfg.fingerprint,
-                     repr(rs_cfg.correction_order),
-                     repr(rs_cfg.error_constant)])
+                     repr(float(eff["u0_exponent"])),
+                     table_key(qcfg, rs_cfg)])
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -284,12 +281,7 @@ def cmd_moment(args: argparse.Namespace) -> int:
         text = json.dumps(report.as_dict(), indent=2) + "\n"
         memo.write_text(text)
     out.write_text(text)
-    manifest = RunManifest(
-        command="moment",
-        parameters={"T": args.T, "H": args.H, "config": eff},
-        config_fingerprint=qcfg.fingerprint,
-        outputs=[str(out), str(memo)])
-    manifest.write(out.with_suffix(out.suffix + ".manifest.json"))
+    _write_manifest("moment", out, {"T": args.T, "H": args.H}, eff, memo)
     print(f"moment: T={args.T:g} H={args.H:g} -> {out}")
     return 0
 
@@ -316,12 +308,7 @@ def cmd_ladder(args: argparse.Namespace) -> int:
     out = Path(args.out)
     _write_rows(out, "T,phi1,residual,complement_ratio", rows)
     save_table(table, cache / _TABLE_FILE)
-    manifest = RunManifest(
-        command="ladder",
-        parameters={"T": ts, "config": eff},
-        config_fingerprint=qcfg.fingerprint,
-        outputs=[str(out)])
-    manifest.write(out.with_suffix(out.suffix + ".manifest.json"))
+    _write_manifest("ladder", out, {"T": ts}, eff)
     print(f"ladder: {len(rows)} rows -> {out}")
     return 0
 
@@ -338,12 +325,8 @@ def cmd_alphas(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.write_text(json.dumps(doc, indent=2) + "\n")
     save_table(table, cache / _TABLE_FILE)
-    manifest = RunManifest(
-        command="alphas",
-        parameters={"T": args.T, "H": args.H, "k": args.k, "config": eff},
-        config_fingerprint=qcfg.fingerprint,
-        outputs=[str(out)])
-    manifest.write(out.with_suffix(out.suffix + ".manifest.json"))
+    _write_manifest("alphas", out, {"T": args.T, "H": args.H, "k": args.k},
+                    eff)
     print(f"alphas: k={args.k} chain at T={args.T:g} -> {out}")
     return 0
 
@@ -369,19 +352,15 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         else:
             rows = [job(t) for t in ts]
         _write_rows(out, fz.FactorizationReport.csv_header(args.k), rows)
-        params = {"sweep": args.sweep, "H": args.H, "k": args.k,
-                  "config": eff}
+        params = {"sweep": args.sweep, "H": args.H, "k": args.k}
         print(f"factorize: {len(rows)} sweep rows -> {out}")
     else:
         report = fz.factorize(args.T, args.H, args.k, fcfg, table)
         out.write_text(json.dumps(report.as_dict(), indent=2) + "\n")
-        params = {"T": args.T, "H": args.H, "k": args.k, "config": eff}
+        params = {"T": args.T, "H": args.H, "k": args.k}
         print(f"factorize: ratio = {report.ratio:.6f} -> {out}")
     save_table(table, cache / _TABLE_FILE)
-    manifest = RunManifest(
-        command="factorize", parameters=params,
-        config_fingerprint=qcfg.fingerprint, outputs=[str(out)])
-    manifest.write(out.with_suffix(out.suffix + ".manifest.json"))
+    _write_manifest("factorize", out, params, eff)
     return 0
 
 
@@ -391,11 +370,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     rows = [",".join([str(e.n), repr(e.omega)]) for e in entries]
     out = Path(args.out)
     _write_rows(out, "n,omega", rows)
-    manifest = RunManifest(
-        command="spectrum", parameters={"x": args.x, "config": eff},
-        config_fingerprint=_quad_config(eff).fingerprint,
-        outputs=[str(out)])
-    manifest.write(out.with_suffix(out.suffix + ".manifest.json"))
+    _write_manifest("spectrum", out, {"x": args.x}, eff)
     print(f"spectrum: {len(rows)} frequencies -> {out}")
     return 0
 
@@ -408,17 +383,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     pi_table = ld.PrimePiTable.build(int(eff["sieve_limit"]))
     anchors = [float(a) for a in args.anchors.split(",") if a.strip()] \
         if args.anchors else _default_anchors(eff)
-    cfg = ld.LadderConfig()
-    c0 = ld.calibrate_c0(anchors, cfg, table, pi_table)
     out = Path(args.out) if args.out else cache / _CALIB_FILE
-    ld.save_calibration(out, cfg, table, anchors)
-    save_table(table, cache / _TABLE_FILE)
-    manifest = RunManifest(
-        command="calibrate",
-        parameters={"anchors": anchors, "config": eff},
-        config_fingerprint=qcfg.fingerprint,
-        outputs=[str(out)])
-    manifest.write(out.with_suffix(out.suffix + ".manifest.json"))
+    c0 = _calibrate(cache, table, pi_table, anchors, out).c0
+    _write_manifest("calibrate", out, {"anchors": anchors}, eff)
     print(f"calibrate: c0 = {c0!r} -> {out}")
     return 0
 
@@ -454,13 +421,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
         ylabel=args.ylabel or "")
     out = Path(args.out)
     svgplot.write_svg(spec, out)
-    manifest = RunManifest(
-        command="plot",
-        parameters={"input": args.input, "x": args.x, "y": y_cols,
-                    "kind": args.kind, "config": eff},
-        config_fingerprint=_quad_config(eff).fingerprint,
-        outputs=[str(out)])
-    manifest.write(out.with_suffix(out.suffix + ".manifest.json"))
+    _write_manifest("plot", out, {"input": args.input, "x": args.x,
+                                  "y": y_cols, "kind": args.kind}, eff)
     print(f"plot: {len(series)} series -> {out}")
     return 0
 

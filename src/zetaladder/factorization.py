@@ -43,21 +43,23 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import (DegenerateConfigurationError, DomainError,
                      PrecisionError, RangeError, TableIntegrityError)
-from .ladder import (IterateDirection, LadderConfig, invert_profile, phi1,
-                     phi1_iterates, profile_values, ztilde_sq)
+from .ladder import (IterateDirection, LadderConfig, invert_profile,
+                     newton_to_plateau, phi1, phi1_iterates, profile_values,
+                     ztilde_sq)
 from .quadrature import (PanelChain, QuadConfig, SecondMomentTable,
                          adaptive_integrate, admissible_h_range,
-                         cumulative_I, z2_chain, z2_values, z_chain, z_values)
-from .special import RSConfig, TWO_PI, em_zeta_half, riemann_siegel_z, tau
+                         cumulative_I, table_key, z2_chain, z2_values,
+                         z_chain, z_values)
+from .special import (RS_MIN, RSConfig, TWO_PI, em_zeta_half,
+                      riemann_siegel_z, tau)
 
-_RS_MIN = 4.0 * TWO_PI
 _SQRT_TWO_PI = math.sqrt(TWO_PI)
 
 _log = logging.getLogger(__name__)
@@ -67,11 +69,11 @@ _log = logging.getLogger(__name__)
 class FactorConfig:
     """Knobs for the alpha-sequence construction.
 
-    ladder carries the calibrated constants; quad must fingerprint-match
-    the checkpoint table in use.  zero_threshold is the exclusion radius
-    around zeta zeros (the identity needs every factor nonzero), and
-    max_retries bounds how many mean-value roots are tried before the
-    configuration is declared degenerate.
+    ladder carries the calibrated constants; quad and rs must match the
+    table_key of the checkpoint table in use.  zero_threshold is the
+    exclusion radius around zeta zeros (the identity needs every factor
+    nonzero), and max_retries bounds how many mean-value roots are tried
+    before the configuration is declared degenerate.
     """
 
     ladder: LadderConfig
@@ -188,7 +190,7 @@ def find_eta(T: float, H: float, cfg: FactorConfig) -> float:
 def _eta_and_chain(T: float, H: float,
                    cfg: FactorConfig) -> Tuple[float, PanelChain]:
     """Shared eta search returning the Z chain for reuse."""
-    if T < _RS_MIN:
+    if T < RS_MIN:
         raise DomainError(f"find_eta needs T >= 8pi, got {T}")
     h_lo, h_hi = admissible_h_range(T)
     if not h_lo < H < h_hi:
@@ -280,22 +282,11 @@ class _LevelMaps:
         cumf = np.maximum.accumulate(chain.cum.astype(np.float64))
         v = np.interp(tgt, cumf, chain.edges)
         scale = float(np.abs(tgt).max()) + abs(self.i_base[level])
-        best = math.inf
-        worse = 0
-        for _ in range(40):
-            f = chain.prefix(v) - tgt
-            resid = float(np.abs(f).max())
-            if resid <= 1e-12 * scale:
-                break
-            if resid < best:
-                best, worse = resid, 0
-            else:
-                worse += 1
-                if worse >= 2:
-                    break
-            step = f / np.maximum(chain.slope(v), 1e-3)
-            v = np.clip(v - step, chain.a, chain.b)
-        return v
+        return newton_to_plateau(
+            v, lambda v: chain.prefix(v) - tgt,
+            lambda v, f: np.clip(v - f / np.maximum(chain.slope(v), 1e-3),
+                                 chain.a, chain.b),
+            1e-12 * scale, 40)
 
     def descend(self, beta: float) -> List[float]:
         """Forward images [beta, phi1(beta), ..., phi1^k(beta)]."""
@@ -367,9 +358,10 @@ def _build_job(T: float, H: float, k: int, cfg: FactorConfig,
     """Everything shared by find_beta and the sequence builder."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    if cfg.quad.fingerprint != table.fingerprint:
+    if table_key(cfg.quad, cfg.rs) != table.fingerprint:
         raise TableIntegrityError(
-            "FactorConfig.quad does not match the table fingerprint")
+            "FactorConfig quad/rs settings do not match the table "
+            "fingerprint")
     eta, _ = _eta_and_chain(T, H, cfg)
     maps = _LevelMaps(T, H, k, eta, cfg, table)
     a, b = maps.bounds[k]
@@ -486,7 +478,7 @@ def multiform_G(xs: Sequence[float], cfg: FactorConfig) -> float:
     """Product of |Z| over the given heights (at least two)."""
     if len(xs) < 2:
         raise DomainError(f"multiform needs >= 2 heights, got {len(xs)}")
-    if min(xs) < _RS_MIN:
+    if min(xs) < RS_MIN:
         raise DomainError("all heights must be >= 8pi")
     return math.prod(abs(riemann_siegel_z(float(x), cfg.rs).z) for x in xs)
 

@@ -17,9 +17,13 @@ is reported, never corrected.
 
 The inverse map is solved directly on I: phi1(y) = x means I(y) equals the
 profile at x, one bracketed root-find on the increasing I instead of a
-nested inversion.  Everything here treats the SecondMomentTable as an
-immutable snapshot apart from its own append-only extension; calibration
-mutates the LadderConfig and must happen before dependent calls.
+nested inversion.  phi1 itself inverts the profile through
+`invert_profile`, whose Newton loop `newton_to_plateau` the factorization's
+level maps share.  LadderConfig holds only the constants euler_c and c0:
+the weight omega(t) dividing Z^2 is always ln t.  Everything here treats
+the SecondMomentTable as an immutable snapshot apart from its own
+append-only extension; calibration mutates the LadderConfig and must happen
+before dependent calls.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from math import fsum
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -37,10 +41,9 @@ from scipy.optimize import brentq
 from .errors import (CalibrationError, DomainError, PrecisionError,
                      RangeError, TableIntegrityError)
 from .quadrature import SecondMomentTable, cumulative_I, z2_values
-from .special import RSConfig, TWO_PI, riemann_siegel_z
+from .special import RS_MIN, RSConfig, TWO_PI, riemann_siegel_z
 
 _LN_TWO_PI = math.log(TWO_PI)
-_RS_MIN = 4.0 * TWO_PI
 
 # forward iterates below this leave the range the calibration was checked
 # on; phi1 itself only needs I(T) to clear the profile minimum (~ c0), but
@@ -71,10 +74,6 @@ def euler_constant(n: int = 100) -> float:
     return h - math.log(n) + tail
 
 
-class OmegaMode(Enum):
-    LOG_LEADING = "log_leading"
-
-
 class IterateDirection(Enum):
     FORWARD = "forward"
     INVERSE = "inverse"
@@ -91,15 +90,12 @@ class LadderConfig:
 
     euler_c: float = field(default_factory=euler_constant)
     c0: float = 0.0
-    omega_mode: OmegaMode = OmegaMode.LOG_LEADING
 
     def __post_init__(self):
         if not (0.57 < self.euler_c < 0.58):
             raise DomainError(f"euler_c outside (0.57, 0.58): {self.euler_c}")
         if not math.isfinite(self.c0):
             raise DomainError(f"c0 must be finite, got {self.c0}")
-        if not isinstance(self.omega_mode, OmegaMode):
-            raise DomainError("omega_mode must be an OmegaMode")
 
 
 @dataclass(frozen=True)
@@ -117,7 +113,7 @@ class LadderPoint:
 
 
 def omega(t: float, cfg: LadderConfig) -> float:
-    """Weight ln t dividing Z^2 (leading-log mode is the only one)."""
+    """Weight ln t dividing Z^2."""
     if t <= math.e:
         raise DomainError(f"omega needs t > e, got {t}")
     return math.log(t)
@@ -126,7 +122,7 @@ def omega(t: float, cfg: LadderConfig) -> float:
 def ztilde_sq(t: float, cfg: LadderConfig,
               rs_cfg: RSConfig = RSConfig()) -> float:
     """Weighted square Z(t)^2 / omega(t), the ladder's derivative."""
-    if t < _RS_MIN:
+    if t < RS_MIN:
         raise DomainError(f"ztilde_sq needs t >= 8pi, got {t}")
     point = riemann_siegel_z(t, rs_cfg)
     return point.z * point.z / omega(t, cfg)
@@ -159,6 +155,33 @@ def profile_values(ys: np.ndarray, cfg: LadderConfig) -> np.ndarray:
     return y * np.log(y) + (cfg.euler_c - _LN_TWO_PI) * y + cfg.c0
 
 
+def newton_to_plateau(x: np.ndarray,
+                      residual: Callable[[np.ndarray], np.ndarray],
+                      step: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                      tol: float, max_iter: int) -> np.ndarray:
+    """Vectorized Newton to rounding: x <- step(x, residual(x)).
+
+    Stops once max |residual| <= tol, or once it has failed twice in a row
+    to improve on the best seen (the iterates have plateaued at rounding),
+    or after max_iter steps.  step owns the update and any clamping.
+    """
+    best = math.inf
+    worse = 0
+    for _ in range(max_iter):
+        f = residual(x)
+        resid = float(np.abs(f).max()) if f.size else 0.0
+        if resid <= tol:
+            break
+        if resid < best:
+            best, worse = resid, 0
+        else:
+            worse += 1
+            if worse >= 2:
+                break
+        x = step(x, f)
+    return x
+
+
 def invert_profile(targets: np.ndarray, cfg: LadderConfig) -> np.ndarray:
     """Vectorized moment_profile inversion on its increasing branch.
 
@@ -173,66 +196,39 @@ def invert_profile(targets: np.ndarray, cfg: LadderConfig) -> np.ndarray:
     slope_c = 1.0 + cfg.euler_c - _LN_TWO_PI
     y = np.maximum(tgt / np.maximum(np.log(np.maximum(tgt, 2.0)), 1.0), 2.0)
     scale = float(np.abs(tgt).max()) if tgt.size else 0.0
-    best = math.inf
-    worse = 0
-    for _ in range(80):
-        f = y * np.log(y) + (cfg.euler_c - _LN_TWO_PI) * y + cfg.c0 - tgt
-        resid = float(np.abs(f).max()) if tgt.size else 0.0
-        if resid <= 1e-15 * scale:
-            break
-        if resid < best:
-            best, worse = resid, 0
-        else:
-            worse += 1
-            if worse >= 2:          # plateaued at rounding
-                break
-        y = np.maximum(y - f / (np.log(y) + slope_c), 1.5)
-    return y
+    return newton_to_plateau(
+        y, lambda y: profile_values(y, cfg) - tgt,
+        lambda y, f: np.maximum(y - f / (np.log(y) + slope_c), 1.5),
+        1e-15 * scale, 80)
 
 
 def phi1(T: float, cfg: LadderConfig,
          table: SecondMomentTable) -> LadderPoint:
     """Ladder height below T: solve moment_profile(y) = I(T) for y.
 
-    Newton from the complement-heuristic start T - (1-c) T / ln T, kept
-    inside a sign-tracked bracket with bisection absorbing any step that
-    leaves it.  The solve itself converges to roundoff; the 1e-6-relative
-    residual contract is re-checked anyway.  Trustworthy for T down to
-    about 1e3 with a calibration anchored on [1e4, 1e5]; below that the
-    profile minimum (about c0 - 1.3) is no longer cleared by I(T).
+    The root must lie on the profile's increasing branch below T, which is
+    checked first; invert_profile then solves to rounding and the
+    1e-6-relative residual contract is re-checked anyway.  Trustworthy for
+    T down to about 1e3 with a calibration anchored on [1e4, 1e5]; below
+    that the profile minimum (about c0 - 1.3) is no longer cleared by I(T).
     """
     if T <= 1.0:
         raise DomainError(f"phi1 needs T > 1, got {T}")
     target = cumulative_I(T, table, table.cfg)
     # the increasing branch of the profile starts at its stationary point
     lo = TWO_PI / math.exp(1.0 + cfg.euler_c)
-    hi = T
-    if hi <= lo or moment_profile(lo, cfg) >= target \
-            or moment_profile(hi, cfg) <= target:
+    if T <= lo or moment_profile(lo, cfg) >= target \
+            or moment_profile(T, cfg) <= target:
         raise CalibrationError(
             f"no ladder height in ({lo:.3f}, {T:g}) for I(T) = {target:.6g}; "
             "c0 miscalibrated or T too small")
-    y = T - (1.0 - cfg.euler_c) * T / math.log(T)
-    y = min(max(y, lo), hi)
-    for _ in range(80):
-        f = moment_profile(y, cfg) - target
-        if f > 0.0:
-            hi = y
-        else:
-            lo = y
-        y_new = y - f / moment_profile_slope(y, cfg)
-        if not lo < y_new < hi:
-            y_new = 0.5 * (lo + hi)
-        done = abs(y_new - y) <= 1e-13 * y
-        y = y_new
-        if done:
-            break
+    y = float(invert_profile(np.array([target]), cfg)[0])
     residual = moment_profile(y, cfg) - target
     if abs(residual) > 1e-6 * abs(target):
         raise PrecisionError(
             f"ladder inversion stalled at T = {T:g}", estimate=y,
             bound=abs(residual))
-    return LadderPoint(T=float(T), phi1=float(y), residual=float(residual))
+    return LadderPoint(T=float(T), phi1=y, residual=float(residual))
 
 
 def phi1_inverse(x: float, cfg: LadderConfig,

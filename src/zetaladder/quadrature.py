@@ -18,7 +18,8 @@ Three consumers sit on top of the same panel machinery:
   set of Z evaluations instead of re-evaluating O(U0 * H) times.
 - SecondMomentTable: checkpoints of I(T) = int_0^T Z^2 at a fixed stride,
   extended append-only (single writer) and persisted as `smtable-v1` files
-  keyed by the QuadConfig fingerprint.
+  keyed by `table_key`: the QuadConfig fingerprint plus the Riemann-Siegel
+  correction order.
 
 Below t = 8pi the Riemann-Siegel route is too short to trust, so integrands
 switch to the Euler-Maclaurin oracle there (for Z^2 that needs no phase at
@@ -42,9 +43,7 @@ from numpy.polynomial import legendre as npleg
 from . import special
 from .errors import (DomainError, PrecisionError, RangeError,
                      TableIntegrityError)
-from .special import RSConfig, TWO_PI
-
-_RS_MIN = 4.0 * TWO_PI  # below this, evaluate through the oracle
+from .special import RS_MIN, RSConfig, TWO_PI
 
 # acceptance floor, relative to the panel's value scale.  Z^2 carries genuine
 # broadband micro-structure at ~1e-11 relative amplitude (still present in a
@@ -111,10 +110,17 @@ class QuadConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def table_key(cfg: QuadConfig, rs_cfg: RSConfig) -> str:
+    """Key of a checkpoint table and of everything fit against it: the
+    quadrature fingerprint plus the correction order of the Z^2 integrand,
+    which together fix every checkpoint value."""
+    return f"{cfg.fingerprint}-rs{rs_cfg.correction_order}"
+
+
 def _panel_freq(t: float) -> float:
     # theta' floored at its 8pi value; below 8pi the oracle integrand varies
     # on unit scales anyway
-    return 0.5 * math.log(max(t, _RS_MIN) / TWO_PI)
+    return 0.5 * math.log(max(t, RS_MIN) / TWO_PI)
 
 
 def _initial_edges(a: float, b: float, osc_factor: float) -> np.ndarray:
@@ -247,7 +253,7 @@ def z_values(ts: np.ndarray, rs_cfg: RSConfig = RSConfig()) -> np.ndarray:
     """Signed Z on arrays: Riemann-Siegel for t >= 8pi, oracle below."""
     ts = np.asarray(ts, dtype=np.float64)
     out = np.empty_like(ts)
-    hi = ts >= _RS_MIN
+    hi = ts >= RS_MIN
     if hi.any():
         out[hi] = special.riemann_siegel_z_values(ts[hi], rs_cfg)
     if (~hi).any():
@@ -261,7 +267,7 @@ def z2_values(ts: np.ndarray, rs_cfg: RSConfig = RSConfig()) -> np.ndarray:
     """Z^2 on arrays; below 8pi uses |zeta|^2, which needs no phase."""
     ts = np.asarray(ts, dtype=np.float64)
     out = np.empty_like(ts)
-    hi = ts >= _RS_MIN
+    hi = ts >= RS_MIN
     if hi.any():
         out[hi] = special.riemann_siegel_z_values(ts[hi], rs_cfg) ** 2
     if (~hi).any():
@@ -385,7 +391,7 @@ class SecondMomentTable:
         self.cfg = cfg
         self.rs_cfg = rs_cfg
         self.tolerance = cfg.abs_tol
-        self.fingerprint = cfg.fingerprint
+        self.fingerprint = table_key(cfg, rs_cfg)
         self._ts: List[float] = [0.0]
         self._is: List[float] = [0.0]
         self._lock = threading.Lock()
@@ -440,7 +446,7 @@ def cumulative_I(T: float, table: SecondMomentTable,
     """I(T) = int_0^T Z^2 through the checkpoint table."""
     if T < 0:
         raise DomainError(f"cumulative_I needs T >= 0, got {T}")
-    if cfg.fingerprint != table.fingerprint:
+    if table_key(cfg, table.rs_cfg) != table.fingerprint:
         raise TableIntegrityError(
             "table fingerprint does not match the quadrature config")
     if T == 0.0:
@@ -470,11 +476,11 @@ def load_table(path, cfg: QuadConfig = QuadConfig(),
     if not lines or not lines[0].startswith("smtable-v1,"):
         raise TableIntegrityError(f"{path}: not an smtable-v1 file")
     header = lines[0].split(",")
-    if header[1] != cfg.fingerprint:
+    table = SecondMomentTable(cfg, rs_cfg)
+    if header[1] != table.fingerprint:
         raise TableIntegrityError(
             f"{path}: fingerprint {header[1]} does not match config "
-            f"{cfg.fingerprint}")
-    table = SecondMomentTable(cfg, rs_cfg)
+            f"{table.fingerprint}")
     ts: List[float] = []
     iis: List[float] = []
     for ln in lines[1:]:

@@ -1,7 +1,7 @@
 """Critical-line special functions.
 
 Two independent evaluation routes live here and are kept independent on
-purpose.  `riemann_siegel_z` is the production evaluator: main sum to
+purpose.  `riemann_siegel_z_values` is the production evaluator: main sum to
 floor(sqrt(t/2pi)) terms plus (optionally) the first correction term, with a
 remainder that decays like t^(-1/4) (t^(-3/4) with the correction).
 `em_zeta_half` is the oracle: Euler-Maclaurin evaluation of zeta(1/2 + it)
@@ -9,6 +9,11 @@ with an explicit remainder bound, truncated far beyond the asymptotic knee so
 the absolute error stays below 1e-10 up to t = 1e6.  Everything downstream
 that cross-checks the two relies on them sharing no code beyond the phase
 tables.
+
+Each quantity of the production route has one evaluator, vectorized: theta
+comes from `_theta_long` and Z from `riemann_siegel_z_values`.  The scalar
+`theta`, `z_phase` and `riemann_siegel_z` are their one-point calls, so a
+height gives the same bits alone, in a batch, or through either interface.
 
 Phases are the precision bottleneck: t * ln n reaches ~1e7 while the reality
 identity Z(t) = e^{i theta(t)} zeta(1/2+it) is tested at the 1e-8 level, so
@@ -30,6 +35,8 @@ from . import _tables, kernels
 from .errors import DomainError, PrecisionError
 
 TWO_PI = 2.0 * math.pi
+
+RS_MIN = 4.0 * TWO_PI  # below this, integrands evaluate through the oracle
 
 _PI_LD = np.longdouble("3.14159265358979323846264338327950288")
 _TWO_PI_LD = 2 * _PI_LD
@@ -60,22 +67,15 @@ class RSConfig:
     """Riemann-Siegel evaluation settings.
 
     correction_order 0 is the bare main sum; 1 adds the standard first
-    correction term.  error_constant C is the constant in the advertised
-    remainder envelope C * t^(-1/4) used by agreement checks.
+    correction term.
     """
 
     correction_order: int = 1
-    theta_mode: ThetaMode = ThetaMode.EXACT_GAMMA
-    error_constant: float = 2.0
 
     def __post_init__(self):
         if self.correction_order not in (0, 1):
             raise DomainError(
                 f"correction_order must be 0 or 1, got {self.correction_order}")
-        if not isinstance(self.theta_mode, ThetaMode):
-            raise DomainError("theta_mode must be a ThetaMode")
-        if not (self.error_constant > 0):
-            raise DomainError("error_constant must be positive")
 
 
 @dataclass(frozen=True)
@@ -95,33 +95,33 @@ def tau(t: float) -> float:
     return math.sqrt(t / TWO_PI)
 
 
-def _lngamma_ld(z):
-    """ln Gamma for a clongdouble scalar with Re z > 0: shift right until
-    |z| >= 12, then Stirling through B10."""
-    acc = np.clongdouble(0.0)
-    while abs(z) < 12.0:
-        acc = acc + np.log(z)
-        z = z + 1
+def _theta_long(ts: np.ndarray) -> np.ndarray:
+    """Unreduced theta(t) = Im ln Gamma(1/4 + it/2) - (t/2) ln pi in
+    longdouble, for an array of t > 0: shift z right until |z| >= 12 (at
+    most twelve times), then Stirling through B10.  Raw theta reaches ~1e7
+    where float64 carries ~1e-9 rad of roundoff, so only the value reduced
+    mod 2pi drops to float64."""
+    t_ld = np.asarray(ts, dtype=np.longdouble)
+    z = 0.25 + 1j * (t_ld / 2)
+    acc = np.zeros(t_ld.shape, dtype=np.clongdouble)
+    for _ in range(12):
+        small = np.abs(z) < 12.0
+        if not small.any():
+            break
+        acc[small] += np.log(z[small])
+        z[small] += 1.0
     w = 1.0 / z
     w2 = w * w
-    ser = _STIRLING[4]
+    ser = np.full(t_ld.shape, np.clongdouble(_STIRLING[4]))
     for c in (_STIRLING[3], _STIRLING[2], _STIRLING[1], _STIRLING[0]):
         ser = c + w2 * ser
-    ser = w * ser
-    return (z - 0.5) * np.log(z) - z + 0.5 * _LN_2PI_LD + ser - acc
+    lg = (z - 0.5) * np.log(z) - z + 0.5 * _LN_2PI_LD + w * ser - acc
+    return lg.imag - (t_ld / 2) * _LN_PI_LD
 
 
-def _theta_ld(t: float):
-    """theta(t) = Im ln Gamma(1/4 + it/2) - (t/2) ln pi as a longdouble."""
-    t_ld = np.longdouble(t)
-    z = np.clongdouble(0.25) + 1j * (t_ld / 2)
-    return _lngamma_ld(z).imag - (t_ld / 2) * _LN_PI_LD
-
-
-def _theta_main_ld(t_ld):
-    """Three-term asymptotic theta in longdouble."""
-    half = t_ld / 2
-    return half * np.log(t_ld / _TWO_PI_LD) - half - _PI_LD / 8
+def _theta_reduced(ts: np.ndarray) -> np.ndarray:
+    """theta(t) mod 2pi as float64, the phase the main-sum kernel takes."""
+    return np.mod(_theta_long(ts), _TWO_PI_LD).astype(np.float64)
 
 
 def theta(t: float, mode: ThetaMode = ThetaMode.EXACT_GAMMA) -> float:
@@ -135,8 +135,10 @@ def theta(t: float, mode: ThetaMode = ThetaMode.EXACT_GAMMA) -> float:
     if not isinstance(mode, ThetaMode):
         raise DomainError("mode must be a ThetaMode")
     if mode is ThetaMode.MAIN_TERMS:
-        return float(_theta_main_ld(np.longdouble(t)))
-    return float(_theta_ld(t))
+        t_ld = np.longdouble(t)
+        half = t_ld / 2
+        return float(half * np.log(t_ld / _TWO_PI_LD) - half - _PI_LD / 8)
+    return float(_theta_long(np.array([t]))[0])
 
 
 def theta_derivative(t: float) -> float:
@@ -150,65 +152,33 @@ def theta_derivative(t: float) -> float:
 def z_phase(t: float) -> complex:
     """e^{i theta(t)} with the phase reduced mod 2pi in longdouble, so that
     z_phase(t) * zeta(1/2+it) is real to ~1e-12 even at t ~ 1e6."""
-    red = float(np.mod(_theta_ld(t), _TWO_PI_LD))
-    return cmath.exp(1j * red)
-
-
-def _theta_batch(ts: np.ndarray, mode: ThetaMode) -> np.ndarray:
-    """Vectorized theta reduced mod 2pi, for kernel feeding.
-
-    Raw theta reaches ~1e7 where float64 carries ~1e-9 rad of roundoff, so
-    everything runs in extended precision and only the reduced value drops
-    to float64."""
-    t_ld = ts.astype(np.longdouble)
-    if mode is ThetaMode.MAIN_TERMS:
-        th = _theta_main_ld(t_ld)
-        return np.mod(th, _TWO_PI_LD).astype(np.float64)
-    z = 0.25 + 1j * (t_ld / 2)
-    acc = np.zeros(ts.shape, dtype=np.clongdouble)
-    for _ in range(12):
-        small = np.abs(z) < 12.0
-        if not small.any():
-            break
-        acc[small] += np.log(z[small])
-        z[small] += 1.0
-    w = 1.0 / z
-    w2 = w * w
-    ser = np.full(ts.shape, np.clongdouble(_STIRLING[4]))
-    for c in (_STIRLING[3], _STIRLING[2], _STIRLING[1], _STIRLING[0]):
-        ser = c + w2 * ser
-    lg = (z - 0.5) * np.log(z) - z + 0.5 * _LN_2PI_LD + w * ser - acc
-    th = lg.imag - (t_ld / 2) * _LN_PI_LD
-    return np.mod(th, _TWO_PI_LD).astype(np.float64)
+    return cmath.exp(1j * float(_theta_reduced(np.array([t]))[0]))
 
 
 def riemann_siegel_z_values(ts: np.ndarray, cfg: RSConfig = RSConfig()
                             ) -> np.ndarray:
-    """Z(t) for an array of t >= 2pi (vector fast path used by quadrature)."""
+    """Z(t) for an array of finite t >= 2pi by the Riemann-Siegel formula.
+
+    Below 2pi the main sum is empty and the oracle is the only supported
+    evaluator.  A point's value does not depend on the other points in the
+    call.
+    """
     ts = np.asarray(ts, dtype=np.float64)
-    if ts.size and ts.min() < TWO_PI:
-        raise DomainError("riemann_siegel_z needs t >= 2pi")
-    thetas = _theta_batch(ts, cfg.theta_mode)  # reduced mod 2pi
-    return kernels.z_main_sum(ts, thetas, cfg.correction_order)
+    ok = np.isfinite(ts) & (ts >= TWO_PI)
+    if not ok.all():
+        raise DomainError(f"riemann_siegel_z needs finite t >= 2pi, got "
+                          f"{float(ts[~ok][0])}")
+    return kernels.z_main_sum(ts, _theta_reduced(ts), cfg.correction_order)
 
 
 def riemann_siegel_z(t: float, cfg: RSConfig = RSConfig()) -> CriticalPoint:
-    """Z(t) by the Riemann-Siegel formula.
+    """Z(t) at one height: the one-point call of riemann_siegel_z_values.
 
-    Requires t >= 2pi so the main sum is nonempty; below that the oracle is
-    the only supported evaluator.  |Z| equals |zeta(1/2+it)| up to the
+    theta is the unreduced phase.  |Z| equals |zeta(1/2+it)| up to the
     formula remainder, so zeta_abs is |z|.
     """
-    if not t >= TWO_PI:
-        raise DomainError(f"riemann_siegel_z needs t >= 2pi, got {t}")
-    if cfg.theta_mode is ThetaMode.MAIN_TERMS:
-        th_ld = _theta_main_ld(np.longdouble(t))
-    else:
-        th_ld = _theta_ld(t)
-    red = float(np.mod(th_ld, _TWO_PI_LD))
-    z = float(kernels.z_main_sum(np.array([t]), np.array([red]),
-                                 cfg.correction_order)[0])
-    return CriticalPoint(t=t, z=z, theta=float(th_ld), zeta_abs=abs(z))
+    z = float(riemann_siegel_z_values(np.array([t]), cfg)[0])
+    return CriticalPoint(t=t, z=z, theta=theta(t), zeta_abs=abs(z))
 
 
 def em_zeta_half(t: float, tol: float = 1e-10) -> complex:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -11,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaladder import factorization as fz
-from zetaladder.errors import DomainError
+from zetaladder.errors import DomainError, TableIntegrityError
 from zetaladder.ladder import pi_count, phi1, ztilde_sq
 from zetaladder.quadrature import Interval, integrate_z
-from zetaladder.special import em_zeta_half, riemann_siegel_z, tau
+from zetaladder.special import RSConfig, em_zeta_half, riemann_siegel_z, tau
 
 TWO_PI = 2.0 * math.pi
 EIGHT_PI = 8.0 * math.pi
@@ -124,6 +125,12 @@ class TestFindBeta:
     def test_order_zero_rejected(self, fconfig, smtable):
         with pytest.raises(DomainError):
             fz.find_beta(1.0e5, 2.0, 0, fconfig, smtable)
+
+    def test_rs_config_must_match_table(self, fconfig, smtable):
+        assert smtable.rs_cfg.correction_order == 1
+        other = dataclasses.replace(fconfig, rs=RSConfig(correction_order=0))
+        with pytest.raises(TableIntegrityError):
+            fz.find_beta(1.0e4, 2.0, 1, other, smtable)
 
 
 class TestAlphaSequence:

@@ -43,8 +43,6 @@ class TestConstants:
             ld.LadderConfig(euler_c=0.5)
         with pytest.raises(DomainError):
             ld.LadderConfig(c0=math.inf)
-        with pytest.raises(DomainError):
-            ld.LadderConfig(omega_mode="log")
 
     def test_point_exposes_doubled_value(self):
         pt = ld.LadderPoint(T=10.0, phi1=4.0, residual=0.0)

@@ -24,7 +24,7 @@ from zetaladder.quadrature import (Interval, MomentReport, PanelChain,
                                    integrate_z2, load_table, save_table,
                                    z2_chain, z2_values, z_chain)
 from zetaladder.quadrature import _initial_edges, _panel_sums
-from zetaladder.special import TWO_PI
+from zetaladder.special import RSConfig, TWO_PI
 
 
 class TestInterval:
@@ -234,6 +234,11 @@ class TestSecondMomentTable:
         save_table(table, path)
         with pytest.raises(TableIntegrityError):
             load_table(path, QuadConfig(abs_tol=1e-9), rs_cfg)
+        # checkpoints integrated with the first correction term must not
+        # be extended under the bare main sum
+        assert rs_cfg.correction_order == 1
+        with pytest.raises(TableIntegrityError):
+            load_table(path, qcfg, RSConfig(correction_order=0))
 
     def test_load_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "junk.csv"

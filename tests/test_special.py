@@ -33,6 +33,9 @@ Z_REF = {
     10000.0: -0.34139472423120854,
 }
 GAMMA_1 = 14.134725141734695
+# C in the Riemann-Siegel remainder envelope C * t^(-1/4) that the checks
+# against the oracle allow
+RS_BAND_C = 2.0
 
 
 def oracle_z(t: float) -> float:
@@ -103,14 +106,6 @@ class TestRSConfig:
         with pytest.raises(DomainError):
             RSConfig(correction_order=2)
 
-    def test_bad_error_constant(self):
-        with pytest.raises(DomainError):
-            RSConfig(error_constant=0.0)
-
-    def test_bad_mode(self):
-        with pytest.raises(DomainError):
-            RSConfig(theta_mode="exact")
-
 
 class TestRiemannSiegelZ:
     @pytest.mark.parametrize("t", sorted(Z_REF))
@@ -131,7 +126,7 @@ class TestRiemannSiegelZ:
         rng = np.random.default_rng(42)
         for t in rng.uniform(50.0, 5000.0, 200):
             diff = abs(riemann_siegel_z(float(t), cfg).z - oracle_z(float(t)))
-            assert diff <= cfg.error_constant * t ** -0.25
+            assert diff <= RS_BAND_C * t ** -0.25
 
     def test_first_zero_bisection(self):
         # bracket the first sign change of the oracle and bisect it down
@@ -161,16 +156,21 @@ class TestRiemannSiegelZ:
             assert riemann_siegel_z(float(t)).z == v
 
     def test_below_two_pi_refused(self):
-        with pytest.raises(DomainError):
-            riemann_siegel_z(6.0)
-        with pytest.raises(DomainError):
-            riemann_siegel_z_values(np.array([6.0, 100.0]))
+        for bad in (6.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                riemann_siegel_z(bad)
+            with pytest.raises(DomainError):
+                riemann_siegel_z_values(np.array([bad]))
+            with pytest.raises(DomainError):
+                riemann_siegel_z_values(np.array([bad, 100.0]))
+            with pytest.raises(DomainError):
+                riemann_siegel_z_values(np.array([100.0, bad]))
 
     def test_order_zero_still_inside_band(self):
         cfg0 = RSConfig(correction_order=0)
         for t in (100.0, 1000.0, 10000.0):
             d = abs(riemann_siegel_z(t, cfg0).z - oracle_z(t))
-            assert d <= cfg0.error_constant * t ** -0.25
+            assert d <= RS_BAND_C * t ** -0.25
 
 
 class TestEmZetaHalf:
@@ -183,7 +183,7 @@ class TestEmZetaHalf:
     def test_modulus_matches_z(self, t):
         cfg = RSConfig()
         d = abs(abs(em_zeta_half(t)) - abs(riemann_siegel_z(t, cfg).z))
-        assert d <= cfg.error_constant * t ** -0.25
+        assert d <= RS_BAND_C * t ** -0.25
 
     def test_rotation_is_real_at_500(self):
         assert abs((z_phase(500.0) * em_zeta_half(500.0)).imag) <= 1e-8
