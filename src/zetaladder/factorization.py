@@ -281,12 +281,11 @@ class _LevelMaps:
         tgt = profile_values(prev, self.cfg.ladder) - self.i_base[level]
         cumf = np.maximum.accumulate(chain.cum.astype(np.float64))
         v = np.interp(tgt, cumf, chain.edges)
-        scale = float(np.abs(tgt).max()) + abs(self.i_base[level])
         return newton_to_plateau(
-            v, lambda v: chain.prefix(v) - tgt,
+            v, chain.prefix, tgt,
             lambda v, f: np.clip(v - f / np.maximum(chain.slope(v), 1e-3),
                                  chain.a, chain.b),
-            1e-12 * scale, 40)
+            1e-12 * (np.abs(tgt) + abs(self.i_base[level])), 40)
 
     def descend(self, beta: float) -> List[float]:
         """Forward images [beta, phi1(beta), ..., phi1^k(beta)]."""

@@ -156,29 +156,37 @@ def profile_values(ys: np.ndarray, cfg: LadderConfig) -> np.ndarray:
 
 
 def newton_to_plateau(x: np.ndarray,
-                      residual: Callable[[np.ndarray], np.ndarray],
+                      value: Callable[[np.ndarray], np.ndarray],
+                      targets: np.ndarray,
                       step: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                      tol: float, max_iter: int) -> np.ndarray:
-    """Vectorized Newton to rounding: x <- step(x, residual(x)).
+                      tol: np.ndarray, max_iter: int) -> np.ndarray:
+    """Vectorized Newton to rounding on value(x) = targets, point by point.
 
-    Stops once max |residual| <= tol, or once it has failed twice in a row
-    to improve on the best seen (the iterates have plateaued at rounding),
-    or after max_iter steps.  step owns the update and any clamping.
+    Each point takes x <- step(x, value(x) - target) until its own
+    |residual| <= tol, until it has failed twice in a row to improve on its
+    own best (it has plateaued at rounding), or until max_iter steps.
+    Stopped points leave the batch, and value and step must work
+    elementwise, so a point's result does not depend on the other points.
+    step owns the update and any clamping.
     """
-    best = math.inf
-    worse = 0
+    x = np.array(x, dtype=np.float64)
+    tgt = np.asarray(targets, dtype=np.float64)
+    tol = np.broadcast_to(tol, x.shape)
+    best = np.full(x.shape, math.inf)
+    worse = np.zeros(x.shape, dtype=np.int64)
+    live = np.arange(x.size)
     for _ in range(max_iter):
-        f = residual(x)
-        resid = float(np.abs(f).max()) if f.size else 0.0
-        if resid <= tol:
+        if not live.size:
             break
-        if resid < best:
-            best, worse = resid, 0
-        else:
-            worse += 1
-            if worse >= 2:
-                break
-        x = step(x, f)
+        xl = x[live]
+        f = value(xl) - tgt[live]
+        resid = np.abs(f)
+        improved = resid < best[live]
+        best[live] = np.where(improved, resid, best[live])
+        worse[live] = np.where(improved, 0, worse[live] + 1)
+        go = ~(resid <= tol[live]) & (worse[live] < 2)
+        live = live[go]
+        x[live] = step(xl[go], f[go])
     return x
 
 
@@ -188,18 +196,18 @@ def invert_profile(targets: np.ndarray, cfg: LadderConfig) -> np.ndarray:
     Plain Newton: the profile is convex there, so after the first step the
     iterates descend monotonically and no bracket is needed.  Targets must
     sit well above the profile minimum (ladder scales always do).  The
-    iteration runs to rounding: positions mapped through deep levels feed
-    factors whose local scale can be thousands of times their mean, so a
-    merely-close inversion would show up as integrand noise.
+    iteration runs to rounding, 1e-15 relative to each target: positions
+    mapped through deep levels feed factors whose local scale can be
+    thousands of times their mean, so a merely-close inversion would show
+    up as integrand noise.
     """
     tgt = np.asarray(targets, dtype=np.float64)
     slope_c = 1.0 + cfg.euler_c - _LN_TWO_PI
     y = np.maximum(tgt / np.maximum(np.log(np.maximum(tgt, 2.0)), 1.0), 2.0)
-    scale = float(np.abs(tgt).max()) if tgt.size else 0.0
     return newton_to_plateau(
-        y, lambda y: profile_values(y, cfg) - tgt,
+        y, lambda y: profile_values(y, cfg), tgt,
         lambda y, f: np.maximum(y - f / (np.log(y) + slope_c), 1.5),
-        1e-15 * scale, 80)
+        1e-15 * np.abs(tgt), 80)
 
 
 def phi1(T: float, cfg: LadderConfig,

@@ -122,6 +122,14 @@ class TestFindBeta:
         got = float(maps.integrand(np.array([beta]))[0])
         assert abs(got - mean) <= 1e-6 * abs(mean) + 1e-10
 
+    def test_map_up_batch_matches_each_point_alone(self, job151):
+        eta, maps, a, b, hk, F, mean, roots = job151
+        us = np.linspace(eta, eta + 2.0, 257)[1:-1]
+        batch = maps.map_up(1, us)
+        alone = np.array([maps.map_up(1, us[i:i + 1])[0]
+                          for i in range(us.size)])
+        assert np.array_equal(batch, alone)
+
     def test_order_zero_rejected(self, fconfig, smtable):
         with pytest.raises(DomainError):
             fz.find_beta(1.0e5, 2.0, 0, fconfig, smtable)

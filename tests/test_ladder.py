@@ -98,6 +98,20 @@ class TestZtildeSq:
         assert lhs / rhs == pytest.approx(1.0, abs=0.05)
 
 
+class TestInvertProfile:
+    def test_batch_matches_each_point_alone(self):
+        # c0 near its calibrated value; at c0 = 0 the batch-wide stopping
+        # rule this guards against happened to agree with per-point stops
+        cfg = ld.LadderConfig(c0=1428.14)
+        rng = np.random.default_rng(11)
+        targets = np.concatenate((rng.uniform(1.0e4, 2.0e5, 200),
+                                  rng.uniform(2.0e3, 5.0e3, 200)))
+        batch = ld.invert_profile(targets, cfg)
+        alone = np.array([ld.invert_profile(targets[i:i + 1], cfg)[0]
+                          for i in range(targets.size)])
+        assert np.array_equal(batch, alone)
+
+
 class TestPhi1:
     def test_defining_equation_residual(self, ladder_cfg, smtable, qcfg):
         from zetaladder.quadrature import cumulative_I
