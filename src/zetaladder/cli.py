@@ -231,6 +231,11 @@ def _pool_size(eff: Dict[str, object]) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)
+            and 0.0 < args.step < math.inf):
+        raise DomainError(
+            f"eval needs finite --from and --to and a finite --step > 0, "
+            f"got --from {args.start} --to {args.stop} --step {args.step}")
     eff = _effective_config(args)
     rs_cfg = _rs_config(eff)
     out = Path(args.out)

@@ -183,13 +183,6 @@ class SpectrumEntry:
 
 def find_eta(T: float, H: float, cfg: FactorConfig) -> float:
     """Mean-value point of the Z window integral above T."""
-    eta, _ = _eta_and_chain(T, H, cfg)
-    return eta
-
-
-def _eta_and_chain(T: float, H: float,
-                   cfg: FactorConfig) -> Tuple[float, PanelChain]:
-    """Shared eta search returning the Z chain for reuse."""
     if T < RS_MIN:
         raise DomainError(f"find_eta needs T >= 8pi, got {T}")
     h_lo, h_hi = admissible_h_range(T)
@@ -222,7 +215,7 @@ def _eta_and_chain(T: float, H: float,
         raise PrecisionError(
             f"eta refinement missed the mean value at T = {T:g}",
             estimate=eta, bound=abs(ratio - 1.0))
-    return float(eta), chain
+    return float(eta)
 
 
 class _LevelMaps:
@@ -235,8 +228,8 @@ class _LevelMaps:
     map_up inverts the chain prefix to climb the other way.
     """
 
-    def __init__(self, T: float, H: float, k: int, eta: float,
-                 cfg: FactorConfig, table: SecondMomentTable):
+    def __init__(self, H: float, k: int, eta: float, cfg: FactorConfig,
+                 table: SecondMomentTable):
         self.k = k
         self.cfg = cfg
         self._slope_c = 1.0 + cfg.ladder.euler_c - math.log(TWO_PI)
@@ -260,7 +253,7 @@ class _LevelMaps:
                     "the window")
             self.chains.append(z2_chain(lo - pad, hi + pad, cfg.quad,
                                         cfg.rs))
-            self.i_base.append(cumulative_I(lo - pad, table, cfg.quad))
+            self.i_base.append(cumulative_I(lo - pad, table))
 
     def map_down(self, level: int, xs: np.ndarray) -> np.ndarray:
         targets = self.i_base[level] + self.chains[level].prefix(xs)
@@ -335,7 +328,7 @@ def iterated_integrand(t: float, k: int, cfg: FactorConfig,
     val = 1.0
     x = float(t)
     for _ in range(k):
-        val *= ztilde_sq(x, cfg.ladder, cfg.rs)
+        val *= ztilde_sq(x, cfg.rs)
         x = phi1(x, cfg.ladder, table).phi1
     return val * riemann_siegel_z(x, cfg.rs).z
 
@@ -361,8 +354,8 @@ def _build_job(T: float, H: float, k: int, cfg: FactorConfig,
         raise TableIntegrityError(
             "FactorConfig quad/rs settings do not match the table "
             "fingerprint")
-    eta, _ = _eta_and_chain(T, H, cfg)
-    maps = _LevelMaps(T, H, k, eta, cfg, table)
+    eta = find_eta(T, H, cfg)
+    maps = _LevelMaps(H, k, eta, cfg, table)
     a, b = maps.bounds[k]
     hk = b - a
     # integrate in the base window, where the pulled-back integrand stays

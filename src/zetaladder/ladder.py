@@ -112,23 +112,22 @@ class LadderPoint:
         return 2.0 * self.phi1
 
 
-def omega(t: float, cfg: LadderConfig) -> float:
+def omega(t: float) -> float:
     """Weight ln t dividing Z^2."""
     if t <= math.e:
         raise DomainError(f"omega needs t > e, got {t}")
     return math.log(t)
 
 
-def ztilde_sq(t: float, cfg: LadderConfig,
-              rs_cfg: RSConfig = RSConfig()) -> float:
+def ztilde_sq(t: float, rs_cfg: RSConfig = RSConfig()) -> float:
     """Weighted square Z(t)^2 / omega(t), the ladder's derivative."""
     if t < RS_MIN:
         raise DomainError(f"ztilde_sq needs t >= 8pi, got {t}")
     point = riemann_siegel_z(t, rs_cfg)
-    return point.z * point.z / omega(t, cfg)
+    return point.z * point.z / omega(t)
 
 
-def ztilde_sq_values(ts: np.ndarray, cfg: LadderConfig,
+def ztilde_sq_values(ts: np.ndarray,
                      rs_cfg: RSConfig = RSConfig()) -> np.ndarray:
     """Vectorized ztilde_sq for quadrature integrands."""
     ts = np.asarray(ts, dtype=np.float64)
@@ -222,7 +221,7 @@ def phi1(T: float, cfg: LadderConfig,
     """
     if T <= 1.0:
         raise DomainError(f"phi1 needs T > 1, got {T}")
-    target = cumulative_I(T, table, table.cfg)
+    target = cumulative_I(T, table)
     # the increasing branch of the profile starts at its stationary point
     lo = TWO_PI / math.exp(1.0 + cfg.euler_c)
     if T <= lo or moment_profile(lo, cfg) >= target \
@@ -253,10 +252,9 @@ def phi1_inverse(x: float, cfg: LadderConfig,
         raise DomainError(f"phi1_inverse needs x > {_ITERATE_FLOOR:g}, "
                           f"got {x}")
     target = moment_profile(x, cfg)
-    quad_cfg = table.cfg
 
     def g(y: float) -> float:
-        return cumulative_I(y, table, quad_cfg) - target
+        return cumulative_I(y, table) - target
 
     # invert the smoothed law I(y) ~ y (ln y + 2c - 1 - ln 2pi) for a start
     two_c = 2.0 * cfg.euler_c
@@ -370,7 +368,7 @@ def calibration_offsets(anchors: Sequence[float], cfg: LadderConfig,
     for T in anchors:
         y = complement_height(float(T), cfg, pi_table)
         base = moment_profile(y, cfg) - cfg.c0
-        out.append(cumulative_I(float(T), table, table.cfg) - base)
+        out.append(cumulative_I(float(T), table) - base)
     return out
 
 

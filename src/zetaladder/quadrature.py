@@ -3,11 +3,13 @@
 Z(t) oscillates with local frequency theta'(t) ~ (1/2) ln(t/2pi), so every
 integral here is cut into Gauss-Legendre 15-point panels whose width keeps
 the phase advance per panel below osc_factor radians.  On such panels the
-integrand is polynomial-tame and GL15 is accurate to roundoff; an adaptive
-bisection pass (h-refinement estimate, fixed left-to-right order, exact
-summation of contributions) supplies the error control and the determinism
-guarantee: decomposition and reduction order depend only on the inputs,
-never on scheduling.
+integrand is polynomial-tame and GL15 is accurate to roundoff.  Adaptive
+bisection supplies the error control: level by level, the halves of every
+pending panel are evaluated in one vectorized sweep and compared with the
+whole panel (the h-refinement estimate), and accepted contributions are
+summed exactly.  Which panels are accepted depends only on the inputs and
+a panel's sum only on its own nodes, so results never depend on batch
+shape or scheduling.
 
 Three consumers sit on top of the same panel machinery:
 
@@ -135,118 +137,91 @@ def _initial_edges(a: float, b: float, osc_factor: float) -> np.ndarray:
     return np.asarray(edges)
 
 
+@dataclass(frozen=True)
 class QuadResult:
-    __slots__ = ("value", "error_bound", "neval", "nodes", "values")
-
-    def __init__(self, value, error_bound, neval, nodes=None, values=None):
-        self.value = value
-        self.error_bound = error_bound
-        self.neval = neval
-        self.nodes = nodes
-        self.values = values
+    value: float
+    error_bound: float
+    neval: int
 
 
-def _panel_sums(fvec, edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
-                                                  np.ndarray]:
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    hws = 0.5 * np.diff(edges)
+def _panel_sums(fvec, lo: np.ndarray,
+                hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """GL15 node values (P, 15) and sums (P,) of the panels [lo, hi]."""
+    mids = 0.5 * (lo + hi)
+    hws = 0.5 * (hi - lo)
     nodes = mids[:, None] + hws[:, None] * _GL_X[None, :]
     vals = np.asarray(fvec(nodes.ravel()), dtype=np.float64)
     vals = vals.reshape(nodes.shape)
     # summed row by row along the contiguous axis, in an order fixed by the
     # row length alone, so a panel's sum does not depend on the batch
-    return nodes, vals, np.add.reduce(vals * _GL_W, axis=1) * hws
+    return vals, np.add.reduce(vals * _GL_W, axis=1) * hws
 
 
 def adaptive_integrate(fvec: Callable[[np.ndarray], np.ndarray], a: float,
-                       b: float, cfg: QuadConfig,
-                       collect: bool = False) -> QuadResult:
+                       b: float, cfg: QuadConfig) -> QuadResult:
     """Deterministic adaptive integration of a vectorized integrand.
 
-    The whole initial decomposition plus its first bisection level is
-    evaluated in three vectorized sweeps (the common case ends there: a
-    phase-bounded panel is already converged, the halves only certify it).
-    Panels whose h-refinement estimate misses their width-proportional
-    budget recurse scalar-wise, depth-first, left to right.
+    Bisects level by level, starting from the phase-bounded panels.  Each
+    pass evaluates the two halves of every pending panel in one vectorized
+    call and accepts a panel when its h-refinement estimate |halves -
+    whole| meets its width-proportional budget or the noise floor, or when
+    the panel sits at max_depth; the halves of the others are the next
+    level.  The common case ends after one pass: a phase-bounded panel is
+    already converged and its halves only certify it.  Value and bound are
+    exact sums, so the order in which panels are accepted does not matter.
     """
     if b <= a:
         return QuadResult(0.0, 0.0, 0)
     edges = _initial_edges(a, b, cfg.osc_factor)
-    mids_all = 0.5 * (edges[:-1] + edges[1:])
-    _, _, coarse = _panel_sums(fvec, edges)
-    half_edges = np.empty(2 * mids_all.size + 1)
-    half_edges[0::2] = edges
-    half_edges[1::2] = mids_all
-    half_nodes, half_vals, half_sums = _panel_sums(fvec, half_edges)
-    fine = half_sums[0::2] + half_sums[1::2]
-    est0 = np.abs(fine - coarse)
-    neval = [15 * (coarse.size + half_sums.size)]
-
-    s0 = fsum(fine.tolist())
-    # panel budgets come from abs_tol alone: additivity contracts compare
-    # decompositions in abs_tol units, so the looser rel_tol allowance must
-    # not leak into per-panel acceptance.  rel_tol only relaxes the final
-    # achievability check below.
-    target = max(cfg.abs_tol, cfg.rel_tol * abs(s0))
+    lo, hi = edges[:-1], edges[1:]
+    _, whole = _panel_sums(fvec, lo, hi)
+    neval = 15 * whole.size
     inv_total = 1.0 / (b - a)
-    widths = np.diff(edges)
-    budgets = cfg.abs_tol * widths * inv_total
-    # noise floor: integrand values carry ~1e-13 of phase roundoff at the top
-    # of the supported t range, so |fine - coarse| stops meaning anything
-    # below ~1e-12 * scale and bisection would drill to max_depth for nothing.
-    # Panels accepted by the floor still report their est, so the returned
-    # bound (and the PrecisionError check against it) stays honest.
-    halfmax = np.abs(half_vals).reshape(coarse.size, -1).max(axis=1)
-    floors = _NOISE_FLOOR * halfmax * widths
-
     parts: List[float] = []
     errs: List[float] = []
-    kept_nodes: List[np.ndarray] = []
-    kept_vals: List[np.ndarray] = []
-
-    def refine(lo: float, hi: float, val: float, depth: int) -> None:
+    depth = 0
+    while lo.size:
         mid = 0.5 * (lo + hi)
-        sub_nodes, sub_vals, sums = _panel_sums(fvec, np.array([lo, mid, hi]))
-        neval[0] += sub_nodes.size
-        est = abs((sums[0] + sums[1]) - val)
-        budget = cfg.abs_tol * (hi - lo) * inv_total
-        # see the first-level floors: below value noise, est is meaningless
-        floor = _NOISE_FLOOR * float(np.abs(sub_vals).max()) * (hi - lo)
-        if est <= budget or est <= floor or depth >= cfg.max_depth:
-            parts.append(sums[0])
-            parts.append(sums[1])
-            errs.append(est)
-            if collect:
-                kept_nodes.append(sub_nodes.ravel())
-                kept_vals.append(sub_vals.ravel())
-            return
-        refine(lo, mid, sums[0], depth + 1)
-        refine(mid, hi, sums[1], depth + 1)
-
-    for i in range(coarse.size):
-        if est0[i] <= budgets[i] or est0[i] <= floors[i]:
-            parts.append(half_sums[2 * i])
-            parts.append(half_sums[2 * i + 1])
-            errs.append(est0[i])
-            if collect:
-                kept_nodes.append(half_nodes[2 * i:2 * i + 2].ravel())
-                kept_vals.append(half_vals[2 * i:2 * i + 2].ravel())
-        else:
-            refine(edges[i], mids_all[i], half_sums[2 * i], 1)
-            refine(mids_all[i], edges[i + 1], half_sums[2 * i + 1], 1)
+        vals, halves = _panel_sums(fvec, np.column_stack((lo, mid)).ravel(),
+                                   np.column_stack((mid, hi)).ravel())
+        neval += 15 * halves.size
+        halves = halves.reshape(-1, 2)
+        fine = halves[:, 0] + halves[:, 1]
+        est = np.abs(fine - whole)
+        if depth == 0:
+            s0 = fsum(fine.tolist())
+        widths = hi - lo
+        # panel budgets come from abs_tol alone: additivity contracts
+        # compare decompositions in abs_tol units, so the looser rel_tol
+        # allowance must not leak into per-panel acceptance.  rel_tol only
+        # relaxes the final achievability check below.
+        budgets = cfg.abs_tol * widths * inv_total
+        # noise floor: integrand values carry ~1e-13 of phase roundoff at
+        # the top of the supported t range, so |fine - whole| stops meaning
+        # anything below ~1e-12 * scale and bisection would drill to
+        # max_depth for nothing.  Panels accepted by the floor still report
+        # their est, so the returned bound (and the PrecisionError check
+        # against it) stays honest.
+        floors = _NOISE_FLOOR * np.abs(vals).reshape(lo.size, 30).max(
+            axis=1) * widths
+        done = (est <= budgets) | (est <= floors) | (depth >= cfg.max_depth)
+        parts.extend(halves[done].ravel().tolist())
+        errs.extend(est[done].tolist())
+        keep = ~done
+        lo = np.column_stack((lo[keep], mid[keep])).ravel()
+        hi = np.column_stack((mid[keep], hi[keep])).ravel()
+        whole = halves[keep].ravel()
+        depth += 1
 
     value = fsum(parts)
     bound = fsum(errs)
+    target = max(cfg.abs_tol, cfg.rel_tol * abs(s0))
     if bound > target * (1.0 + 1e-9):
         raise PrecisionError(
             f"tolerance {target:.3e} not reachable (error bound {bound:.3e}"
             f" at max_depth={cfg.max_depth})",
             estimate=value, bound=bound)
-    nodes = values = None
-    if collect:
-        nodes = np.concatenate(kept_nodes) if kept_nodes else np.empty(0)
-        values = np.concatenate(kept_vals) if kept_vals else np.empty(0)
-    return QuadResult(value, bound, neval[0], nodes, values)
+    return QuadResult(value, bound, neval)
 
 
 def z_values(ts: np.ndarray, rs_cfg: RSConfig = RSConfig()) -> np.ndarray:
@@ -321,26 +296,29 @@ class PanelChain:
         if not b > a:
             raise DomainError("PanelChain needs b > a")
         edges = _initial_edges(a, b, osc_factor)
+        vals, _ = _panel_sums(fvec, edges[:-1], edges[1:])
         mids = 0.5 * (edges[:-1] + edges[1:])
         hws = 0.5 * np.diff(edges)
-        nodes = mids[:, None] + hws[:, None] * _GL_X[None, :]
-        vals = np.asarray(fvec(nodes.ravel()), dtype=np.float64)
-        vals = vals.reshape(nodes.shape)
         coef = npleg.legint(_legendre_project(vals), lbnd=-1) * hws[None, :]
         totals = npleg.legval(1.0, coef)
         cum = np.concatenate(([np.longdouble(0.0)],
                               np.cumsum(totals.astype(np.longdouble))))
         return cls(float(a), float(b), edges, mids, hws, coef, cum)
 
+    def _locate(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Panel index of each t, clipped to the span, and its position in
+        that panel's [-1, 1]."""
+        tc = np.clip(t, self.a, self.b)
+        idx = np.clip(np.searchsorted(self.edges, tc, side="right") - 1, 0,
+                      self.mids.size - 1)
+        return idx, (tc - self.mids[idx]) / self.hws[idx]
+
     def prefix(self, t) -> np.ndarray:
         """Vectorized int_a^t of the interpolated integrand."""
         t = np.asarray(t, dtype=np.float64)
         if t.size and (t.min() < self.a - 1e-9 or t.max() > self.b + 1e-9):
             raise RangeError("prefix query outside the chain span")
-        tc = np.clip(t, self.a, self.b)
-        idx = np.clip(np.searchsorted(self.edges, tc, side="right") - 1, 0,
-                      self.mids.size - 1)
-        x = (tc - self.mids[idx]) / self.hws[idx]
+        idx, x = self._locate(t)
         inner = npleg.legval(x, self.coef[:, idx], tensor=False)
         return (self.cum[idx] + inner).astype(np.float64)
 
@@ -351,11 +329,7 @@ class PanelChain:
         """Derivative of prefix: the interpolated integrand itself."""
         if self._dcoef is None:
             self._dcoef = npleg.legder(self.coef)
-        t = np.asarray(t, dtype=np.float64)
-        tc = np.clip(t, self.a, self.b)
-        idx = np.clip(np.searchsorted(self.edges, tc, side="right") - 1, 0,
-                      self.mids.size - 1)
-        x = (tc - self.mids[idx]) / self.hws[idx]
+        idx, x = self._locate(np.asarray(t, dtype=np.float64))
         inner = npleg.legval(x, self._dcoef[:, idx], tensor=False)
         return inner / self.hws[idx]
 
@@ -441,14 +415,10 @@ class SecondMomentTable:
         return self._ts[i], self._is[i]
 
 
-def cumulative_I(T: float, table: SecondMomentTable,
-                 cfg: QuadConfig = QuadConfig()) -> float:
-    """I(T) = int_0^T Z^2 through the checkpoint table."""
-    if T < 0:
-        raise DomainError(f"cumulative_I needs T >= 0, got {T}")
-    if table_key(cfg, table.rs_cfg) != table.fingerprint:
-        raise TableIntegrityError(
-            "table fingerprint does not match the quadrature config")
+def cumulative_I(T: float, table: SecondMomentTable) -> float:
+    """I(T) = int_0^T Z^2 through the checkpoint table, under its configs."""
+    if not 0 <= T < math.inf:
+        raise DomainError(f"cumulative_I needs finite T >= 0, got {T}")
     if T == 0.0:
         return 0.0
     table.ensure(T)
@@ -456,7 +426,7 @@ def cumulative_I(T: float, table: SecondMomentTable,
     if t0 == T:
         return i0
     part = adaptive_integrate(lambda ts: z2_values(ts, table.rs_cfg), t0, T,
-                              cfg)
+                              table.cfg)
     return i0 + part.value
 
 

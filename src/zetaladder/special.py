@@ -90,8 +90,8 @@ class CriticalPoint:
 
 def tau(t: float) -> float:
     """Truncation length sqrt(t / 2pi) of the main sum."""
-    if t < 0:
-        raise DomainError(f"tau needs t >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"tau needs finite t >= 0, got {t}")
     return math.sqrt(t / TWO_PI)
 
 
@@ -189,8 +189,8 @@ def em_zeta_half(t: float, tol: float = 1e-10) -> complex:
     sum is accumulated with exact (Shewchuk) summation in ascending n, which
     keeps the result independent of call history.
     """
-    if t < 0:
-        raise DomainError(f"em_zeta_half needs t >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"em_zeta_half needs finite t >= 0, got {t}")
     s = complex(0.5, t)
     n_cut = max(24, int(math.ceil(3.0 * t / TWO_PI)))
     for attempt in range(2):

@@ -66,6 +66,19 @@ class TestEval:
                    "--out", str(out)) == 0
         assert out.read_text() == "t,Z,theta,abs_zeta,oracle_diff\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("--from", "20", "--to", "30", "--step", "0"),
+        ("--from", "20", "--to", "30", "--step", "-1"),
+        ("--from", "20", "--to", "30", "--step", "inf"),
+        ("--from", "20", "--to", "inf"),
+        ("--from", "20", "--to", "nan"),
+        ("--from", "nan", "--to", "30"),
+    ])
+    def test_bad_range_exits_2(self, cli_cache, tmp_path, argv):
+        out = tmp_path / "eval.csv"
+        assert run(cli_cache, "eval", *argv, "--out", str(out)) == 2
+        assert not out.exists()
+
     def test_manifest_written(self, cli_cache, tmp_path):
         out = tmp_path / "eval.csv"
         run(cli_cache, "eval", "--from", "100", "--to", "100",
@@ -201,6 +214,12 @@ class TestSpectrum:
         assert lines[0] == "n,omega"
         assert lines[1] == f"1,{math.log(2.0)!r}"
         assert lines[2] == "2,0.0"
+
+    @pytest.mark.parametrize("x", ["nan", "inf"])
+    def test_non_finite_x_exits_2(self, cli_cache, tmp_path, x):
+        out = tmp_path / "spectrum.csv"
+        assert run(cli_cache, "spectrum", "--x", x, "--out", str(out)) == 2
+        assert not out.exists()
 
 
 class TestCalibrate:

@@ -94,7 +94,7 @@ class TestIteratedIntegrand:
         t = 1.0e4 + 11.0
         val = fz.iterated_integrand(t, 1, fconfig, smtable)
         down = phi1(t, fconfig.ladder, smtable).phi1
-        expect = ztilde_sq(t, fconfig.ladder, fconfig.rs) \
+        expect = ztilde_sq(t, fconfig.rs) \
             * riemann_siegel_z(down, fconfig.rs).z
         assert val == pytest.approx(expect, rel=1e-12)
 

@@ -51,41 +51,37 @@ class TestConstants:
 
 class TestOmega:
     def test_exp_heights(self):
-        cfg = ld.LadderConfig()
-        assert ld.omega(math.e ** 2, cfg) == pytest.approx(2.0, rel=1e-15)
-        assert ld.omega(math.e ** 10, cfg) == pytest.approx(10.0, rel=1e-15)
+        assert ld.omega(math.e ** 2) == pytest.approx(2.0, rel=1e-15)
+        assert ld.omega(math.e ** 10) == pytest.approx(10.0, rel=1e-15)
 
     def test_below_e_rejected(self):
         with pytest.raises(DomainError):
-            ld.omega(math.e, ld.LadderConfig())
+            ld.omega(math.e)
 
     def test_monotone(self):
-        cfg = ld.LadderConfig()
         grid = np.geomspace(3.0, 1e6, 50)
-        vals = [ld.omega(float(t), cfg) for t in grid]
+        vals = [ld.omega(float(t)) for t in grid]
         assert all(u < v for u, v in zip(vals, vals[1:]))
 
 
 class TestZtildeSq:
     def test_nonnegative(self):
-        cfg = ld.LadderConfig()
         for t in np.random.default_rng(3).uniform(1e4, 1e5, 40):
-            assert ld.ztilde_sq(float(t), cfg) >= 0.0
+            assert ld.ztilde_sq(float(t)) >= 0.0
 
     def test_vanishes_at_a_zero(self):
         # refine around the smallest sample just above 1e4; a true zero of
         # Z sits inside the refined window
-        cfg = ld.LadderConfig()
         ts = np.arange(1.0e4, 1.0e4 + 2.0, 0.01)
-        zs = ld.ztilde_sq_values(ts, cfg)
+        zs = ld.ztilde_sq_values(ts)
         i = int(np.argmin(zs))
         lo, hi = float(ts[max(i - 1, 0)]), float(ts[min(i + 1, len(ts) - 1)])
         grid = np.linspace(lo, hi, 4001)
-        assert float(ld.ztilde_sq_values(grid, cfg).min()) < 1e-4
+        assert float(ld.ztilde_sq_values(grid).min()) < 1e-4
 
     def test_below_8pi_rejected(self):
         with pytest.raises(DomainError):
-            ld.ztilde_sq(20.0, ld.LadderConfig())
+            ld.ztilde_sq(20.0)
 
     def test_window_integral_matches_ladder_increment(self, ladder_cfg,
                                                       smtable, qcfg):
@@ -117,7 +113,7 @@ class TestPhi1:
         from zetaladder.quadrature import cumulative_I
         for T in (1.0e4, 3.7e4, 1.0e5):
             pt = ld.phi1(T, ladder_cfg, smtable)
-            target = cumulative_I(T, smtable, qcfg)
+            target = cumulative_I(T, smtable)
             back = ld.moment_profile(pt.phi1, ladder_cfg)
             assert abs(back - target) <= 1e-6 * abs(target)
             assert pt.residual == pytest.approx(back - target, abs=1e-9)

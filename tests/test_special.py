@@ -54,8 +54,9 @@ class TestTau:
         assert tau(0.0) == 0.0
 
     def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            tau(-1.0)
+        for t in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                tau(t)
 
     @given(st.floats(min_value=0.0, max_value=1e12))
     def test_monotone_and_square(self, t):
@@ -194,8 +195,9 @@ class TestEmZetaHalf:
                 <= 1e-8
 
     def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            em_zeta_half(-1.0)
+        for t in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                em_zeta_half(t)
 
     def test_phase_is_unimodular(self):
         for t in (10.0, 123.4, 9999.0, 7.5e5):
