@@ -169,8 +169,6 @@ def newton_to_plateau(x: np.ndarray,
     step owns the update and any clamping.
     """
     x = np.array(x, dtype=np.float64)
-    tgt = np.asarray(targets, dtype=np.float64)
-    tol = np.broadcast_to(tol, x.shape)
     best = np.full(x.shape, math.inf)
     worse = np.zeros(x.shape, dtype=np.int64)
     live = np.arange(x.size)
@@ -178,7 +176,7 @@ def newton_to_plateau(x: np.ndarray,
         if not live.size:
             break
         xl = x[live]
-        f = value(xl) - tgt[live]
+        f = value(xl) - targets[live]
         resid = np.abs(f)
         improved = resid < best[live]
         best[live] = np.where(improved, resid, best[live])

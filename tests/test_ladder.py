@@ -96,8 +96,8 @@ class TestZtildeSq:
 
 class TestInvertProfile:
     def test_batch_matches_each_point_alone(self):
-        # c0 near its calibrated value; at c0 = 0 the batch-wide stopping
-        # rule this guards against happened to agree with per-point stops
+        # c0 near its calibrated value: at c0 = 0 these targets stop on the
+        # same step whether the rule is per point or over the whole batch
         cfg = ld.LadderConfig(c0=1428.14)
         rng = np.random.default_rng(11)
         targets = np.concatenate((rng.uniform(1.0e4, 2.0e5, 200),
