@@ -109,7 +109,7 @@ class TestInvertProfile:
 
 
 class TestPhi1:
-    def test_defining_equation_residual(self, ladder_cfg, smtable, qcfg):
+    def test_defining_equation_residual(self, ladder_cfg, smtable):
         from zetaladder.quadrature import cumulative_I
         for T in (1.0e4, 3.7e4, 1.0e5):
             pt = ld.phi1(T, ladder_cfg, smtable)
