@@ -45,7 +45,8 @@ from .errors import (CalibrationError, DegenerateConfigurationError,
                      DomainError, PrecisionError, RangeError,
                      TableIntegrityError, ZetaLadderError)
 from .quadrature import (QuadConfig, SecondMomentTable, admissible_h_range,
-                         hl_moment, load_table, save_table, table_key)
+                         hl_moment, load_table, save_table, table_key,
+                         write_atomic)
 from .special import RSConfig, em_zeta_half, riemann_siegel_z, z_phase
 
 _log = logging.getLogger(__name__)
@@ -69,6 +70,9 @@ _DEFAULTS: Dict[str, object] = {
 
 _TABLE_FILE = "smtable.csv"
 _CALIB_FILE = "calibration.txt"
+
+# rows `eval` writes at most, so a tiny step is refused, not run for hours
+_EVAL_MAX_ROWS = 10 ** 6
 
 
 def _write_manifest(command: str, out: Path, params: Dict[str, object],
@@ -232,24 +236,29 @@ def _pool_size(eff: Dict[str, object]) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.start) and math.isfinite(args.stop)
-            and 0.0 < args.step < math.inf):
+            and 0.0 < args.step < math.inf
+            and args.stop + args.step != args.stop):
         raise DomainError(
-            f"eval needs finite --from and --to and a finite --step > 0, "
-            f"got --from {args.start} --to {args.stop} --step {args.step}")
+            f"eval needs finite --from and --to and a finite --step > 0 "
+            f"that advances t at --to, got --from {args.start} --to "
+            f"{args.stop} --step {args.step}")
+    span = (args.stop - args.start) / args.step + 1e-9
+    if span >= _EVAL_MAX_ROWS:
+        raise DomainError(f"eval would write more than {_EVAL_MAX_ROWS} "
+                          "rows; raise --step or narrow the range")
+    n = int(math.floor(span)) + 1 if args.stop >= args.start else 0
     eff = _effective_config(args)
     rs_cfg = _rs_config(eff)
     out = Path(args.out)
     header = "t,Z,theta,abs_zeta,oracle_diff"
     rows = []
-    if args.stop >= args.start:
-        n = int(math.floor((args.stop - args.start) / args.step + 1e-9)) + 1
-        for i in range(n):
-            t = args.start + i * args.step
-            point = riemann_siegel_z(t, rs_cfg)
-            zeta = em_zeta_half(t)
-            diff = abs(point.z - (z_phase(t) * zeta).real)
-            rows.append(",".join([repr(t), repr(point.z), repr(point.theta),
-                                  repr(abs(zeta)), repr(diff)]))
+    for i in range(n):
+        t = args.start + i * args.step
+        point = riemann_siegel_z(t, rs_cfg)
+        zeta = em_zeta_half(t)
+        diff = abs(point.z - (z_phase(t) * zeta).real)
+        rows.append(",".join([repr(t), repr(point.z), repr(point.theta),
+                              repr(abs(zeta)), repr(diff)]))
     _write_rows(out, header, rows)
     _write_manifest("eval", out, {"from": args.start, "to": args.stop,
                                   "step": args.step}, eff)
@@ -284,7 +293,7 @@ def cmd_moment(args: argparse.Namespace) -> int:
         report = hl_moment(args.T, args.H, qcfg, rs_cfg,
                            u0_exponent=float(eff["u0_exponent"]))
         text = json.dumps(report.as_dict(), indent=2) + "\n"
-        memo.write_text(text)
+        write_atomic(memo, text)
     out.write_text(text)
     _write_manifest("moment", out, {"T": args.T, "H": args.H}, eff, memo)
     print(f"moment: T={args.T:g} H={args.H:g} -> {out}")

@@ -14,10 +14,11 @@ alpha_0 lands back inside (eta, eta+H).  The factorization statement under
 test compares sqrt(Lambda / |zeta| at alpha_0) against the product of
 |zeta| at the remaining alphas, with Lambda = sqrt(2 pi) sqrt(H) ln^k T / H_k.
 
-Level maps inside one job run through per-level panel chains: a local Z^2
-chain gives the cumulative moment increment across the level's interval,
-so heights move one level down by inverting the profile and one level up
-by inverting the chain prefix, without re-entering the checkpoint table.
+Level maps inside one job run through the ladder's inverse solver: each
+level is an `InverseLevel`, a table checkpoint plus one Z^2 chain across
+the level, and that one chain gives the level's bounds, moves heights one
+level up by inverting the chain prefix and one level down by reading I off
+it and inverting the profile, without re-entering the checkpoint table.
 The iterated integral itself is never computed over [A, B]: each inverse
 level contracts wherever Z^2 runs large (the local slope of the inverse
 map is profile slope over Z^2), and on a contracted top level the
@@ -50,13 +51,14 @@ from scipy.optimize import brentq
 
 from .errors import (DegenerateConfigurationError, DomainError,
                      PrecisionError, RangeError, TableIntegrityError)
-from .ladder import (IterateDirection, LadderConfig, invert_profile,
-                     newton_to_plateau, phi1, phi1_iterates, profile_values,
+from .ladder import (LadderConfig, inverse_levels, invert_profile, phi1,
                      ztilde_sq)
-from .quadrature import (PanelChain, QuadConfig, SecondMomentTable,
-                         adaptive_integrate, admissible_h_range,
-                         cumulative_I, table_key, z2_chain, z2_values,
-                         z_chain, z_values)
+from .quadrature import (QuadConfig, SecondMomentTable, adaptive_integrate,
+                         admissible_h_range, table_key, z2_values, z_chain,
+                         z_values)
+# no longer called here; kept because the benchmark's layer tracer wraps them
+from .ladder import phi1_iterates  # noqa: F401
+from .quadrature import cumulative_I, z2_chain  # noqa: F401
 from .special import (RS_MIN, RSConfig, TWO_PI, em_zeta_half,
                       riemann_siegel_z, tau)
 
@@ -221,11 +223,12 @@ def find_eta(T: float, H: float, cfg: FactorConfig) -> float:
 class _LevelMaps:
     """Per-level maps for one (T, H, k) job.
 
-    bounds[r] is the r-fold inverse image of (eta, eta+H); chains[r]
-    (r >= 1) is a local Z^2 chain across it whose prefix, added to the
-    checkpoint value at the left edge, gives I on the level.  map_down
-    sends heights on level r to level r-1 by inverting the profile;
-    map_up inverts the chain prefix to climb the other way.
+    bounds[r] is the r-fold inverse image of (eta, eta+H) and levels[r]
+    (r >= 1) the `InverseLevel` that solved it from bounds[r-1]: a table
+    checkpoint plus one Z^2 chain across the level, which every map on the
+    level reads.  map_up climbs from level r-1 to r on that chain, so
+    bounds[r] is map_up(r, bounds[r-1]) bit for bit; map_down reads I off
+    the same chain and inverts the profile to step back down.
     """
 
     def __init__(self, H: float, k: int, eta: float, cfg: FactorConfig,
@@ -233,52 +236,25 @@ class _LevelMaps:
         self.k = k
         self.cfg = cfg
         self._slope_c = 1.0 + cfg.ladder.euler_c - math.log(TWO_PI)
-        lows = phi1_iterates(eta, k, IterateDirection.INVERSE, cfg.ladder,
-                             table)
-        highs = phi1_iterates(eta + H, k, IterateDirection.INVERSE,
-                              cfg.ladder, table)
-        self.bounds = list(zip(lows, highs))
-        self.chains: List[PanelChain] = [None]  # level 0 never maps down
-        self.i_base = [0.0]
-        # chains are padded past the interval: positions arriving from the
-        # level above carry the inverse solver's ~1e-9-relative endpoint
-        # slack, which at these heights is ~1e-4 in absolute position
-        pad = 0.05
-        for r in range(1, k + 1):
-            lo, hi = self.bounds[r]
+        # level 0 never maps down
+        self.levels = [None] + inverse_levels([eta, eta + H], k, cfg.ladder,
+                                              table)
+        self.bounds = [(eta, eta + H)] + [tuple(lv.heights.tolist())
+                                          for lv in self.levels[1:]]
+        for r, (lo, hi) in enumerate(self.bounds[1:], start=1):
             if not hi > lo:
                 raise DegenerateConfigurationError(
                     f"level {r} inverse interval contracted to zero width "
                     f"at [{lo!r}, {hi!r}]; a large Z^2 excursion swallowed "
                     "the window")
-            self.chains.append(z2_chain(lo - pad, hi + pad, cfg.quad,
-                                        cfg.rs))
-            self.i_base.append(cumulative_I(lo - pad, table))
 
     def map_down(self, level: int, xs: np.ndarray) -> np.ndarray:
-        targets = self.i_base[level] + self.chains[level].prefix(xs)
-        return invert_profile(targets, self.cfg.ladder)
+        return invert_profile(self.levels[level].cumulative(xs),
+                              self.cfg.ladder)
 
     def map_up(self, level: int, prev: np.ndarray) -> np.ndarray:
-        """Preimages on `level` of heights `prev` one level below.
-
-        Solves prefix(v) = moment_profile(prev) - I(chain start) on the
-        level's chain.  The prefix is weakly increasing, so interpolating
-        its panel-edge values brackets each solution inside one panel and
-        Newton with the chain slope finishes.  Flat stretches (Z near a
-        zero) leave the position ill-determined by the flat's width; the
-        result only ever enters through ln v, where that slack is in the
-        tenth digit.
-        """
-        chain = self.chains[level]
-        tgt = profile_values(prev, self.cfg.ladder) - self.i_base[level]
-        cumf = np.maximum.accumulate(chain.cum.astype(np.float64))
-        v = np.interp(tgt, cumf, chain.edges)
-        return newton_to_plateau(
-            v, chain.prefix, tgt,
-            lambda v, f: np.clip(v - f / np.maximum(chain.slope(v), 1e-3),
-                                 chain.a, chain.b),
-            1e-12 * (np.abs(tgt) + abs(self.i_base[level])), 40)
+        """Preimages on `level` of heights `prev` one level below."""
+        return self.levels[level].solve(prev)
 
     def descend(self, beta: float) -> List[float]:
         """Forward images [beta, phi1(beta), ..., phi1^k(beta)]."""

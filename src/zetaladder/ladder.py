@@ -16,31 +16,37 @@ relation's own slow drift (order T/ln^2 T across a decade), not noise; it
 is reported, never corrected.
 
 The inverse map is solved directly on I: phi1(y) = x means I(y) equals the
-profile at x, one bracketed root-find on the increasing I instead of a
-nested inversion.  phi1 itself inverts the profile through
-`invert_profile`, whose Newton loop `newton_to_plateau` the factorization's
-level maps share.  LadderConfig holds only the constants euler_c and c0:
-the weight omega(t) dividing Z^2 is always ln t.  Everything here treats
-the SecondMomentTable as an immutable snapshot apart from its own
-append-only extension; calibration mutates the LadderConfig and must happen
-before dependent calls.
+profile at x.  `InverseLevel` is the one solver: for all heights of one
+ladder level at once it reads I as a table checkpoint plus one Z^2 panel
+chain, brackets each root by the chain's panel-edge values, bisects and
+finishes with the Newton loop `newton_to_plateau`.  `phi1_inverse` is its one-point call,
+`inverse_levels` stacks it level by level for the inverse iterates and the
+factorization's level maps, and phi1 inverts the profile through
+`invert_profile`, which shares the same Newton loop.  LadderConfig holds
+only the constants euler_c and c0: the weight omega(t) dividing Z^2 is
+always ln t.  Everything here treats the SecondMomentTable as an immutable
+snapshot apart from its own append-only extension; calibration mutates the
+LadderConfig and must happen before dependent calls.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from math import fsum
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
+# no longer called here; kept because the benchmark's layer tracer wraps it
+from scipy.optimize import brentq  # noqa: F401
 
 from .errors import (CalibrationError, DomainError, PrecisionError,
                      RangeError, TableIntegrityError)
-from .quadrature import SecondMomentTable, cumulative_I, z2_values
+from .quadrature import (SecondMomentTable, cumulative_I, write_atomic,
+                         z2_chain, z2_values)
 from .special import RS_MIN, RSConfig, TWO_PI, riemann_siegel_z
 
 _LN_TWO_PI = math.log(TWO_PI)
@@ -50,10 +56,10 @@ _LN_TWO_PI = math.log(TWO_PI)
 # the complement behaviour it exists for degrades fast below ~1e3.
 _ITERATE_FLOOR = 1.0e3
 
-# inverse images are solved tighter than the 1e-6 contract: downstream,
-# interval widths are differences of nearby inverses and percent-level
-# width noise would leak straight into the factorization ratio.
-_INV_RTOL = 1e-9
+# chains an inverse level builds, each wider by a doubling step from 100
+# units: a root 3,100 units past the smoothed-law bracket means c0 is far
+# off, and the chain is not grown without bound to find it
+_WIDENINGS = 6
 
 _log = logging.getLogger(__name__)
 
@@ -236,55 +242,113 @@ def phi1(T: float, cfg: LadderConfig,
     return LadderPoint(T=float(T), phi1=y, residual=float(residual))
 
 
+class InverseLevel:
+    """phi1^{-1} on one ladder level: the heights y with I(y) equal to
+    moment_profile(x), for all the heights xs of the level below at once.
+
+    Anchor rule: I on the level is the table checkpoint (t_c, I_c) at or
+    below the smoothed-law bracket of the lowest x plus one Z^2 chain from
+    t_c to past the bracket of the highest x; a root beyond the chain
+    widens it toward that side by doubling steps.  `heights`, `solve` and
+    `cumulative` all read that one chain, and `solve` is point by point,
+    so solve(xs) is `heights` bit for bit.  Needs x > 1e3.
+    """
+
+    def __init__(self, xs, cfg: LadderConfig, table: SecondMomentTable):
+        xs = np.asarray(xs, dtype=np.float64)
+        if not (np.isfinite(xs).all() and xs.min() > _ITERATE_FLOOR):
+            raise DomainError(f"phi1_inverse needs finite x > "
+                              f"{_ITERATE_FLOOR:g}, got {xs.min()}")
+        self.cfg = cfg
+        targets = profile_values(xs, cfg)
+        # invert the smoothed law I(y) ~ y (ln y + 2c - 1 - ln 2pi)
+        two_c, y0 = 2.0 * cfg.euler_c, xs
+        for _ in range(4):
+            smooth = y0 * (np.log(y0) + two_c - 1.0 - _LN_TWO_PI)
+            y0 = y0 - (smooth - targets) / (np.log(y0) + two_c - _LN_TWO_PI)
+        lo = float(np.maximum(xs, y0 - 25.0).min())
+        hi = float(np.maximum(xs, y0).max()) + 25.0
+        for step in (100.0 * 2 ** j for j in range(_WIDENINGS)):
+            table.ensure(lo)
+            t_c, self.i_c = table.value_at(lo)
+            self.chain = z2_chain(t_c, hi, table.cfg, table.rs_cfg)
+            seen = xs >= t_c                # heights the chain covers
+            bad = xs[seen][self.cumulative(xs[seen]) > targets[seen]]
+            if bad.size:
+                raise RangeError(
+                    f"phi1_inverse: no preimage above x = {bad[0]:g} "
+                    "(I(x) already exceeds the profile there)")
+            below = targets.min() < self.i_c
+            beyond = targets.max() > self.i_c + self.chain.total
+            if not (below or beyond):
+                break
+            if below:      # roots under the chain still lie above the xs
+                lo = max(t_c - step, float(xs.min()))
+            if beyond:
+                hi += step
+        else:
+            raise RangeError(f"phi1_inverse: could not bracket the preimage "
+                             f"of x in [{xs.min():g}, {xs.max():g}]")
+        self.heights = self.solve(xs)
+
+    def cumulative(self, ys) -> np.ndarray:
+        """I(y) on the level."""
+        return self.i_c + self.chain.prefix(ys)
+
+    def solve(self, xs) -> np.ndarray:
+        """Heights on the level above xs, to 1e-12 of I, point by point.
+
+        The chain prefix is weakly increasing, so its panel-edge values
+        put each root in one panel.  Bisection narrows that bracket
+        65536-fold before Newton with the chain slope finishes: from a
+        whole panel, Newton can overshoot a flat stretch (Z near a zero)
+        and stop on the plateau rule far from the root.
+        """
+        chain = self.chain
+        tgt = profile_values(xs, self.cfg) - self.i_c
+        cumf = np.maximum.accumulate(chain.cum.astype(np.float64))
+        j = np.clip(np.searchsorted(cumf, tgt) - 1, 0, chain.mids.size - 1)
+        lo, hi = chain.edges[j], chain.edges[j + 1]
+        for _ in range(16):
+            mid = 0.5 * (lo + hi)
+            left = chain.prefix(mid) >= tgt
+            lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
+        return newton_to_plateau(
+            0.5 * (lo + hi), chain.prefix, tgt,
+            lambda v, f: np.clip(v - f / np.maximum(chain.slope(v), 1e-3),
+                                 chain.a, chain.b),
+            1e-12 * (np.abs(tgt) + abs(self.i_c)), 40)
+
+
 def phi1_inverse(x: float, cfg: LadderConfig,
                  table: SecondMomentTable) -> float:
-    """Height y above x with phi1(y) = x, to 1e-9 relative.
+    """Height y above x with phi1(y) = x: `InverseLevel` at one point.
 
-    Equivalent to solving I(y) = moment_profile(x) on the increasing I,
-    which takes one bracketed root-find instead of nesting phi1 solves.
-    The bracket starts from the smoothed-moment inverse of the target and
-    widens geometrically if the local fluctuation of I pushed the root
-    outside.  Meaningful for x in the calibrated range (>= ~1e3).
+    Solves I(y) = moment_profile(x) on the increasing I instead of nesting
+    phi1 solves.  Meaningful for x in the calibrated range (> 1e3).
     """
-    if x <= _ITERATE_FLOOR:
-        raise DomainError(f"phi1_inverse needs x > {_ITERATE_FLOOR:g}, "
-                          f"got {x}")
-    target = moment_profile(x, cfg)
+    return float(InverseLevel([x], cfg, table).heights[0])
 
-    def g(y: float) -> float:
-        return cumulative_I(y, table) - target
 
-    # invert the smoothed law I(y) ~ y (ln y + 2c - 1 - ln 2pi) for a start
-    two_c = 2.0 * cfg.euler_c
-    y0 = x
-    for _ in range(4):
-        smooth = y0 * (math.log(y0) + two_c - 1.0 - _LN_TWO_PI)
-        y0 -= (smooth - target) / (math.log(y0) + two_c - _LN_TWO_PI)
-    lo = max(x, y0 - 25.0)
-    hi = y0 + 25.0
-    g_lo, g_hi = g(lo), g(hi)
-    step = 100.0
-    for _ in range(24):
-        if g_lo > 0.0:              # root below lo (or nowhere above x)
-            if lo <= x:
-                raise RangeError(
-                    f"phi1_inverse: no preimage above x = {x:g} "
-                    "(I(x) already exceeds the profile there)")
-            hi, g_hi = lo, g_lo
-            lo = max(x, lo - step)
-            g_lo = g(lo)
-        elif g_hi < 0.0:            # root above hi
-            lo, g_lo = hi, g_hi
-            hi += step
-            g_hi = g(hi)
-        else:
-            break
-        step *= 2.0
-    else:
-        raise RangeError(f"phi1_inverse: could not bracket the preimage "
-                         f"of x = {x:g}")
-    y = brentq(g, lo, hi, xtol=_INV_RTOL * x)
-    return float(y)
+def inverse_levels(xs, k: int, cfg: LadderConfig,
+                   table: SecondMomentTable) -> List[InverseLevel]:
+    """The k levels above heights xs; level i holds phi1^{-i}(xs)."""
+    levels: List[InverseLevel] = []
+    for i in range(1, k + 1):
+        with _iterate(i, k):
+            levels.append(InverseLevel(levels[-1].heights if levels else xs,
+                                       cfg, table))
+    return levels
+
+
+@contextmanager
+def _iterate(i: int, k: int):
+    """Report a failure of iterate i of k as leaving the supported range."""
+    try:
+        yield
+    except (CalibrationError, DomainError) as exc:
+        raise RangeError(f"iterate {i} of {k} left the supported "
+                         f"range: {exc}") from exc
 
 
 def phi1_iterates(t: float, k: int, direction: IterateDirection,
@@ -301,15 +365,12 @@ def phi1_iterates(t: float, k: int, direction: IterateDirection,
     if not isinstance(direction, IterateDirection):
         raise DomainError("direction must be an IterateDirection")
     chain = [float(t)]
+    if direction is IterateDirection.INVERSE:
+        return chain + [float(lv.heights[0])
+                        for lv in inverse_levels([t], k, cfg, table)]
     for i in range(1, k + 1):
-        try:
-            if direction is IterateDirection.FORWARD:
-                nxt = phi1(chain[-1], cfg, table).phi1
-            else:
-                nxt = phi1_inverse(chain[-1], cfg, table)
-        except (CalibrationError, DomainError) as exc:
-            raise RangeError(f"iterate {i} of {k} left the supported "
-                             f"range: {exc}") from exc
+        with _iterate(i, k):
+            nxt = phi1(chain[-1], cfg, table).phi1
         if nxt < _ITERATE_FLOOR:
             raise RangeError(
                 f"iterate {i} of {k} fell below the calibrated range "
@@ -408,24 +469,28 @@ def save_calibration(path, cfg: LadderConfig, table: SecondMomentTable,
         f"smtable_fingerprint={table.fingerprint}",
         "calibrated_at_anchors=" + ",".join(repr(float(a)) for a in anchors),
     ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_calibration(path) -> Tuple[LadderConfig, str, List[float]]:
     """Read a calibration artifact; returns (config, fingerprint, anchors).
 
-    The caller is responsible for refusing a fingerprint that does not
-    match the table it plans to use.
+    A file cut short (no final newline) is refused.  The caller is
+    responsible for refusing a fingerprint that does not match the table
+    it plans to use.
     """
-    fields = {}
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            fields[key.strip()] = val.strip()
+        text = fh.read()
+    if not text.endswith("\n"):
+        raise TableIntegrityError(
+            f"calibration file {path} is cut short (no final newline)")
+    fields = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, val = line.partition("=")
+        fields[key.strip()] = val.strip()
     try:
         cfg = LadderConfig(euler_c=float(fields["euler_c"]),
                            c0=float(fields["c0"]))

@@ -19,9 +19,10 @@ Three consumers sit on top of the same panel machinery:
   The windowed moment reuses it so the inner and outer integrals share one
   set of Z evaluations instead of re-evaluating O(U0 * H) times.
 - SecondMomentTable: checkpoints of I(T) = int_0^T Z^2 at a fixed stride,
-  extended append-only (single writer) and persisted as `smtable-v1` files
+  extended append-only (single writer) and persisted as `smtable-v2` files
   keyed by `table_key`: the QuadConfig fingerprint plus the Riemann-Siegel
-  correction order.
+  correction order, written whole (`write_atomic`) and refused on load
+  when damaged.
 
 Below t = 8pi the Riemann-Siegel route is too short to trust, so integrands
 switch to the Euler-Maclaurin oracle there (for Z^2 that needs no phase at
@@ -430,40 +431,56 @@ def cumulative_I(T: float, table: SecondMomentTable) -> float:
     return i0 + part.value
 
 
+def write_atomic(path, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it into
+    place, so readers find the old file or the whole new one."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
+def _table_header(table: SecondMomentTable, rows: int) -> str:
+    return (f"smtable-v2,{table.fingerprint},stride={table.STRIDE!r},"
+            f"tolerance={table.tolerance!r},rows={rows}")
+
+
 def save_table(table: SecondMomentTable, path) -> None:
-    lines = [f"smtable-v1,{table.fingerprint},stride={table.STRIDE!r},"
-             f"tolerance={table.tolerance!r}"]
+    lines = [_table_header(table, len(table._ts))]
     for t, i in zip(table._ts, table._is):
         lines.append(f"{t!r},{i!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_table(path, cfg: QuadConfig = QuadConfig(),
                rs_cfg: RSConfig = RSConfig()) -> SecondMomentTable:
+    """The table save_table wrote to path under these configs.
+
+    TableIntegrityError unless the file is whole: newline-terminated, with
+    the header save_table writes (tag, key, stride, tolerance and the row
+    count), checkpoint k at k strides (value_at finds checkpoints by
+    index) and I nondecreasing from I(0) = 0.
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("smtable-v1,"):
-        raise TableIntegrityError(f"{path}: not an smtable-v1 file")
-    header = lines[0].split(",")
+        text = fh.read()
+    if not text.endswith("\n"):
+        raise TableIntegrityError(f"{path}: cut short (no final newline)")
+    header, *rows = text.splitlines()
     table = SecondMomentTable(cfg, rs_cfg)
-    if header[1] != table.fingerprint:
-        raise TableIntegrityError(
-            f"{path}: fingerprint {header[1]} does not match config "
-            f"{table.fingerprint}")
-    ts: List[float] = []
-    iis: List[float] = []
-    for ln in lines[1:]:
-        t_str, i_str = ln.split(",")
-        ts.append(float(t_str))
-        iis.append(float(i_str))
-    if not ts or ts[0] != 0.0 or iis[0] != 0.0:
-        raise TableIntegrityError(f"{path}: table must start at (0, 0)")
-    for k in range(1, len(ts)):
-        if ts[k] <= ts[k - 1] or iis[k] < iis[k - 1]:
-            raise TableIntegrityError(f"{path}: checkpoints not monotone")
-    table._ts = ts
-    table._is = iis
+    want = _table_header(table, len(rows))
+    if header != want:
+        raise TableIntegrityError(f"{path}: header {header!r} is not "
+                                  f"{want!r}")
+    pts = [tuple(map(float, ln.split(","))) for ln in rows]
+    table._ts = [t for t, _ in pts]
+    table._is = [i for _, i in pts]
+    if table._ts != [k * table.STRIDE for k in range(len(pts))]:
+        raise TableIntegrityError(f"{path}: checkpoints off the stride grid")
+    if not pts or table._is[0] != 0.0 \
+            or any(b < a for a, b in zip(table._is, table._is[1:])):
+        raise TableIntegrityError(f"{path}: I must start at 0, never falling")
     return table
 
 

@@ -73,6 +73,8 @@ class TestEval:
         ("--from", "20", "--to", "inf"),
         ("--from", "20", "--to", "nan"),
         ("--from", "nan", "--to", "30"),
+        ("--from", "20", "--to", "30", "--step", "1e-300"),
+        ("--from", "20", "--to", "2e6", "--step", "1"),
     ])
     def test_bad_range_exits_2(self, cli_cache, tmp_path, argv):
         out = tmp_path / "eval.csv"
@@ -173,6 +175,14 @@ class TestAlphas:
         assert len(doc["alphas"]) == 2
         assert doc["T"] < doc["eta"] < doc["alphas"][0]
         assert doc["alphas"][-1] == doc["beta"]
+
+    def test_height_below_the_ladder_floor_exits_2(self, cli_cache, tmp_path,
+                                                   capsys):
+        out = tmp_path / "alphas.json"
+        assert run(cli_cache, "alphas", "--T", "950", "--H", "2", "--k", "1",
+                   "--out", str(out)) == 2
+        assert "iterate 1 of 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFactorize:

@@ -130,6 +130,24 @@ class TestFindBeta:
                           for i in range(us.size)])
         assert np.array_equal(batch, alone)
 
+    def test_bounds_are_map_up_of_the_level_below(self, job151, fconfig,
+                                                  smtable):
+        eta = job151[0]
+        maps = fz._LevelMaps(2.0, 2, eta, fconfig, smtable)
+        for r in (1, 2):
+            got = maps.map_up(r, np.array(maps.bounds[r - 1]))
+            assert got.tolist() == list(maps.bounds[r])
+
+    def test_map_down_undoes_map_up_across_flat_stretches(self, fconfig,
+                                                          smtable):
+        # the window above T = 10400 maps onto zeros of Z on level 1, where
+        # a Newton step from a whole panel once stopped far from the root
+        eta = fz.find_eta(1.04e4, 2.0, fconfig)
+        maps = fz._LevelMaps(2.0, 1, eta, fconfig, smtable)
+        us = np.linspace(eta, eta + 2.0, 20001)[1:-1]
+        back = maps.map_down(1, maps.map_up(1, us))
+        assert np.abs(back - us).max() <= 1e-6
+
     def test_order_zero_rejected(self, fconfig, smtable):
         with pytest.raises(DomainError):
             fz.find_beta(1.0e5, 2.0, 0, fconfig, smtable)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from zetaladder import ladder as ld
 from zetaladder.errors import (CalibrationError, DomainError, RangeError,
                                TableIntegrityError)
-from zetaladder.quadrature import adaptive_integrate, z2_values
+from zetaladder.quadrature import adaptive_integrate, cumulative_I, z2_values
 
 EULER_C = 0.5772156649015329
 
@@ -188,6 +188,13 @@ class TestPhi1Inverse:
         with pytest.raises(DomainError):
             ld.phi1_inverse(900.0, ladder_cfg, smtable)
 
+    def test_no_preimage_above_x(self, ladder_cfg, smtable):
+        x = 2.0e4
+        low = ld.LadderConfig(c0=ladder_cfg.c0 - 2.0e4)
+        assert cumulative_I(x, smtable) > ld.moment_profile(x, low)
+        with pytest.raises(RangeError, match="no preimage above x"):
+            ld.phi1_inverse(x, low, smtable)
+
 
 class TestPhi1Iterates:
     def test_zero_iterations(self, ladder_cfg, smtable):
@@ -334,6 +341,14 @@ class TestCalibration:
         assert loaded.euler_c == ladder_cfg.euler_c
         assert fingerprint == smtable.fingerprint
         assert got_anchors == anchors
+
+    def test_artifact_cut_short_rejected(self, tmp_path, ladder_cfg,
+                                         smtable):
+        path = tmp_path / "calibration.txt"
+        ld.save_calibration(path, ladder_cfg, smtable, [1.0e4, 3.0e4, 1.0e5])
+        path.write_text(path.read_text()[:-3])
+        with pytest.raises(TableIntegrityError):
+            ld.load_calibration(path)
 
     def test_artifact_rejects_garbage(self, tmp_path):
         path = tmp_path / "calibration.txt"

@@ -235,7 +235,7 @@ class TestSecondMomentTable:
         path = tmp_path / "table.csv"
         save_table(table, path)
         text = path.read_text()
-        assert text.startswith(f"smtable-v1,{table.fingerprint},")
+        assert text.startswith(f"smtable-v2,{table.fingerprint},")
         loaded = load_table(path, qcfg, rs_cfg)
         assert loaded.checkpoints == table.checkpoints
 
@@ -265,6 +265,31 @@ class TestSecondMomentTable:
         save_table(table, path)
         lines = path.read_text().splitlines()
         lines[2], lines[3] = lines[3], lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TableIntegrityError):
+            load_table(path, qcfg, rs_cfg)
+
+    @pytest.mark.parametrize("cut", [
+        lambda text: text[:-5],                          # inside a number
+        lambda text: text[:text.rindex("\n", 0, -1) + 1],  # a whole row
+    ], ids=["in-last-number", "last-row"])
+    def test_load_rejects_cut_table(self, tmp_path, qcfg, rs_cfg, cut):
+        table = SecondMomentTable(qcfg, rs_cfg)
+        table.ensure(192.0)
+        path = tmp_path / "table.csv"
+        save_table(table, path)
+        path.write_text(cut(path.read_text()))
+        with pytest.raises(TableIntegrityError):
+            load_table(path, qcfg, rs_cfg)
+
+    def test_load_rejects_shifted_checkpoint(self, tmp_path, qcfg, rs_cfg):
+        table = SecondMomentTable(qcfg, rs_cfg)
+        table.ensure(192.0)
+        path = tmp_path / "table.csv"
+        save_table(table, path)
+        lines = path.read_text().splitlines()
+        _, i_str = lines[3].split(",")
+        lines[3] = f"{130.0!r},{i_str}"      # checkpoint 2 belongs at 128
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TableIntegrityError):
             load_table(path, qcfg, rs_cfg)
