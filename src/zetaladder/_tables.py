@@ -1,10 +1,14 @@
-"""Shared term tables for the Dirichlet-type sums.
+"""Shared term tables for the Dirichlet-type sums, in double-double float64.
 
 Both the Riemann-Siegel kernel and the Euler-Maclaurin oracle spend their time
-on sums over n of n^{-1/2} * trig(t * ln n).  The ln n and n^{-1/2} tables are
-precomputed once and grown on demand; the longdouble copy of ln n keeps the
-phase t*ln n accurate to ~1e-12 after mod-2pi reduction at t ~ 1e6, where a
-float64 product alone would already carry ~1e-9 of roundoff.
+on sums over n of n^{-1/2} * trig(t * ln n).  At t ~ 1e6 the phase t * ln n
+reaches ~1e7 rad, so a float64 ln n (53 bits) would leave ~1e-9 rad after
+reduction.  The tables therefore hold ln n, and ln n / 2pi, as true
+double-doubles hi + lo (about 106 bits, |error| <= 2^-104 ln n), built here
+from error-free float64 transforms (Veltkamp's split, Knuth's two-sum and
+Dekker's two-product; Dekker, Numer. Math. 18, 1971).  Nothing depends on the
+platform's long double.  `turns` forms t * ln n / 2pi mod 1 against the table
+to ~1e-16 turns; the tables are grown on demand.
 """
 
 from __future__ import annotations
@@ -13,49 +17,169 @@ import threading
 
 import numpy as np
 
+# double-double constants, from a 200-bit evaluation
+PI_DD = (3.141592653589793, 1.2246467991473532e-16)
+TWO_PI_DD = (6.283185307179586, 2.4492935982947064e-16)
+INV_TWO_PI_DD = (0.15915494309189535, -9.839338337591243e-18)
+LN_TWO_PI_DD = (1.8378770664093456, -7.756588316134483e-17)
+
+_SPLITTER = 134217729.0  # 2^27 + 1
+
+
+def split(a):
+    """Veltkamp split: a = hi + lo with each part at most 26 bits wide."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def two_sum(a, b):
+    """s + e = a + b exactly, s = fl(a + b)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def two_prod(a, b):
+    """p + e = a * b exactly, p = fl(a * b) (Dekker)."""
+    p = a * b
+    ah, al = split(a)
+    bh, bl = split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def dd_add(ah, al, bh, bl):
+    """(ah + al) + (bh + bl) as a normalized double-double."""
+    s, e = two_sum(ah, bh)
+    e = e + (al + bl)
+    hi = s + e
+    return hi, e - (hi - s)
+
+
+def dd_mul(ah, al, bh, bl):
+    """(ah + al) * (bh + bl) as a normalized double-double."""
+    p, e = two_prod(ah, bh)
+    e = e + (ah * bl + al * bh)
+    hi = p + e
+    return hi, e - (hi - p)
+
+
+def _dd_div(num, den_hi, den_lo):
+    """num / (den_hi + den_lo) as a double-double, num a float64."""
+    q = num / den_hi
+    p, pe = two_prod(q, den_hi)
+    return q, (((num - p) - pe) - q * den_lo) / den_hi
+
+
+# 1/(2k+1) as double-doubles, the atanh series coefficients
+_ODD = [_dd_div(1.0, 2.0 * k + 1.0, 0.0) for k in range(40)]
+
+
+def _ln_ratio_dd(num, den_hi, den_lo, terms: int, dd_terms: int):
+    """ln((den + num) / (den - num)) = 2 atanh(u), u = num / den, as
+    2u sum_{k<terms} v^k / (2k+1), v = u^2, by Horner in v: the terms from
+    k = dd_terms on in float64, the first dd_terms in double-double."""
+    u_hi, u_lo = _dd_div(num, den_hi, den_lo)
+    v_hi, v_lo = dd_mul(u_hi, u_lo, u_hi, u_lo)
+    s_hi = 0.0
+    for k in range(terms - 1, dd_terms - 1, -1):
+        s_hi = _ODD[k][0] + v_hi * s_hi
+    s_lo = 0.0
+    for k in range(dd_terms - 1, -1, -1):
+        s_hi, s_lo = dd_mul(s_hi, s_lo, v_hi, v_lo)
+        s_hi, s_lo = dd_add(s_hi, s_lo, *_ODD[k])
+    return dd_mul(s_hi, s_lo, 2.0 * u_hi, 2.0 * u_lo)
+
+
+# ln(1 + j/64) = 2 atanh(j / (128 + j)), j = 0..64; |u| <= 1/3 needs 40 terms
+_J = np.arange(65, dtype=np.float64)
+_LNC_HI, _LNC_LO = _ln_ratio_dd(_J, 128.0 + _J, 0.0, 40, 40)
+_LN2_HI, _LN2_LO = float(_LNC_HI[64]), float(_LNC_LO[64])
+
+
+def ln_dd(x):
+    """ln x for an array of finite x > 0, as a double-double (hi, lo).
+
+    x = 2^e m with m in [1, 2) and c = 1 + j/64 the nearest table point, so
+    ln x = e ln 2 + ln c + 2 atanh(u), u = (m - c) / (m + c), |u| <= 1/256.
+    Seven series terms reach 2^-112; those past u^5, below 2^-50 in size,
+    need only float64."""
+    m, e = np.frexp(np.asarray(x, dtype=np.float64))
+    m, e = 2.0 * m, (e - 1).astype(np.float64)
+    j = np.rint((m - 1.0) * 64.0)
+    c = 1.0 + j / 64.0
+    den_hi, den_lo = two_sum(m, c)
+    r_hi, r_lo = _ln_ratio_dd(m - c, den_hi, den_lo, 7, 3)
+    ji = j.astype(np.int64)
+    hi, lo = dd_add(_LNC_HI[ji], _LNC_LO[ji], r_hi, r_lo)
+    p, pe = two_prod(e, _LN2_HI)
+    return dd_add(p, pe + e * _LN2_LO, hi, lo)
+
+
+def turns(t, hi, lo, out=None, tmp=None):
+    """t * (hi + lo) mod 1, in about [-1/2, 1/2], for float64 t and a
+    double-double multiplier.  The arguments broadcast; out and tmp, if
+    given, are written over (out holds the result).
+
+    With t = th + tl and hi = bh + bl split to 26 bits, th * bh is exact and
+    loses only whole turns.  The rest, th * (bl + lo) + tl * hi, is below
+    2^-25 t hi in size (tl * lo, below 2^-78 t hi, is dropped), so for
+    t * hi < 2^26 the result is within ~1e-16 turns."""
+    th, tl = split(t)
+    bh, bl = split(hi)
+    r = np.multiply(th, bh, out=out)
+    tmp = np.rint(r, out=tmp)
+    r -= tmp
+    r += np.multiply(th, bl + lo, out=tmp)
+    r += np.multiply(tl, hi, out=tmp)
+    return r
+
+
 _lock = threading.Lock()
 
 
 def _build(size: int):
-    ns64 = np.arange(1, size + 1, dtype=np.float64)
-    ln_ld = np.log(np.arange(1, size + 1, dtype=np.longdouble))
-    ln_hi = ln_ld.astype(np.float64)
-    ln_lo = (ln_ld - ln_hi).astype(np.float64)
-    return ln_hi, ln_lo, ln_ld, 1.0 / np.sqrt(ns64)
+    ns = np.arange(1, size + 1, dtype=np.float64)
+    ln_hi, ln_lo = np.empty(size), np.empty(size)
+    for i in range(0, size, 1 << 15):
+        # blocks that stay in cache: three times faster than one pass at 1e6
+        blk = slice(i, i + (1 << 15))
+        ln_hi[blk], ln_lo[blk] = ln_dd(ns[blk])
+    lt_hi, lt_lo = dd_mul(ln_hi, ln_lo, *INV_TWO_PI_DD)
+    return ln_hi, ln_lo, lt_hi, lt_lo, 1.0 / np.sqrt(ns)
 
 
-_ln, _ln_lo, _ln_ld, _rsqrt = _build(1024)
+_ln, _ln_lo, _lt, _lt_lo, _rsqrt = _build(1024)
 
 
 def ensure(n: int) -> None:
     """Grow the tables to cover 1..n."""
-    global _ln, _ln_lo, _ln_ld, _rsqrt
+    global _ln, _ln_lo, _lt, _lt_lo, _rsqrt
     if n <= _ln.shape[0]:
         return
     with _lock:
         if n <= _ln.shape[0]:
             return
-        _ln, _ln_lo, _ln_ld, _rsqrt = _build(max(n, 2 * _ln.shape[0]))
+        _ln, _ln_lo, _lt, _lt_lo, _rsqrt = _build(max(n, 2 * _ln.shape[0]))
 
 
 def ln_n(n: int) -> np.ndarray:
-    """float64 ln(1..n), index k holds ln(k+1)."""
+    """float64 ln(1..n), index k holds ln(k+1): the hi part of ln_dd."""
     ensure(n)
     return _ln[:n]
 
 
 def ln_n_lo(n: int) -> np.ndarray:
-    """float64 tail of the hi+lo split of ln(1..n): ln_n_lo[k] is the part of
-    ln(k+1) that the float64 value drops.  The kernel folds t * lo back into
-    the reduced phase so phase accuracy does not decay with t."""
+    """lo part of the double-double ln(1..n): what the float64 ln_n drops."""
     ensure(n)
     return _ln_lo[:n]
 
 
-def ln_n_ld(n: int) -> np.ndarray:
-    """longdouble ln(1..n)."""
+def ln_n_turns(n: int):
+    """ln(1..n) / 2pi as a double-double (hi, lo), the multiplier of t in
+    the phases, in turns."""
     ensure(n)
-    return _ln_ld[:n]
+    return _lt[:n], _lt_lo[:n]
 
 
 def rsqrt_n(n: int) -> np.ndarray:

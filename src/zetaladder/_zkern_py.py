@@ -1,17 +1,19 @@
 """Pure numpy fallback for the Riemann-Siegel main-sum kernel.
 
-Matches the compiled kernel's contract: thetas arrive reduced mod 2pi, and
-the t * ln n phase products are formed in longdouble and reduced mod 2pi
-before the float64 cos, keeping phase error ~1e-15 rad at t ~ 1e6.  Points
-are grouped by the truncation length floor(tau) so the inner sum vectorizes
-as a 2-d cos; groups are chunked to keep the scratch array below ~32 MB.
-Each row's terms are weighted elementwise and summed by numpy's pairwise
-add.reduce along the contiguous axis, row by row, in an order fixed by the
-row length alone (a BLAS gemv would pick its order from the row count).
-A point's value therefore depends only on its own t and theta, never on the
-other points in its call, so scalar and batched evaluation agree bit for
-bit.  It is not bit-identical to the compiled Kahan loop; the two agree to
-~1e-12 and the benchmark asserts it.
+Matches the compiled kernel's contract: thetas arrive reduced mod 2pi.  The
+phase t * ln n / 2pi is formed by Dekker's two-product against the
+double-double ln n / 2pi table and reduced mod 1 (`_tables.turns`), so the
+cos argument carries ~1e-15 rad of error at any t the kernel accepts.  With
+the Kahan-compensated sum below, the main sum lands within ~3e-15 of a
+200-bit evaluation at t = 1.2e4, 1e5 and 1e6.
+
+Points are grouped by the truncation length nv = floor(tau) and laid out
+terms by points: blocks of rows n by up to 4096 points, each block's scratch
+near 512 KB.  The rows are summed by an explicit Kahan loop in ascending n,
+so a point's value depends only on its own t and theta, never on the other
+points in its call, and scalar and batched evaluation agree bit for bit.  It
+is not bit-identical to the compiled loop; the two agree to ~1e-12 and the
+benchmark asserts it.
 """
 
 from __future__ import annotations
@@ -21,33 +23,70 @@ import numpy as np
 from . import _tables
 
 TWO_PI = 6.283185307179586476925286766559
-_TWO_PI_LD = np.longdouble("6.28318530717958647692528676655900577")
 
-_CHUNK_FLOATS = 2_000_000
+_CHUNK_FLOATS = 1 << 16
+_COLS = 4096
+_PY_COLS = 16
+
+
+def _kahan_rows(terms: np.ndarray, acc: np.ndarray, comp: np.ndarray):
+    """Add the rows of terms, in order, to the Kahan sums acc + comp (one
+    per column) and return the new (acc, comp); terms is overwritten.
+    Narrow blocks run the same IEEE operations on Python floats, which give
+    the same bits without a numpy call per row."""
+    if terms.shape[1] <= _PY_COLS:
+        for j in range(terms.shape[1]):
+            a, c = float(acc[j]), float(comp[j])
+            for x in terms[:, j].tolist():
+                y = x - c
+                s = a + y
+                c = (s - a) - y
+                a = s
+            acc[j], comp[j] = a, c
+        return acc, comp
+    s = np.empty_like(acc)
+    for y in terms:
+        y -= comp
+        np.add(acc, y, out=s)
+        np.subtract(s, acc, out=comp)
+        comp -= y
+        acc, s = s, acc
+    return acc, comp
 
 
 def z_main_sum(ts: np.ndarray, thetas: np.ndarray, ln_n: np.ndarray,
                ln_n_lo: np.ndarray, rsqrt_n: np.ndarray, order: int,
                out: np.ndarray) -> int:
-    # ln_n_lo is unused here: this path rebuilds the phases from the
-    # longdouble table directly
+    # ln_n and ln_n_lo are unused here: the phases come from the same
+    # double-double table over 2pi (ln_n_turns), whose reduction mod 1 is
+    # exact
     tau = np.sqrt(ts / TWO_PI)
     nmax = np.floor(tau).astype(np.int64)
-    ln_ld = _tables.ln_n_ld(int(nmax.max())) if nmax.size else None
-    ts_ld = ts.astype(np.longdouble)
+    lt_hi, lt_lo = _tables.ln_n_turns(int(nmax.max(initial=1)))
     for nv in np.unique(nmax):
         idx = np.nonzero(nmax == nv)[0]
         if nv == 0:
             out[idx] = 0.0
             continue
-        rows = max(1, _CHUNK_FLOATS // int(nv))
-        for lo in range(0, idx.shape[0], rows):
-            sel = idx[lo:lo + rows]
-            prod = np.mod(ts_ld[sel, None] * ln_ld[None, :nv], _TWO_PI_LD)
-            phase = thetas[sel, None] - prod.astype(np.float64)
-            np.cos(phase, out=phase)
-            phase *= rsqrt_n[:nv]
-            out[sel] = 2.0 * np.add.reduce(phase, axis=1)
+        cols = min(idx.shape[0], _COLS)
+        rows = max(1, _CHUNK_FLOATS // cols)
+        buf = np.empty((2, min(rows, nv) * cols))
+        for c0 in range(0, idx.shape[0], cols):
+            sel = idx[c0:c0 + cols]
+            t, th = ts[sel], thetas[sel]
+            acc, comp = np.zeros(sel.shape[0]), np.zeros(sel.shape[0])
+            for r0 in range(0, nv, rows):
+                r1 = min(nv, r0 + rows)
+                size = (r1 - r0) * sel.shape[0]
+                phase = buf[0, :size].reshape(r1 - r0, sel.shape[0])
+                _tables.turns(t, lt_hi[r0:r1, None], lt_lo[r0:r1, None],
+                              out=phase, tmp=buf[1, :size].reshape(phase.shape))
+                phase *= -TWO_PI
+                phase += th
+                np.cos(phase, out=phase)
+                phase *= rsqrt_n[r0:r1, None]
+                acc, comp = _kahan_rows(phase, acc, comp)
+            out[sel] = 2.0 * acc
     if order == 1:
         p = tau - nmax
         den = np.cos(TWO_PI * p)

@@ -274,6 +274,31 @@ def _moment_cache_key(T: float, H: float, eff, qcfg: QuadConfig,
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+_MOMENT_KEYS = ("T", "H", "U0", "jbar", "ratio")
+
+
+def _replayable_memo(memo: Path, T: float, H: float) -> Optional[str]:
+    """The text of a cached moment memo if it is a whole moment-v1 report
+    for exactly (T, H); otherwise None, with the reason logged."""
+    try:
+        text = memo.read_text()
+        doc = json.loads(text)
+    except (OSError, ValueError) as exc:
+        why = f"unreadable ({exc})"
+    else:
+        if not (isinstance(doc, dict) and doc.get("schema") == "moment-v1"
+                and all(isinstance(doc.get(k), float)
+                        for k in _MOMENT_KEYS)):
+            why = "not a whole moment-v1 report"
+        elif (doc["T"], doc["H"]) != (T, H):
+            why = f"it holds T={doc['T']!r}, H={doc['H']!r}"
+        else:
+            _log.info("moment cache hit: %s", memo.name)
+            return text
+    _log.warning("moment memo %s recomputed: %s", memo.name, why)
+    return None
+
+
 def cmd_moment(args: argparse.Namespace) -> int:
     eff = _effective_config(args)
     qcfg, rs_cfg = _quad_config(eff), _rs_config(eff)
@@ -286,10 +311,10 @@ def cmd_moment(args: argparse.Namespace) -> int:
             f"ln ln T / ln T < H < T^(1/ln ln T), i.e. ({h_lo:.6g}, "
             f"{h_hi:.6g})")
     memo = cache / f"moment-{_moment_cache_key(args.T, args.H, eff, qcfg, rs_cfg)}.json"
+    text = None
     if memo.exists() and not args.no_cache:
-        text = memo.read_text()
-        _log.info("moment cache hit: %s", memo.name)
-    else:
+        text = _replayable_memo(memo, args.T, args.H)
+    if text is None:
         report = hl_moment(args.T, args.H, qcfg, rs_cfg,
                            u0_exponent=float(eff["u0_exponent"]))
         text = json.dumps(report.as_dict(), indent=2) + "\n"

@@ -47,7 +47,8 @@ def z_main_sum(ts: np.ndarray, thetas: np.ndarray, order: int) -> np.ndarray:
         return out
     t_top = float(ts.max())
     nmax = int(np.sqrt(t_top / TWO_PI)) + 1
-    # the compiled kernel's mod-2pi split needs t * ln n / 2pi < 2^27
+    # the exact phase splits need t * ln n / 2pi below 2^27 (compiled
+    # kernel, mod 2pi) and 2^26 (numpy kernel, mod 1)
     if t_top * math.log(nmax + 1) >= 4.0e8:
         raise RangeError(
             f"t = {t_top:.3e} exceeds the exact-phase-reduction range")

@@ -306,7 +306,7 @@ class InverseLevel:
         """
         chain = self.chain
         tgt = profile_values(xs, self.cfg) - self.i_c
-        cumf = np.maximum.accumulate(chain.cum.astype(np.float64))
+        cumf = np.maximum.accumulate(chain.cum)
         j = np.clip(np.searchsorted(cumf, tgt) - 1, 0, chain.mids.size - 1)
         lo, hi = chain.edges[j], chain.edges[j + 1]
         for _ in range(16):

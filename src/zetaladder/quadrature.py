@@ -43,7 +43,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from . import special
+from . import _tables, special
 from .errors import (DomainError, PrecisionError, RangeError,
                      TableIntegrityError)
 from .special import RS_MIN, RSConfig, TWO_PI
@@ -108,7 +108,7 @@ class QuadConfig:
     def fingerprint(self) -> str:
         """Short stable hash identifying results produced under this config
         (panel rule version included so cached tables invalidate on change)."""
-        blob = (f"panelgl15-v2|abs={self.abs_tol!r}|rel={self.rel_tol!r}"
+        blob = (f"panelgl15-v3|abs={self.abs_tol!r}|rel={self.rel_tol!r}"
                 f"|depth={self.max_depth}|osc={self.osc_factor!r}")
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -270,25 +270,38 @@ def integrate_z2(iv: Interval, cfg: QuadConfig = QuadConfig(),
                               cfg).value
 
 
+def _prefix_sums(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Running sums 0, x0, x0 + x1, ... as float64 pairs hi + lo.
+
+    Neumaier's compensated sum in order: the plain running sum plus the
+    running sum of its exact rounding errors, here formed by two-sums for
+    all steps at once rather than by a branch per step."""
+    run = np.cumsum(np.concatenate(([0.0], xs)))
+    _, err = _tables.two_sum(run[:-1], xs)
+    return _tables.two_sum(run, np.cumsum(np.concatenate(([0.0], err))))
+
+
 class PanelChain:
     """Fixed panel grid over [a, b] with a closed-form prefix integral.
 
     Node values are projected onto Legendre series per panel (exact through
     degree 14, i.e. to roundoff for phase-bounded panels) and integrated
-    termwise; prefix sums across panels are carried in longdouble so the
-    chain can span ~1e6 units without losing the 1e-10 tail.
+    termwise.  Prefix sums across panels are carried as a compensated
+    float64 pair cum + cum_lo (Neumaier, in panel order), so the chain can
+    span ~1e6 units without losing the 1e-10 tail.
     """
 
-    __slots__ = ("a", "b", "edges", "mids", "hws", "coef", "cum", "_dcoef")
+    __slots__ = ("a", "b", "edges", "mids", "hws", "coef", "cum", "cum_lo",
+                 "_dcoef")
 
-    def __init__(self, a, b, edges, mids, hws, coef, cum):
+    def __init__(self, a, b, edges, mids, hws, coef, totals):
         self.a = a
         self.b = b
         self.edges = edges
         self.mids = mids
         self.hws = hws
         self.coef = coef
-        self.cum = cum
+        self.cum, self.cum_lo = _prefix_sums(totals)
         self._dcoef = None
 
     @classmethod
@@ -301,18 +314,18 @@ class PanelChain:
         mids = 0.5 * (edges[:-1] + edges[1:])
         hws = 0.5 * np.diff(edges)
         coef = npleg.legint(_legendre_project(vals), lbnd=-1) * hws[None, :]
-        totals = npleg.legval(1.0, coef)
-        cum = np.concatenate(([np.longdouble(0.0)],
-                              np.cumsum(totals.astype(np.longdouble))))
-        return cls(float(a), float(b), edges, mids, hws, coef, cum)
+        return cls(float(a), float(b), edges, mids, hws, coef,
+                   npleg.legval(1.0, coef))
 
     def _locate(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Panel index of each t, clipped to the span, and its position in
-        that panel's [-1, 1]."""
+        that panel's [-1, 1], measured from the left edge: t - edge is exact,
+        so an edge maps to exactly -1 or 1 even where the rounded panel mid
+        is off by an ulp of t (~1e-10 at t = 1e6)."""
         tc = np.clip(t, self.a, self.b)
         idx = np.clip(np.searchsorted(self.edges, tc, side="right") - 1, 0,
                       self.mids.size - 1)
-        return idx, (tc - self.mids[idx]) / self.hws[idx]
+        return idx, (tc - self.edges[idx]) / self.hws[idx] - 1.0
 
     def prefix(self, t) -> np.ndarray:
         """Vectorized int_a^t of the interpolated integrand."""
@@ -321,7 +334,7 @@ class PanelChain:
             raise RangeError("prefix query outside the chain span")
         idx, x = self._locate(t)
         inner = npleg.legval(x, self.coef[:, idx], tensor=False)
-        return (self.cum[idx] + inner).astype(np.float64)
+        return self.cum[idx] + (self.cum_lo[idx] + inner)
 
     def integral(self, u, v) -> np.ndarray:
         return self.prefix(v) - self.prefix(u)

@@ -11,14 +11,18 @@ that cross-checks the two relies on them sharing no code beyond the phase
 tables.
 
 Each quantity of the production route has one evaluator, vectorized: theta
-comes from `_theta_long` and Z from `riemann_siegel_z_values`.  The scalar
+comes from `_theta_dd` and Z from `riemann_siegel_z_values`.  The scalar
 `theta`, `z_phase` and `riemann_siegel_z` are their one-point calls, so a
 height gives the same bits alone, in a batch, or through either interface.
 
-Phases are the precision bottleneck: t * ln n reaches ~1e7 while the reality
-identity Z(t) = e^{i theta(t)} zeta(1/2+it) is tested at the 1e-8 level, so
-phase products are formed in longdouble and reduced mod 2pi before dropping
-to float64 for the trig.
+Phases are the precision bottleneck: t * ln n reaches ~1e7 rad while the
+reality identity Z(t) = e^{i theta(t)} zeta(1/2+it) is tested at the 1e-8
+level.  Phase products are formed in double-double float64 from the `_tables`
+ln n table and reduced mod 1 turn, and theta for t >= 8pi comes from its
+asymptotic series with the leading (t/2)(ln(t/2pi) - 1) in double-double,
+reduced mod 2pi.  theta mod 2pi is then within ~1e-15 rad of its true value
+up to t = 1e6 (~1e-14 below 8pi, where a complex128 Stirling series is used),
+and nothing depends on the platform's long double.
 """
 
 from __future__ import annotations
@@ -38,15 +42,19 @@ TWO_PI = 2.0 * math.pi
 
 RS_MIN = 4.0 * TWO_PI  # below this, integrands evaluate through the oracle
 
-_PI_LD = np.longdouble("3.14159265358979323846264338327950288")
-_TWO_PI_LD = 2 * _PI_LD
-_LN_PI_LD = np.log(_PI_LD)
-_LN_2PI_LD = np.log(_TWO_PI_LD)
+_LN_PI = math.log(math.pi)
+# ln(2pi) + 1 as a double-double
+_LN_2PI_E = _tables.dd_add(*_tables.LN_TWO_PI_DD, 1.0, 0.0)
 
 # B_{2k} / ((2k)(2k-1)) for the Stirling series, k = 1..5 (B2..B10); enough
 # for < 1e-14 truncation once |z| >= 12.
 _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
              1.0 / 1188.0)
+
+# theta(t) = (t/2)(ln(t/2pi) - 1) - pi/8 + sum_k c_k t^(1-2k), k = 1..5; the
+# next term is below 4e-19 at t = 8pi
+_THETA_SERIES = (1.0 / 48.0, 7.0 / 5760.0, 31.0 / 80640.0,
+                 127.0 / 430080.0, 511.0 / 1216512.0)
 
 # B_{2k} / (2k)! for Euler-Maclaurin, k = 1..16, from the exact rationals.
 _B2K = (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), \
@@ -95,15 +103,21 @@ def tau(t: float) -> float:
     return math.sqrt(t / TWO_PI)
 
 
-def _theta_long(ts: np.ndarray) -> np.ndarray:
-    """Unreduced theta(t) = Im ln Gamma(1/4 + it/2) - (t/2) ln pi in
-    longdouble, for an array of t > 0: shift z right until |z| >= 12 (at
-    most twelve times), then Stirling through B10.  Raw theta reaches ~1e7
-    where float64 carries ~1e-9 rad of roundoff, so only the value reduced
-    mod 2pi drops to float64."""
-    t_ld = np.asarray(ts, dtype=np.longdouble)
-    z = 0.25 + 1j * (t_ld / 2)
-    acc = np.zeros(t_ld.shape, dtype=np.clongdouble)
+def _theta_lead(ts: np.ndarray):
+    """(t/2)(ln(t/2pi) - 1) - pi/8 as a double-double (hi, lo), t > 0."""
+    hi, lo = _tables.ln_dd(ts)
+    hi, lo = _tables.dd_add(hi, lo, -_LN_2PI_E[0], -_LN_2PI_E[1])
+    hi, lo = _tables.dd_mul(hi, lo, 0.5 * ts, 0.0)
+    return _tables.dd_add(hi, lo, -_tables.PI_DD[0] / 8,
+                          -_tables.PI_DD[1] / 8)
+
+
+def _theta_stirling(ts: np.ndarray) -> np.ndarray:
+    """theta(t) = Im ln Gamma(1/4 + it/2) - (t/2) ln pi in complex128, for
+    t where theta is O(1): shift z right until |z| >= 12 (at most twelve
+    times), then Stirling through B10 (the real 0.5 ln 2pi drops out)."""
+    z = 0.25 + 0.5j * ts
+    acc = np.zeros(ts.shape, dtype=np.complex128)
     for _ in range(12):
         small = np.abs(z) < 12.0
         if not small.any():
@@ -112,33 +126,55 @@ def _theta_long(ts: np.ndarray) -> np.ndarray:
         z[small] += 1.0
     w = 1.0 / z
     w2 = w * w
-    ser = np.full(t_ld.shape, np.clongdouble(_STIRLING[4]))
+    ser = np.full(ts.shape, _STIRLING[4], dtype=np.complex128)
     for c in (_STIRLING[3], _STIRLING[2], _STIRLING[1], _STIRLING[0]):
         ser = c + w2 * ser
-    lg = (z - 0.5) * np.log(z) - z + 0.5 * _LN_2PI_LD + w * ser - acc
-    return lg.imag - (t_ld / 2) * _LN_PI_LD
+    lg = (z - 0.5) * np.log(z) - z + w * ser - acc
+    return lg.imag - 0.5 * ts * _LN_PI
+
+
+def _theta_dd(ts: np.ndarray):
+    """Unreduced theta(t) = hi + lo for an array of t > 0: the asymptotic
+    series for t >= 8pi, Stirling (lo = 0) below."""
+    ts = np.asarray(ts, dtype=np.float64)
+    hi, lo = np.empty_like(ts), np.zeros_like(ts)
+    big = ts >= RS_MIN
+    if big.any():
+        tb = ts[big]
+        w = 1.0 / tb
+        w2 = w * w
+        ser = _THETA_SERIES[4]
+        for c in _THETA_SERIES[3::-1]:
+            ser = c + w2 * ser
+        hi[big], lo[big] = _tables.dd_add(*_theta_lead(tb), w * ser, 0.0)
+    if not big.all():
+        hi[~big] = _theta_stirling(ts[~big])
+    return hi, lo
 
 
 def _theta_reduced(ts: np.ndarray) -> np.ndarray:
     """theta(t) mod 2pi as float64, the phase the main-sum kernel takes."""
-    return np.mod(_theta_long(ts), _TWO_PI_LD).astype(np.float64)
+    hi, lo = _theta_dd(ts)
+    k = np.floor(hi / TWO_PI)
+    p, pe = _tables.two_prod(k, _tables.TWO_PI_DD[0])
+    r = (((hi - p) - pe) + lo) - k * _tables.TWO_PI_DD[1]
+    return np.mod(r, TWO_PI)
 
 
 def theta(t: float, mode: ThetaMode = ThetaMode.EXACT_GAMMA) -> float:
     """Riemann-Siegel phase function.
 
-    EXACT_GAMMA follows the definition through ln Gamma; MAIN_TERMS is the
-    three-term asymptotic (t/2) ln(t/2pi) - t/2 - pi/8, whose error is O(1/t).
+    EXACT_GAMMA follows the definition through ln Gamma (its asymptotic
+    series for t >= 8pi, to float64 roundoff); MAIN_TERMS is the series'
+    leading part (t/2) ln(t/2pi) - t/2 - pi/8, whose error is O(1/t).
     """
     if not t > 0:
         raise DomainError(f"theta needs t > 0, got {t}")
     if not isinstance(mode, ThetaMode):
         raise DomainError("mode must be a ThetaMode")
     if mode is ThetaMode.MAIN_TERMS:
-        t_ld = np.longdouble(t)
-        half = t_ld / 2
-        return float(half * np.log(t_ld / _TWO_PI_LD) - half - _PI_LD / 8)
-    return float(_theta_long(np.array([t]))[0])
+        return float(_theta_lead(np.array([t]))[0][0])
+    return float(_theta_dd(np.array([t]))[0][0])
 
 
 def theta_derivative(t: float) -> float:
@@ -150,8 +186,8 @@ def theta_derivative(t: float) -> float:
 
 
 def z_phase(t: float) -> complex:
-    """e^{i theta(t)} with the phase reduced mod 2pi in longdouble, so that
-    z_phase(t) * zeta(1/2+it) is real to ~1e-12 even at t ~ 1e6."""
+    """e^{i theta(t)} with the phase reduced mod 2pi in double-double, so
+    that z_phase(t) * zeta(1/2+it) is real to ~1e-12 even at t ~ 1e6."""
     return cmath.exp(1j * float(_theta_reduced(np.array([t]))[0]))
 
 
@@ -204,8 +240,7 @@ def em_zeta_half(t: float, tol: float = 1e-10) -> complex:
 
 
 def _em_eval(t: float, s: complex, n_cut: int):
-    phases = np.mod(np.longdouble(t) * _tables.ln_n_ld(n_cut),
-                    _TWO_PI_LD).astype(np.float64)
+    phases = TWO_PI * _tables.turns(t, *_tables.ln_n_turns(n_cut))
     amps = _tables.rsqrt_n(n_cut)
     re = amps[:n_cut - 1] * np.cos(phases[:n_cut - 1])
     im = -amps[:n_cut - 1] * np.sin(phases[:n_cut - 1])

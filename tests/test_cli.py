@@ -10,11 +10,12 @@ from __future__ import annotations
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zetaladder import cli
+from zetaladder import cli, kernels
 from zetaladder.ladder import save_calibration
 from zetaladder.quadrature import save_table
 from zetaladder.special import riemann_siegel_z
@@ -120,18 +121,37 @@ class TestMoment:
         assert "inadmissible" in err
         assert "ln ln T" in err
 
-    def test_cache_hit_is_faster_and_identical(self, cli_cache, tmp_path):
+    def test_cache_hit_is_faster_and_identical(self, cli_cache, tmp_path,
+                                               monkeypatch):
+        calls = []
+        real = kernels.z_main_sum
+        monkeypatch.setattr(kernels, "z_main_sum",
+                            lambda *a: calls.append(1) or real(*a))
         out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"
         t0 = time.perf_counter()
         run(cli_cache, "moment", "--T", "50000", "--H", "2", "--out",
             str(out1))
         cold = time.perf_counter() - t0
+        cold_calls = len(calls)
         t0 = time.perf_counter()
         run(cli_cache, "moment", "--T", "50000", "--H", "2", "--out",
             str(out2))
         warm = time.perf_counter() - t0
         assert out1.read_bytes() == out2.read_bytes()
+        assert cold_calls > 0 and len(calls) == cold_calls
         assert warm * 5.0 <= cold
+
+    def test_damaged_memo_is_recomputed(self, cli_cache, tmp_path):
+        out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"
+        args = ("moment", "--T", "20000", "--H", "1.25")
+        assert run(cli_cache, *args, "--out", str(out1)) == 0
+        memo = manifest_of(out1)["outputs"][1]
+        text = Path(memo).read_text()
+        Path(memo).write_text(text[:40])
+        assert run(cli_cache, *args, "--out", str(out2)) == 0
+        assert Path(memo).read_text() == text
+        assert run(cli_cache, *args, "--no-cache", "--out", str(out1)) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
     def test_no_cache_recomputes_same_bytes(self, cli_cache, tmp_path):
         out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"

@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +17,40 @@ from zetaladder.errors import RangeError
 from zetaladder.special import riemann_siegel_z_values
 
 TWO_PI = kernels.TWO_PI
+
+# Frozen from 200-bit mpmath evaluations; the suite never imports mpmath.
+# ln n, to 40 digits
+LN_REF = {
+    2: "0.6931471805599453094172321214581765680755",
+    3: "1.098612288668109691395245236922525704647",
+    7: "1.945910149055313305105352743443179729637",
+    10: "2.302585092994045684017991454684364207601",
+    64: "4.158883083359671856503392728749059408453",
+    65: "4.174387269895637110654246774791506244331",
+    97: "4.574710978503382822116721621703961713809",
+    127: "4.844187086458591273047440807716292394874",
+    128: "4.852030263919617165920624850207235976529",
+    129: "4.859812404361672114868087750268372740207",
+    1000: "6.907755278982137052053974364053092622803",
+    4097: "8.318010277546871075715945936583942270605",
+    10007: "9.211040127090456077999702743102603158226",
+    65535: "11.09033963005364594459733350278309533138",
+    99991: "11.51283546091998540368627620484148768702",
+    131072: "11.78350206951907026009294606478900165728",
+    250000: "12.42921619684438348527348448518983210946",
+    333333: "12.71689726929566441237936990785012620746",
+    499979: "13.12232137652230409791276646748673711813",
+    500000: "13.12236337740432879469071660664800867753",
+}
+# 2 sum_{n <= floor(tau)} n^{-1/2} cos(theta - t ln n) at (t, theta)
+MAIN_SUM_REF = {
+    (12000.0, 0.5): "-0.324473965892499305145198522405",
+    (12345.678, 3.0): "-0.985497144061877623498144188918",
+    (100000.0, 5.9): "8.23420374917576856762432856824",
+    (100003.25, 1.25): "2.82981549892942355610467588082",
+    (1000000.0, 2.0): "-3.82301744589577586092840483077",
+    (999983.5, 4.75): "5.65031958069760080838911629899",
+}
 
 
 def _reference(ts, thetas, order):
@@ -53,6 +89,28 @@ class TestBackendSelection:
         assert np.max(np.abs(np.array(payload["zs"]) - here)) <= 2e-12
 
 
+def _exact(digits: str) -> Fraction:
+    return Fraction(Decimal(digits))
+
+
+class TestPhaseTables:
+    def test_ln_table_is_double_double(self):
+        top = max(LN_REF)
+        hi, lo = _tables.ln_n(top), _tables.ln_n_lo(top)
+        for n, digits in LN_REF.items():
+            want = _exact(digits)
+            err = Fraction(float(hi[n - 1])) + Fraction(float(lo[n - 1]))
+            err -= want
+            assert abs(err) <= want / 2 ** 104, n
+
+    def test_main_sum_frozen(self):
+        ts = np.array([t for t, _ in MAIN_SUM_REF])
+        thetas = np.array([th for _, th in MAIN_SUM_REF])
+        got = kernels.z_main_sum(ts, thetas, 0)
+        for g, digits in zip(got.tolist(), MAIN_SUM_REF.values()):
+            assert abs(Fraction(g) - _exact(digits)) <= Fraction(5e-15)
+
+
 class TestZMainSum:
     @pytest.mark.parametrize("order", [0, 1])
     def test_matches_numpy_fallback(self, order):
@@ -77,6 +135,17 @@ class TestZMainSum:
         thetas = rng.uniform(0.0, TWO_PI, ts.size)
         batch = _reference(ts, thetas, order)
         alone = np.array([_reference(ts[i:i + 1], thetas[i:i + 1], order)[0]
+                          for i in range(ts.size)])
+        assert np.array_equal(alone, batch)
+
+    def test_fallback_wide_blocks_match_points_alone(self):
+        # 600 points with floor(tau) = 126: the batch sums numpy row blocks
+        # (two of them), each point alone sums on Python floats
+        rng = np.random.default_rng(13)
+        ts = TWO_PI * (126.0 + rng.uniform(0.0, 1.0, 600)) ** 2
+        thetas = rng.uniform(0.0, TWO_PI, ts.size)
+        batch = _reference(ts, thetas, 0)
+        alone = np.array([_reference(ts[i:i + 1], thetas[i:i + 1], 0)[0]
                           for i in range(ts.size)])
         assert np.array_equal(alone, batch)
 

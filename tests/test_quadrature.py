@@ -8,8 +8,10 @@ if both quadrature and integrand are right.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import legendre as npleg
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -176,6 +178,21 @@ class TestPanelChain:
     def test_degenerate_span(self):
         with pytest.raises(DomainError):
             PanelChain.build(5.0, 5.0, lambda ts: ts)
+
+    def test_prefix_sums_are_compensated(self):
+        # thousands of panels far up the line: at every edge past a, the
+        # prefix is the correctly rounded sum of the panel totals to 1 ulp
+        ch = PanelChain.build(1.0e6, 1.0e6 + 2000.0,
+                              lambda ts: 1.5 + np.cos(3.0 * ts))
+        totals = npleg.legval(1.0, ch.coef).tolist()
+        assert len(totals) > 3000
+        run, want = Fraction(0), []
+        for x in totals:
+            # math.fsum of totals[:k+1], without its quadratic cost
+            run += Fraction(x)
+            want.append(float(run))
+        got = ch.prefix(ch.edges[1:])
+        assert np.all(np.abs(got - want) <= np.spacing(want))
 
 
 class TestPanelBatchInvariance:

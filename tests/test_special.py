@@ -7,15 +7,18 @@ and frozen here; the suite never imports mpmath at run time.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetaladder import special
 from zetaladder.errors import DomainError
-from zetaladder.special import (CriticalPoint, RSConfig, ThetaMode, TWO_PI,
-                                em_zeta_half, hl_x, riemann_siegel_z,
+from zetaladder.special import (RS_MIN, CriticalPoint, RSConfig, ThetaMode,
+                                TWO_PI, em_zeta_half, hl_x, riemann_siegel_z,
                                 riemann_siegel_z_values, tau, theta,
                                 theta_derivative, z_phase)
 
@@ -32,6 +35,22 @@ Z_REF = {
     1000.0: 0.9977946375215866,
     10000.0: -0.34139472423120854,
 }
+# theta(t) mod 2pi at 200 bits (mpmath siegeltheta), to 30 digits
+THETA_MOD_REF = {
+    1.0: "4.51563735436729608862307026729",
+    5.5: "2.7781768238338607887536704163",
+    14.134725: "4.5545150030623097740030758168",
+    20.0: "1.18689480844448404481275654949",
+    25.132741228718345: "4.46244803495647329656251602673",
+    50.0: "1.32862484144306373975380734554",
+    100.0: "0.00757093127300894852911438192261",
+    1000.5: "0.0619205441632620333910962965705",
+    12000.0: "1.85963918213190092236538785352",
+    100000.0: "4.89591864238817406130945534968",
+    314159.25: "2.39631906035623944810701501543",
+    1000000.0: "1.5979149177270622465431291794",
+}
+TWO_PI_EXACT = Fraction(Decimal("6.283185307179586476925286766559005768394"))
 GAMMA_1 = 14.134725141734695
 # C in the Riemann-Siegel remainder envelope C * t^(-1/4) that the checks
 # against the oracle allow
@@ -100,6 +119,24 @@ class TestTheta:
             theta(-5.0)
         with pytest.raises(DomainError):
             theta(100.0, "main_terms")
+
+
+def _theta_mod_errors(below_rs_min: bool):
+    ts = [t for t in THETA_MOD_REF if (t < RS_MIN) == below_rs_min]
+    got = special._theta_reduced(np.array(ts))
+    for t, g in zip(ts, got.tolist()):
+        d = abs(Fraction(g) - Fraction(Decimal(THETA_MOD_REF[t])))
+        yield t, min(d, TWO_PI_EXACT - d)
+
+
+class TestThetaReduced:
+    def test_asymptotic_series_range(self):
+        for t, err in _theta_mod_errors(below_rs_min=False):
+            assert err <= Fraction(2e-15), t
+
+    def test_stirling_range(self):
+        for t, err in _theta_mod_errors(below_rs_min=True):
+            assert err <= Fraction(1e-14), t
 
 
 class TestRSConfig:
