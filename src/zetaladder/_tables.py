@@ -138,10 +138,11 @@ def turns(t, hi, lo, out=None, tmp=None):
 _lock = threading.Lock()
 
 
-def _build(size: int):
-    ns = np.arange(1, size + 1, dtype=np.float64)
-    ln_hi, ln_lo = np.empty(size), np.empty(size)
-    for i in range(0, size, 1 << 15):
+def _build(lo: int, hi: int):
+    """The five tables' entries for n = lo+1..hi."""
+    ns = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    ln_hi, ln_lo = np.empty(hi - lo), np.empty(hi - lo)
+    for i in range(0, hi - lo, 1 << 15):
         # blocks that stay in cache: three times faster than one pass at 1e6
         blk = slice(i, i + (1 << 15))
         ln_hi[blk], ln_lo[blk] = ln_dd(ns[blk])
@@ -149,40 +150,49 @@ def _build(size: int):
     return ln_hi, ln_lo, lt_hi, lt_lo, 1.0 / np.sqrt(ns)
 
 
-_ln, _ln_lo, _lt, _lt_lo, _rsqrt = _build(1024)
+def _extend(tab, n: int):
+    """tab grown to cover 1..max(n, twice its size), computing only the new
+    entries: each one depends on its own n alone, so the result is bit for
+    bit the one-pass build."""
+    size = tab[0].shape[0]
+    new = _build(size, max(n, 2 * size))
+    return tuple(np.concatenate(pair) for pair in zip(tab, new))
+
+
+# ln n hi, lo; ln n / 2pi hi, lo; 1/sqrt(n): index k holds n = k + 1
+_tab = _build(0, 1024)
 
 
 def ensure(n: int) -> None:
     """Grow the tables to cover 1..n."""
-    global _ln, _ln_lo, _lt, _lt_lo, _rsqrt
-    if n <= _ln.shape[0]:
+    global _tab
+    if n <= _tab[0].shape[0]:
         return
     with _lock:
-        if n <= _ln.shape[0]:
-            return
-        _ln, _ln_lo, _lt, _lt_lo, _rsqrt = _build(max(n, 2 * _ln.shape[0]))
+        if n > _tab[0].shape[0]:
+            _tab = _extend(_tab, n)
 
 
 def ln_n(n: int) -> np.ndarray:
     """float64 ln(1..n), index k holds ln(k+1): the hi part of ln_dd."""
     ensure(n)
-    return _ln[:n]
+    return _tab[0][:n]
 
 
 def ln_n_lo(n: int) -> np.ndarray:
     """lo part of the double-double ln(1..n): what the float64 ln_n drops."""
     ensure(n)
-    return _ln_lo[:n]
+    return _tab[1][:n]
 
 
 def ln_n_turns(n: int):
     """ln(1..n) / 2pi as a double-double (hi, lo), the multiplier of t in
     the phases, in turns."""
     ensure(n)
-    return _lt[:n], _lt_lo[:n]
+    return _tab[2][:n], _tab[3][:n]
 
 
 def rsqrt_n(n: int) -> np.ndarray:
     """float64 1/sqrt(1..n)."""
     ensure(n)
-    return _rsqrt[:n]
+    return _tab[4][:n]

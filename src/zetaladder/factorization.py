@@ -47,12 +47,11 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (DegenerateConfigurationError, DomainError,
                      PrecisionError, RangeError, TableIntegrityError)
-from .ladder import (LadderConfig, inverse_levels, invert_profile, phi1,
-                     ztilde_sq)
+from .ladder import (LadderConfig, brentq, inverse_levels, invert_profile,
+                     phi1, ztilde_sq)
 from .quadrature import (QuadConfig, SecondMomentTable, adaptive_integrate,
                          admissible_h_range, table_key, z2_values, z_chain,
                          z_values)

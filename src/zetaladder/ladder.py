@@ -40,8 +40,6 @@ from math import fsum
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
-# no longer called here; kept because the benchmark's layer tracer wraps it
-from scipy.optimize import brentq  # noqa: F401
 
 from .errors import (CalibrationError, DomainError, PrecisionError,
                      RangeError, TableIntegrityError)
@@ -191,6 +189,77 @@ def newton_to_plateau(x: np.ndarray,
         live = live[go]
         x[live] = step(xl[go], f[go])
     return x
+
+
+def brentq(f: Callable[[float], float], a: float, b: float,
+           xtol: float = 2e-12, rtol: float = 8.881784197001252e-16,
+           maxiter: int = 100) -> float:
+    """Root of f in [a, b] by Brent's method, to |error| <= xtol + rtol|x|.
+
+    A line-for-line transcription of Brent's zero finder (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4) as the
+    C routine brentq.c has it; tests/test_ladder.py checks that the two
+    return the same roots bit for bit wherever that routine is installed.
+    f(a) and f(b) of one sign raise RangeError and a NaN value of f
+    DomainError (both exit 2 from the CLI); no convergence within maxiter
+    steps raises PrecisionError (exit 4) with the last iterate.
+    """
+    def at(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise DomainError(f"brentq: f is NaN at x = {x!r}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = at(xpre), at(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise RangeError(f"brentq: f({xpre!r}) = {fpre:g} and "
+                         f"f({xcur!r}) = {fcur:g} have one sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = at(xcur)
+    raise PrecisionError(f"brentq did not converge in {maxiter} steps",
+                         estimate=xcur, bound=abs(xblk - xcur))
 
 
 def invert_profile(targets: np.ndarray, cfg: LadderConfig) -> np.ndarray:

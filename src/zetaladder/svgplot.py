@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from html import escape
 from typing import Sequence, Tuple
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -145,22 +145,22 @@ def render(spec: PlotSpec) -> str:
                      f'stroke="{color}" stroke-width="3"/>')
         parts.append(f'<text x="{WIDTH - _MR - 100}" y="{ly}" '
                      f'font-size="12" fill="#333333">'
-                     f'{escape(s.label)}</text>')
+                     f'{escape(s.label, quote=False)}</text>')
     if spec.title:
         parts.append(f'<text x="{WIDTH / 2:.0f}" y="24" font-size="16" '
                      f'text-anchor="middle" fill="#111111">'
-                     f'{escape(spec.title)}</text>')
+                     f'{escape(spec.title, quote=False)}</text>')
     if spec.xlabel:
         parts.append(f'<text x="{(_ML + WIDTH - _MR) / 2:.0f}" '
                      f'y="{HEIGHT - 16}" font-size="13" '
                      f'text-anchor="middle" fill="#111111">'
-                     f'{escape(spec.xlabel)}</text>')
+                     f'{escape(spec.xlabel, quote=False)}</text>')
     if spec.ylabel:
         parts.append(f'<text x="20" y="{(_MT + HEIGHT - _MB) / 2:.0f}" '
                      f'font-size="13" text-anchor="middle" fill="#111111" '
                      f'transform="rotate(-90 20 '
                      f'{(_MT + HEIGHT - _MB) / 2:.0f})">'
-                     f'{escape(spec.ylabel)}</text>')
+                     f'{escape(spec.ylabel, quote=False)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

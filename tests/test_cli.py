@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -320,6 +323,27 @@ class TestPlot:
         out = tmp_path / "plot.svg"
         assert run(cli_cache, "plot", "--input", str(bad), "--x", "t",
                    "--y", "v", "--out", str(out)) == 2
+
+
+class TestImportPath:
+    def test_no_scipy_or_xml_sax_and_nothing_lazy(self):
+        # zl starts a process per command; these two cost most of its start
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # and a Z evaluation imports nothing more (np.unique would load
+        # numpy.ma, 15 ms, inside the command's time)
+        script = ("import sys, numpy as np, zetaladder.cli\n"
+                  "from zetaladder.special import riemann_siegel_z_values\n"
+                  "print(sorted(m for m in sys.modules\n"
+                  "             if m.split('.')[0] == 'scipy'\n"
+                  "             or m.startswith('xml.sax')))\n"
+                  "loaded = set(sys.modules)\n"
+                  "riemann_siegel_z_values(np.array([100.0, 1e3, 1e4]))\n"
+                  "print(sorted(set(sys.modules) - loaded))\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
 class TestConfigPlumbing:

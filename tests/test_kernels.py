@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 
@@ -102,6 +103,46 @@ class TestPhaseTables:
             err = Fraction(float(hi[n - 1])) + Fraction(float(lo[n - 1]))
             err -= want
             assert abs(err) <= want / 2 ** 104, n
+
+    def test_grown_table_equals_one_build(self):
+        tab = _tables._build(0, 1024)
+        for n in (5000, 70000):
+            tab = _tables._extend(tab, n)
+        assert tab[0].shape == (70000,)
+        for grown, built in zip(tab, _tables._build(0, 70000)):
+            assert np.array_equal(grown, built)
+        # doubling: one entry past the end grows the table to twice its size
+        assert _tables._extend(tab, 70001)[0].shape == (140000,)
+
+    def test_concurrent_growth_reads_whole_tables(self, monkeypatch):
+        # the sweep's pool threads grow and read the shared tables at once
+        ref = _tables._build(0, 40000)
+        monkeypatch.setattr(_tables, "_tab", _tables._build(0, 1024))
+        bad = []
+
+        def reader(seed):
+            rng = np.random.default_rng(seed)
+            for n in rng.integers(1, 40000, 30):
+                hi, lo = _tables.ln_n_turns(int(n))
+                if not (np.array_equal(hi, ref[2][:n])
+                        and np.array_equal(lo, ref[3][:n])
+                        and np.array_equal(_tables.rsqrt_n(int(n)),
+                                           ref[4][:n])):
+                    bad.append(int(n))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(i,))
+                       for i in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert bad == []
 
     def test_main_sum_frozen(self):
         ts = np.array([t for t, _ in MAIN_SUM_REF])

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaladder import ladder as ld
-from zetaladder.errors import (CalibrationError, DomainError, RangeError,
+from zetaladder.errors import (CalibrationError, DomainError,
+                               PrecisionError, RangeError,
                                TableIntegrityError)
 from zetaladder.quadrature import adaptive_integrate, cumulative_I, z2_values
 
@@ -92,6 +93,60 @@ class TestZtildeSq:
             - ld.phi1(1.0e4, ladder_cfg, smtable).phi1
         # the leading-log weight undercounts by a few percent at this height
         assert lhs / rhs == pytest.approx(1.0, abs=0.05)
+
+
+def _brackets(n: int):
+    """(f, a, b) with one sign change in [a, b]: smooth, steep, flat-tailed
+    and oscillating roots, like the eta and beta searches."""
+    rng = np.random.default_rng(5)
+    out = []
+    for i in range(n):
+        c, r = rng.uniform(0.2, 2.0), rng.uniform(-0.5, 0.5)
+        a, b = r - rng.uniform(0.01, 1.5), r + rng.uniform(0.01, 1.5)
+        f = (lambda x, c=c, r=r: math.sin(c * (x - r)),
+             lambda x, c=c, r=r: (x - r) ** 3 + 1e-3 * c * (x - r),
+             lambda x, c=c, r=r: math.atan(200.0 * c * (x - r)),
+             lambda x, c=c, r=r: math.expm1(c * (x - r)) - 0.1 * (x - r),
+             lambda x, c=c, r=r: (x - r) + 1e-3 * math.sin(80.0 * c * x)
+             - 1e-3 * math.sin(80.0 * c * r))[i % 5]
+        out.append((f, a, b))
+    return out
+
+
+class TestBrentq:
+    @pytest.mark.parametrize("tol", [dict(xtol=1e-8),
+                                     dict(xtol=1e-14, rtol=8.9e-16)])
+    def test_matches_reference_bit_for_bit(self, tol):
+        so = pytest.importorskip("scipy.optimize")
+        for f, a, b in _brackets(200):
+            want = so.brentq(f, a, b, **tol)
+            got = ld.brentq(f, a, b, **tol)
+            assert got == want and type(got) is float, (a, b)
+
+    def test_root_within_tolerance(self):
+        root = ld.brentq(lambda x: x * x - 2.0, 0.0, 2.0, xtol=1e-14,
+                         rtol=8.9e-16)
+        assert abs(root - math.sqrt(2.0)) <= 1e-14 + 8.9e-16 * root
+
+    def test_endpoint_root_returned(self):
+        assert ld.brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+        assert ld.brentq(lambda x: x - 3.0, 1.0, 3.0) == 3.0
+
+    def test_one_signed_bracket_is_range_error(self):
+        # exit 2 from the CLI, where scipy's ValueError was a traceback
+        with pytest.raises(RangeError, match="one sign"):
+            ld.brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        assert issubclass(RangeError, DomainError)
+
+    def test_no_convergence_is_precision_error(self):
+        # exit 4 from the CLI, where scipy's RuntimeError was a traceback
+        with pytest.raises(PrecisionError, match="3 steps") as info:
+            ld.brentq(math.atan, -1.0, 3.0, xtol=1e-15, maxiter=3)
+        assert -1.0 <= info.value.estimate <= 3.0
+
+    def test_nan_value_is_domain_error(self):
+        with pytest.raises(DomainError, match="NaN"):
+            ld.brentq(lambda x: math.nan if x > 0.5 else x - 1.0, 0.0, 2.0)
 
 
 class TestInvertProfile:

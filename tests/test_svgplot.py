@@ -64,6 +64,17 @@ class TestRender:
         for text in ("demo", "t", "v", "s0", "s1"):
             assert text in svg
 
+    def test_text_is_escaped(self):
+        # text content: &, < and > escaped, quotes kept as they are
+        raw = 'a<b & c>"d\''
+        spec = PlotSpec(kind=PlotKind.LINE,
+                        series=(Series(raw, np.array([0.0, 1.0]),
+                                       np.array([1.0, 2.0])),),
+                        title=raw, xlabel=raw, ylabel=raw)
+        svg = render(spec)
+        assert svg.count('>a&lt;b &amp; c&gt;"d\'</text>') == 4
+        assert raw not in svg
+
     def test_scatter_differs_from_line(self):
         line = render(_spec(PlotKind.LINE, nser=1))
         scatter = render(_spec(PlotKind.SCATTER, nser=1))
