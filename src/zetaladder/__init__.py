@@ -17,7 +17,7 @@ from .quadrature import (Interval, MomentReport, PanelChain, QuadConfig,
                          admissible_h_range, cumulative_I, hl_moment,
                          integrate_z, integrate_z2, load_table, save_table,
                          z2_chain, z_chain)
-from .special import (CriticalPoint, RSConfig, ThetaMode, em_zeta_half, hl_x,
-                      riemann_siegel_z, tau, theta, theta_derivative, z_phase)
+from .special import (CriticalPoint, RSConfig, em_zeta_half, hl_x,
+                      riemann_siegel_z, tau, theta, z_phase)
 
 __version__ = "0.1.0"

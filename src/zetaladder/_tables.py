@@ -3,10 +3,11 @@
 Both the Riemann-Siegel kernel and the Euler-Maclaurin oracle spend their time
 on sums over n of n^{-1/2} * trig(t * ln n).  At t ~ 1e6 the phase t * ln n
 reaches ~1e7 rad, so a float64 ln n (53 bits) would leave ~1e-9 rad after
-reduction.  The tables therefore hold ln n, and ln n / 2pi, as true
-double-doubles hi + lo (about 106 bits, |error| <= 2^-104 ln n), built here
-from error-free float64 transforms (Veltkamp's split, Knuth's two-sum and
-Dekker's two-product; Dekker, Numer. Math. 18, 1971).  Nothing depends on the
+reduction.  The tables therefore hold ln n / 2pi as a true double-double
+hi + lo (about 106 bits), the product of `ln_dd`'s double-double ln n
+(|error| <= 2^-104 ln n) and 1/2pi, built from error-free float64 transforms
+(Veltkamp's split, Knuth's two-sum and Dekker's two-product; Dekker, Numer.
+Math. 18, 1971), next to float64 1/sqrt(n).  Nothing depends on the
 platform's long double.  `turns` forms t * ln n / 2pi mod 1 against the table
 to ~1e-16 turns; the tables are grown on demand.
 """
@@ -139,7 +140,7 @@ _lock = threading.Lock()
 
 
 def _build(lo: int, hi: int):
-    """The five tables' entries for n = lo+1..hi."""
+    """The three tables' entries for n = lo+1..hi."""
     ns = np.arange(lo + 1, hi + 1, dtype=np.float64)
     ln_hi, ln_lo = np.empty(hi - lo), np.empty(hi - lo)
     for i in range(0, hi - lo, 1 << 15):
@@ -147,7 +148,7 @@ def _build(lo: int, hi: int):
         blk = slice(i, i + (1 << 15))
         ln_hi[blk], ln_lo[blk] = ln_dd(ns[blk])
     lt_hi, lt_lo = dd_mul(ln_hi, ln_lo, *INV_TWO_PI_DD)
-    return ln_hi, ln_lo, lt_hi, lt_lo, 1.0 / np.sqrt(ns)
+    return lt_hi, lt_lo, 1.0 / np.sqrt(ns)
 
 
 def _extend(tab, n: int):
@@ -159,7 +160,7 @@ def _extend(tab, n: int):
     return tuple(np.concatenate(pair) for pair in zip(tab, new))
 
 
-# ln n hi, lo; ln n / 2pi hi, lo; 1/sqrt(n): index k holds n = k + 1
+# ln n / 2pi hi, lo; 1/sqrt(n): index k holds n = k + 1
 _tab = _build(0, 1024)
 
 
@@ -173,26 +174,14 @@ def ensure(n: int) -> None:
             _tab = _extend(_tab, n)
 
 
-def ln_n(n: int) -> np.ndarray:
-    """float64 ln(1..n), index k holds ln(k+1): the hi part of ln_dd."""
-    ensure(n)
-    return _tab[0][:n]
-
-
-def ln_n_lo(n: int) -> np.ndarray:
-    """lo part of the double-double ln(1..n): what the float64 ln_n drops."""
-    ensure(n)
-    return _tab[1][:n]
-
-
 def ln_n_turns(n: int):
     """ln(1..n) / 2pi as a double-double (hi, lo), the multiplier of t in
     the phases, in turns."""
     ensure(n)
-    return _tab[2][:n], _tab[3][:n]
+    return _tab[0][:n], _tab[1][:n]
 
 
 def rsqrt_n(n: int) -> np.ndarray:
     """float64 1/sqrt(1..n)."""
     ensure(n)
-    return _tab[4][:n]
+    return _tab[2][:n]

@@ -24,9 +24,9 @@ Three consumers sit on top of the same panel machinery:
   correction order, written whole (`write_atomic`) and refused on load
   when damaged.
 
-Below t = 8pi the Riemann-Siegel route is too short to trust, so integrands
-switch to the Euler-Maclaurin oracle there (for Z^2 that needs no phase at
-all since Z^2 = |zeta(1/2+it)|^2).
+Below t = 8pi the Riemann-Siegel route is too short to trust, so Z switches
+to the rotated Euler-Maclaurin oracle there; Z^2 is the square of that Z
+on both sides of 8pi.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class QuadConfig:
     def fingerprint(self) -> str:
         """Short stable hash identifying results produced under this config
         (panel rule version included so cached tables invalidate on change)."""
-        blob = (f"panelgl15-v3|abs={self.abs_tol!r}|rel={self.rel_tol!r}"
+        blob = (f"panelgl15-v4|abs={self.abs_tol!r}|rel={self.rel_tol!r}"
                 f"|depth={self.max_depth}|osc={self.osc_factor!r}")
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -240,16 +240,8 @@ def z_values(ts: np.ndarray, rs_cfg: RSConfig = RSConfig()) -> np.ndarray:
 
 
 def z2_values(ts: np.ndarray, rs_cfg: RSConfig = RSConfig()) -> np.ndarray:
-    """Z^2 on arrays; below 8pi uses |zeta|^2, which needs no phase."""
-    ts = np.asarray(ts, dtype=np.float64)
-    out = np.empty_like(ts)
-    hi = ts >= RS_MIN
-    if hi.any():
-        out[hi] = special.riemann_siegel_z_values(ts[hi], rs_cfg) ** 2
-    if (~hi).any():
-        for i in np.nonzero(~hi)[0]:
-            out[i] = abs(special.em_zeta_half(float(ts[i]))) ** 2
-    return out
+    """Z^2 on arrays, the square of `z_values`."""
+    return z_values(ts, rs_cfg) ** 2
 
 
 def integrate_z(iv: Interval, cfg: QuadConfig = QuadConfig(),

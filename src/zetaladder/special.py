@@ -18,7 +18,7 @@ height gives the same bits alone, in a batch, or through either interface.
 Phases are the precision bottleneck: t * ln n reaches ~1e7 rad while the
 reality identity Z(t) = e^{i theta(t)} zeta(1/2+it) is tested at the 1e-8
 level.  Phase products are formed in double-double float64 from the `_tables`
-ln n table and reduced mod 1 turn, and theta for t >= 8pi comes from its
+ln n / 2pi table and reduced mod 1 turn, and theta for t >= 8pi comes from its
 asymptotic series with the leading (t/2)(ln(t/2pi) - 1) in double-double,
 reduced mod 2pi.  theta mod 2pi is then within ~1e-15 rad of its true value
 up to t = 1e6 (~1e-14 below 8pi, where a complex128 Stirling series is used),
@@ -30,7 +30,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 from math import fsum
 
 import numpy as np
@@ -63,11 +62,6 @@ _B2K = (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), \
     (8615841276005, 14322), (-7709321041217, 510)
 _B2K_FACT = tuple(p / (q * math.factorial(2 * k))
                   for k, (p, q) in enumerate(_B2K, start=1))
-
-
-class ThetaMode(Enum):
-    MAIN_TERMS = "main_terms"
-    EXACT_GAMMA = "exact_gamma"
 
 
 @dataclass(frozen=True)
@@ -161,28 +155,13 @@ def _theta_reduced(ts: np.ndarray) -> np.ndarray:
     return np.mod(r, TWO_PI)
 
 
-def theta(t: float, mode: ThetaMode = ThetaMode.EXACT_GAMMA) -> float:
-    """Riemann-Siegel phase function.
-
-    EXACT_GAMMA follows the definition through ln Gamma (its asymptotic
-    series for t >= 8pi, to float64 roundoff); MAIN_TERMS is the series'
-    leading part (t/2) ln(t/2pi) - t/2 - pi/8, whose error is O(1/t).
-    """
+def theta(t: float) -> float:
+    """Riemann-Siegel phase function Im ln Gamma(1/4 + it/2) - (t/2) ln pi:
+    its asymptotic series for t >= 8pi, to float64 roundoff, and a Stirling
+    series below."""
     if not t > 0:
         raise DomainError(f"theta needs t > 0, got {t}")
-    if not isinstance(mode, ThetaMode):
-        raise DomainError("mode must be a ThetaMode")
-    if mode is ThetaMode.MAIN_TERMS:
-        return float(_theta_lead(np.array([t]))[0][0])
     return float(_theta_dd(np.array([t]))[0][0])
-
-
-def theta_derivative(t: float) -> float:
-    """Leading asymptotic of theta'(t); the local oscillation frequency of
-    Z and the basis for panel sizing."""
-    if not t > 0:
-        raise DomainError(f"theta_derivative needs t > 0, got {t}")
-    return 0.5 * math.log(t / TWO_PI)
 
 
 def z_phase(t: float) -> complex:

@@ -1,10 +1,9 @@
-"""Backend selection and cross-backend agreement for the main-sum kernel."""
+"""The numpy main-sum kernel against frozen high-precision values, and the
+phase tables it reads."""
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
+import math
 import sys
 import threading
 from decimal import Decimal
@@ -13,11 +12,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zetaladder import _tables, _zkern_py, kernels
+from zetaladder import _tables, kernels
 from zetaladder.errors import RangeError
 from zetaladder.special import riemann_siegel_z_values
 
 TWO_PI = kernels.TWO_PI
+TWO_PI_EXACT = Fraction(Decimal("6.283185307179586476925286766559005768394"))
 
 # Frozen from 200-bit mpmath evaluations; the suite never imports mpmath.
 # ln n, to 40 digits
@@ -52,42 +52,33 @@ MAIN_SUM_REF = {
     (1000000.0, 2.0): "-3.82301744589577586092840483077",
     (999983.5, 4.75): "5.65031958069760080838911629899",
 }
-
-
-def _reference(ts, thetas, order):
-    nmax = int(np.sqrt(float(ts.max()) / TWO_PI)) + 1
-    out = np.empty_like(ts)
-    _zkern_py.z_main_sum(ts, thetas, _tables.ln_n(nmax),
-                         _tables.ln_n_lo(nmax), _tables.rsqrt_n(nmax),
-                         order, out)
-    return out
-
-
-class TestBackendSelection:
-    def test_name_is_known(self):
-        assert kernels.backend_name() in ("cython", "python")
-
-    def test_compiled_backend_active_when_available(self):
-        pytest.importorskip("zetaladder._zkern")
-        if os.environ.get("ZL_PURE_PY", "") in ("", "0"):
-            assert kernels.backend_name() == "cython"
-
-    def test_pure_python_env_selects_fallback(self, tmp_path):
-        ts = [100.0, 1000.0, 10000.0, 99123.456]
-        script = (
-            "import json, numpy as np\n"
-            "from zetaladder import kernels\n"
-            "from zetaladder.special import riemann_siegel_z_values\n"
-            f"zs = riemann_siegel_z_values(np.array({ts!r}))\n"
-            "print(json.dumps({'backend': kernels.backend_name(),"
-            " 'zs': zs.tolist()}))\n")
-        env = dict(os.environ, ZL_PURE_PY="1")
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, check=True)
-        payload = json.loads(proc.stdout)
-        assert payload["backend"] == "python"
-        here = riemann_siegel_z_values(np.array(ts))
-        assert np.max(np.abs(np.array(payload["zs"]) - here)) <= 2e-12
+# the correction term (-1)^(N-1) psi(p) / sqrt(tau), N = floor(tau),
+# p = frac(tau), psi = cos(2pi(p^2 - p - 1/16)) / cos(2pi p), at t with
+# tau = k + 1/4 or k + 3/4 (-1e-4, +0, +1e-4), k = 44 and 126, where psi is
+# 0/0 at the middle point
+PSI_REF = {
+    12302.81392441219: "-0.0751797243792043565241962133989",
+    12302.869530539328: "-0.075164602800283039382798143624",
+    12302.925136792132: "-0.0751494886740709638845715288594",
+    12582.415042263152: "-0.0747286477572791108232182343556",
+    12582.47127670882: "-0.0747435092751935139545978434248",
+    12582.527511280154: "-0.0747583781368719264478342258242",
+    100147.92465985093: "-0.0445083356553610063011117987934",
+    100148.08331021713: "-0.0444994159489982906769469368674",
+    100148.24196070897: "-0.0444905006416235099534500069317",
+    100942.74697289063: "-0.0444026965639350251346433552657",
+    100942.90625157535: "-0.0444115591684328300182210338525",
+    100943.06553038572: "-0.0444204261491883896429639305743",
+}
+# main sum plus correction term at (t, theta); the last two sit 1e-4 from
+# p = 1/4 and 3/4
+ORDER1_REF = {
+    (12000.0, 0.5): "-0.25527495492464202378097844103",
+    (100000.0, 5.9): "8.17934171181120119909308242966",
+    (1000000.0, 2.0): "-3.86276247622851574716757877933",
+    (12302.925136792132, 1.0): "-1.76391537808377260504524109484",
+    (100942.74697289063, 4.0): "0.0743678095699320369222359587166",
+}
 
 
 def _exact(digits: str) -> Fraction:
@@ -96,10 +87,16 @@ def _exact(digits: str) -> Fraction:
 
 class TestPhaseTables:
     def test_ln_table_is_double_double(self):
-        top = max(LN_REF)
-        hi, lo = _tables.ln_n(top), _tables.ln_n_lo(top)
-        for n, digits in LN_REF.items():
+        hi, lo = _tables.ln_dd(np.array([float(n) for n in LN_REF]))
+        for h, l, (n, digits) in zip(hi.tolist(), lo.tolist(), LN_REF.items()):
             want = _exact(digits)
+            err = Fraction(h) + Fraction(l) - want
+            assert abs(err) <= want / 2 ** 104, n
+
+    def test_turns_table_is_double_double(self):
+        hi, lo = _tables.ln_n_turns(max(LN_REF))
+        for n, digits in LN_REF.items():
+            want = _exact(digits) / TWO_PI_EXACT
             err = Fraction(float(hi[n - 1])) + Fraction(float(lo[n - 1]))
             err -= want
             assert abs(err) <= want / 2 ** 104, n
@@ -124,10 +121,10 @@ class TestPhaseTables:
             rng = np.random.default_rng(seed)
             for n in rng.integers(1, 40000, 30):
                 hi, lo = _tables.ln_n_turns(int(n))
-                if not (np.array_equal(hi, ref[2][:n])
-                        and np.array_equal(lo, ref[3][:n])
+                if not (np.array_equal(hi, ref[0][:n])
+                        and np.array_equal(lo, ref[1][:n])
                         and np.array_equal(_tables.rsqrt_n(int(n)),
-                                           ref[4][:n])):
+                                           ref[2][:n])):
                     bad.append(int(n))
 
         old = sys.getswitchinterval()
@@ -153,18 +150,37 @@ class TestPhaseTables:
 
 
 class TestZMainSum:
-    @pytest.mark.parametrize("order", [0, 1])
-    def test_matches_numpy_fallback(self, order):
-        rng = np.random.default_rng(7)
-        ts = np.sort(rng.uniform(50.0, 2.0e5, 300))
-        # place a few points at the removable psi singularity tau mod 1 = 1/4
-        near = TWO_PI * (np.arange(5.0, 15.0) + 0.25) ** 2
-        ts = np.concatenate([ts, near])
-        thetas = rng.uniform(0.0, TWO_PI, ts.shape[0])
-        got = kernels.z_main_sum(ts, thetas, order)
-        ref = _reference(ts, thetas, order)
-        assert np.all(np.isfinite(got))
-        assert np.max(np.abs(got - ref)) <= 2e-12
+    def test_order_one_frozen(self):
+        ts = np.array([t for t, _ in ORDER1_REF])
+        thetas = np.array([th for _, th in ORDER1_REF])
+        got = kernels.z_main_sum(ts, thetas, 1)
+        for g, digits in zip(got.tolist(), ORDER1_REF.values()):
+            assert abs(Fraction(g) - _exact(digits)) <= Fraction(5e-15)
+
+    @pytest.mark.parametrize("p0", [0.25, 0.75])
+    def test_correction_term_at_removable_singularity(self, p0):
+        # order 1 minus order 0 is the correction term alone; psi's 0/0 at
+        # p = p0 must not cost accuracy 1e-4 away from it
+        ts = np.array([t for t in PSI_REF
+                       if abs(math.sqrt(t / TWO_PI) % 1.0 - p0) < 1e-3])
+        assert ts.size == 6
+        thetas = np.full(ts.size, 0.7)
+        got = (kernels.z_main_sum(ts, thetas, 1)
+               - kernels.z_main_sum(ts, thetas, 0))
+        for t, g in zip(ts.tolist(), got.tolist()):
+            err = Fraction(g) - _exact(PSI_REF[t])
+            assert abs(err) <= Fraction(1e-14), t
+
+    @pytest.mark.parametrize("p0", [0.25, 0.75])
+    def test_z_continuous_where_psi_is_zero_over_zero(self, p0):
+        # grids of step 1e-4 across the two heights near tau = 44 + p0 where
+        # |cos 2pi p| = 1e-3: smooth Z changes its second differences by
+        # ~1e-10 per step there, and a step in Z would show at its size
+        eps = math.asin(1e-3) / TWO_PI
+        for side in (-1.0, 1.0):
+            t0 = TWO_PI * (44.0 + p0 + side * eps) ** 2
+            z = riemann_siegel_z_values(t0 + 1e-4 * np.arange(-20, 21))
+            assert np.abs(np.diff(z, 3)).max() <= 1e-8, side
 
     @pytest.mark.parametrize("order", [0, 1])
     def test_fallback_batch_invariant(self, order):
@@ -174,8 +190,9 @@ class TestZMainSum:
         k = np.repeat(np.arange(3.0, 180.0, 16.0), 6)
         ts = TWO_PI * (k + rng.uniform(0.0, 1.0, k.size)) ** 2
         thetas = rng.uniform(0.0, TWO_PI, ts.size)
-        batch = _reference(ts, thetas, order)
-        alone = np.array([_reference(ts[i:i + 1], thetas[i:i + 1], order)[0]
+        batch = kernels.z_main_sum(ts, thetas, order)
+        alone = np.array([kernels.z_main_sum(ts[i:i + 1], thetas[i:i + 1],
+                                             order)[0]
                           for i in range(ts.size)])
         assert np.array_equal(alone, batch)
 
@@ -185,8 +202,9 @@ class TestZMainSum:
         rng = np.random.default_rng(13)
         ts = TWO_PI * (126.0 + rng.uniform(0.0, 1.0, 600)) ** 2
         thetas = rng.uniform(0.0, TWO_PI, ts.size)
-        batch = _reference(ts, thetas, 0)
-        alone = np.array([_reference(ts[i:i + 1], thetas[i:i + 1], 0)[0]
+        batch = kernels.z_main_sum(ts, thetas, 0)
+        alone = np.array([kernels.z_main_sum(ts[i:i + 1], thetas[i:i + 1],
+                                             0)[0]
                           for i in range(ts.size)])
         assert np.array_equal(alone, batch)
 

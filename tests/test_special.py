@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 from zetaladder import special
 from zetaladder.errors import DomainError
-from zetaladder.special import (RS_MIN, CriticalPoint, RSConfig, ThetaMode,
-                                TWO_PI, em_zeta_half, hl_x, riemann_siegel_z,
-                                riemann_siegel_z_values, tau, theta,
-                                theta_derivative, z_phase)
+from zetaladder.quadrature import _panel_freq
+from zetaladder.special import (RS_MIN, CriticalPoint, RSConfig, TWO_PI,
+                                em_zeta_half, hl_x, riemann_siegel_z,
+                                riemann_siegel_z_values, tau, theta, z_phase)
 
 # mpmath mp.dps=30: zeta(0.5), |zeta(0.5+100j)|, theta and Z at spot heights
 ZETA_HALF = -1.4603545088095868
@@ -85,14 +85,9 @@ class TestTau:
 
 
 class TestTheta:
-    def test_main_terms_at_two_pi(self):
-        # the log term vanishes, leaving -t/2 - pi/8
-        assert theta(TWO_PI, ThetaMode.MAIN_TERMS) == pytest.approx(
-            -math.pi - math.pi / 8.0, abs=1e-14)
-
     @pytest.mark.parametrize("t", sorted(THETA_REF))
     def test_frozen_values(self, t):
-        assert theta(t, ThetaMode.EXACT_GAMMA) == pytest.approx(
+        assert theta(t) == pytest.approx(
             THETA_REF[t], abs=5e-12 * max(1.0, abs(THETA_REF[t])))
 
     def test_finite_difference_slope_at_two_pi_e(self):
@@ -101,24 +96,17 @@ class TestTheta:
         assert fd == pytest.approx(0.5, abs=1e-3)
 
     def test_derivative_matches_fd_along_range(self):
+        # the panel sizing's frequency is theta' from 8pi on
         h = 1e-3
-        for t in np.geomspace(10.0, 1e5, 25):
+        for t in np.geomspace(RS_MIN, 1e5, 25):
             fd = (theta(t + h) - theta(t - h)) / (2.0 * h)
-            assert abs(fd - theta_derivative(t)) <= max(1e-6, 1.0 / t)
-
-    def test_modes_agree_within_inverse_t(self):
-        for t in np.geomspace(10.0, 1e6, 40):
-            d = abs(theta(t, ThetaMode.EXACT_GAMMA)
-                    - theta(t, ThetaMode.MAIN_TERMS))
-            assert d <= 1.0 / t
+            assert abs(fd - _panel_freq(t)) <= max(1e-6, 1.0 / t)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             theta(0.0)
         with pytest.raises(DomainError):
             theta(-5.0)
-        with pytest.raises(DomainError):
-            theta(100.0, "main_terms")
 
 
 def _theta_mod_errors(below_rs_min: bool):
