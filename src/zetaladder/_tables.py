@@ -185,3 +185,27 @@ def rsqrt_n(n: int) -> np.ndarray:
     """float64 1/sqrt(1..n)."""
     ensure(n)
     return _tab[2][:n]
+
+
+def _build_powers(k: int, n: int) -> np.ndarray:
+    """(ln m)^j / j! for j < k (rows) and m = 1..n (columns), each entry
+    the product of ln m / i over i = 1..j in ascending i."""
+    steps = np.empty((k, n))
+    steps[0] = 1.0
+    steps[1:] = ln_dd(np.arange(1.0, n + 1.0))[0] / np.arange(1.0, k)[:, None]
+    return np.cumprod(steps, axis=0)
+
+
+_pow = _build_powers(1, 1)
+
+
+def ln_powers(k: int, n: int) -> np.ndarray:
+    """(ln m)^j / j! for j < k and m = 1..n, a (k, n) view of a table grown
+    on demand; an entry depends on its j and m alone."""
+    global _pow
+    if k > _pow.shape[0] or n > _pow.shape[1]:
+        with _lock:
+            if k > _pow.shape[0] or n > _pow.shape[1]:
+                _pow = _build_powers(max(k, _pow.shape[0]),
+                                     max(n, 2 * _pow.shape[1]))
+    return _pow[:k, :n]

@@ -1,16 +1,33 @@
-"""The Riemann-Siegel main-sum kernel, in numpy.
+"""The Riemann-Siegel main-sum kernel: Taylor moments at quarter-unit anchors.
 
-Thetas arrive reduced mod 2pi.  The phase t * ln n / 2pi is formed by
-Dekker's two-product against the double-double ln n / 2pi table and reduced
-mod 1 (`_tables.turns`), so the cos argument carries ~1e-15 rad of error at
-any t the kernel accepts.  With the Kahan-compensated sum below, the main sum
-lands within ~3e-15 of a 200-bit evaluation at t = 1.2e4, 1e5 and 1e6.
+The main sum at height t is 2 Re(e^{i theta} S(t)) with
+S(t) = sum_{n <= nv} n^{-1/2} e^{-i t ln n} and nv = floor(sqrt(t / 2pi)).
+Each t is written as a + delta, with the anchor a = rint(G t) / G (G anchors
+per unit of t), so delta is exact and |delta| <= 1/(2G).  Then
 
-Points are grouped by the truncation length nv = floor(tau) and laid out
-terms by points: blocks of rows n by up to 4096 points, each block's scratch
-near 512 KB.  The rows are summed by an explicit Kahan loop in ascending n,
-so a point's value depends only on its own t and theta, never on the other
-points in its call, and scalar and batched evaluation agree bit for bit.
+    S(a + delta) = sum_{k < K} M_k (-i delta)^k,
+    M_k = sum_n n^{-1/2} e^{-i a ln n} (ln n)^k / k!,
+
+the local expansion of Odlyzko and Schoenhage ("Fast algorithms for multiple
+evaluations of the Riemann zeta function", Trans. AMS 309, 1988).  The
+moments cost one pass over n per (nv, anchor) group, shared by every point
+of the group; a point then costs K terms instead of nv.  K(nv) is the
+smallest order whose first omitted term, bounded by
+(ln nv / 2G)^K / K! * 2 sqrt(nv), is below 1e-17.
+
+The phase a ln n / 2pi is formed by Dekker's two-product against the
+double-double ln n / 2pi table and reduced mod 1 (`_tables.turns`), so each
+cos and sin argument carries ~1e-15 rad of error at any t the kernel accepts;
+the main sum lands within ~3e-15 of a 200-bit evaluation at t = 1.2e4, 1e5
+and 1e6.  Thetas arrive reduced mod 2pi.
+
+Anchors and orders come from t alone.  The moments are summed along the
+contiguous n axis and the Taylor terms along the contiguous k axis, both in
+an order fixed by the row length, and the scratch arrays are cut into blocks
+of about `_CHUNK_FLOATS` floats.  So a point's value depends only on its own
+t and theta, never on the other points in its call, and scalar and batched
+evaluation agree bit for bit.  No BLAS product is used: its summation order
+depends on the shape of the call.
 """
 
 from __future__ import annotations
@@ -24,9 +41,11 @@ from .errors import RangeError
 
 TWO_PI = 6.283185307179586476925286766559
 
+ANCHORS_PER_UNIT = 4.0
+_TRUNCATION = 1e-17
 _CHUNK_FLOATS = 1 << 16
-_COLS = 4096
-_PY_COLS = 16
+_RE_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
+_IM_SIGN = np.array([-1.0, -1.0, 1.0, 1.0])
 
 
 def backend_name() -> str:
@@ -35,29 +54,32 @@ def backend_name() -> str:
     return "python"
 
 
-def _kahan_rows(terms: np.ndarray, acc: np.ndarray, comp: np.ndarray):
-    """Add the rows of terms, in order, to the Kahan sums acc + comp (one
-    per column) and return the new (acc, comp); terms is overwritten.
-    Narrow blocks run the same IEEE operations on Python floats, which give
-    the same bits without a numpy call per row."""
-    if terms.shape[1] <= _PY_COLS:
-        for j in range(terms.shape[1]):
-            a, c = float(acc[j]), float(comp[j])
-            for x in terms[:, j].tolist():
-                y = x - c
-                s = a + y
-                c = (s - a) - y
-                a = s
-            acc[j], comp[j] = a, c
-        return acc, comp
-    s = np.empty_like(acc)
-    for y in terms:
-        y -= comp
-        np.add(acc, y, out=s)
-        np.subtract(s, acc, out=comp)
-        comp -= y
-        acc, s = s, acc
-    return acc, comp
+def anchors(ts: np.ndarray) -> np.ndarray:
+    """The anchor rint(G t) / G of each t.  G is a power of two, so the
+    anchor is exact and t - anchor, at most 1/(2G) in size, is too."""
+    return np.rint(ANCHORS_PER_UNIT * ts) / ANCHORS_PER_UNIT
+
+
+def run_starts(*keys: np.ndarray) -> np.ndarray:
+    """True where a run of equal rows of the sorted key arrays starts.
+    Not np.unique: numpy 2 loads numpy.ma for it, 15 ms on a first call."""
+    new = np.zeros(keys[0].shape, dtype=bool)
+    new[0] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return new
+
+
+def _taylor_order(nv: int) -> int:
+    """Smallest K with (ln nv / 2G)^K / K! * 2 sqrt(nv) below 1e-17: the
+    bound on the first omitted term, since |delta ln n| <= ln nv / 2G and
+    sum_n n^{-1/2} <= 2 sqrt(nv)."""
+    x = math.log(nv) / (2.0 * ANCHORS_PER_UNIT)
+    term, k = 2.0 * math.sqrt(nv), 0
+    while term >= _TRUNCATION:
+        k += 1
+        term *= x / k
+    return k
 
 
 def _psi(p: np.ndarray) -> np.ndarray:
@@ -75,6 +97,25 @@ def _psi(p: np.ndarray) -> np.ndarray:
     den = np.sin(TWO_PI * eps)
     zero = den == 0.0
     return np.where(zero, 0.5, num / np.where(zero, 1.0, den))
+
+
+def _moments(a: np.ndarray, nv: int, k: int):
+    """Real and imaginary parts (m, K) of (-i)^k M_k at the m anchors a,
+    with M_k = sum_{n <= nv} n^{-1/2} e^{-i a ln n} (ln n)^k / k!."""
+    lt_hi, lt_lo = _tables.ln_n_turns(nv)
+    ang = TWO_PI * _tables.turns(a[:, None], lt_hi, lt_lo)
+    c = np.empty((a.size, 2, 1, nv))
+    rsqrt = _tables.rsqrt_n(nv)
+    np.multiply(np.cos(ang), rsqrt, out=c[:, 0, 0])
+    np.multiply(np.sin(ang), rsqrt, out=c[:, 1, 0])
+    # C_k and S_k (m, 2, K), each summed along the contiguous n axis
+    cs = np.multiply(c, _tables.ln_powers(k, nv)).sum(axis=-1)
+    # M_k = C_k - i S_k, and (-i)^k cycles through 1, -i, -1, i, so
+    # (-i)^k M_k = (C, -S), (-S, -C), (-C, S), (S, C) by k mod 4
+    ks = np.arange(k)
+    odd = ks % 2
+    return (cs[:, odd, ks] * _RE_SIGN[ks % 4],
+            cs[:, 1 - odd, ks] * _IM_SIGN[ks % 4])
 
 
 def z_main_sum(ts: np.ndarray, thetas: np.ndarray, order: int) -> np.ndarray:
@@ -96,34 +137,44 @@ def z_main_sum(ts: np.ndarray, thetas: np.ndarray, order: int) -> np.ndarray:
             f"t = {t_top:.3e} exceeds the exact-phase-reduction range")
     tau = np.sqrt(ts / TWO_PI)
     nmax = np.floor(tau).astype(np.int64)
-    top = int(nmax.max(initial=1))
-    lt_hi, lt_lo = _tables.ln_n_turns(top)
-    rsqrt_n = _tables.rsqrt_n(top)
-    # not np.unique: numpy 2 loads numpy.ma for it, 15 ms on a first call
-    for nv in sorted(set(nmax.tolist())):
-        idx = np.nonzero(nmax == nv)[0]
+
+    # points sorted by t fall in runs of equal (nv, anchor), and the runs
+    # of one nv are contiguous
+    perm = np.argsort(ts, kind="stable")
+    t_s = ts[perm]
+    a_s = anchors(t_s)
+    nv_s = nmax[perm]
+    new = run_starts(nv_s, a_s)
+    group = np.cumsum(new) - 1
+    starts = np.flatnonzero(new)
+    bounds = starts.tolist() + [t_s.size]
+    delta = t_s - a_s
+    th = thetas[perm]
+    z = np.zeros(t_s.size)
+    g_nv = nv_s[starts]
+    blocks = np.append(np.flatnonzero(run_starts(g_nv)), starts.size).tolist()
+    for b0, b1 in zip(blocks[:-1], blocks[1:]):
+        nv = int(g_nv[b0])
         if nv == 0:
-            out[idx] = 0.0
             continue
-        cols = min(idx.shape[0], _COLS)
-        rows = max(1, _CHUNK_FLOATS // cols)
-        buf = np.empty((2, min(rows, nv) * cols))
-        for c0 in range(0, idx.shape[0], cols):
-            sel = idx[c0:c0 + cols]
-            t, th = ts[sel], thetas[sel]
-            acc, comp = np.zeros(sel.shape[0]), np.zeros(sel.shape[0])
-            for r0 in range(0, nv, rows):
-                r1 = min(nv, r0 + rows)
-                size = (r1 - r0) * sel.shape[0]
-                phase = buf[0, :size].reshape(r1 - r0, sel.shape[0])
-                _tables.turns(t, lt_hi[r0:r1, None], lt_lo[r0:r1, None],
-                              out=phase, tmp=buf[1, :size].reshape(phase.shape))
-                phase *= -TWO_PI
-                phase += th
-                np.cos(phase, out=phase)
-                phase *= rsqrt_n[r0:r1, None]
-                acc, comp = _kahan_rows(phase, acc, comp)
-            out[sel] = 2.0 * acc
+        k = _taylor_order(nv)
+        per = max(1, _CHUNK_FLOATS // (2 * k * nv))
+        rows = max(1, _CHUNK_FLOATS // (2 * k))
+        for c0 in range(b0, b1, per):
+            c1 = min(b1, c0 + per)
+            re, im = _moments(a_s[starts[c0:c1]], nv, k)
+            for p0 in range(bounds[c0], bounds[c1], rows):
+                p = slice(p0, min(bounds[c1], p0 + rows))
+                g = group[p] - c0
+                # delta^k, k < K, by repeated products along the row
+                dk = np.empty((g.size, k))
+                dk[:] = delta[p, None]
+                dk[:, 0] = 1.0
+                np.cumprod(dk, axis=1, out=dk)
+                s_re = (re[g] * dk).sum(axis=1)
+                s_im = (im[g] * dk).sum(axis=1)
+                z[p] = 2.0 * (np.cos(th[p]) * s_re - np.sin(th[p]) * s_im)
+    out[perm] = z
     if order == 1:
         sign = np.where(nmax % 2 == 1, 1.0, -1.0)
         out += sign * _psi(tau - nmax) / np.sqrt(np.maximum(tau, 1e-300))

@@ -108,7 +108,7 @@ class QuadConfig:
     def fingerprint(self) -> str:
         """Short stable hash identifying results produced under this config
         (panel rule version included so cached tables invalidate on change)."""
-        blob = (f"panelgl15-v4|abs={self.abs_tol!r}|rel={self.rel_tol!r}"
+        blob = (f"panelgl15-v5|abs={self.abs_tol!r}|rel={self.rel_tol!r}"
                 f"|depth={self.max_depth}|osc={self.osc_factor!r}")
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -232,10 +232,12 @@ def z_values(ts: np.ndarray, rs_cfg: RSConfig = RSConfig()) -> np.ndarray:
     hi = ts >= RS_MIN
     if hi.any():
         out[hi] = special.riemann_siegel_z_values(ts[hi], rs_cfg)
-    if (~hi).any():
-        for i in np.nonzero(~hi)[0]:
-            t = float(ts[i])
-            out[i] = (special.z_phase(t) * special.em_zeta_half(t)).real
+    if not hi.all():
+        phase = special.z_phases(ts[~hi])
+        zeta = np.array([special.em_zeta_half(t) for t in ts[~hi].tolist()])
+        # Re(phase * zeta) written out: numpy's complex product fuses a
+        # multiply-add, which moves the last bit against Python's product
+        out[~hi] = phase.real * zeta.real - phase.imag * zeta.imag
     return out
 
 

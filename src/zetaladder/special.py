@@ -11,15 +11,19 @@ that cross-checks the two relies on them sharing no code beyond the phase
 tables.
 
 Each quantity of the production route has one evaluator, vectorized: theta
-comes from `_theta_dd` and Z from `riemann_siegel_z_values`.  The scalar
-`theta`, `z_phase` and `riemann_siegel_z` are their one-point calls, so a
-height gives the same bits alone, in a batch, or through either interface.
+comes from `_theta_dd`, the phase factor from `z_phases` and Z from
+`riemann_siegel_z_values`.  The scalar `theta`, `z_phase` and
+`riemann_siegel_z` are their one-point calls, so a height gives the same
+bits alone, in a batch, or through either interface.
 
 Phases are the precision bottleneck: t * ln n reaches ~1e7 rad while the
 reality identity Z(t) = e^{i theta(t)} zeta(1/2+it) is tested at the 1e-8
 level.  Phase products are formed in double-double float64 from the `_tables`
-ln n / 2pi table and reduced mod 1 turn, and theta for t >= 8pi comes from its
-asymptotic series with the leading (t/2)(ln(t/2pi) - 1) in double-double,
+ln n / 2pi table and reduced mod 1 turn.  theta for t >= 8pi comes from its
+asymptotic series: the leading (t/2)(ln(t/2pi) - 1) is formed in
+double-double once per quarter-unit anchor a (`kernels.anchors`, the anchors
+of the main-sum moments), and each t = a + delta adds the exact increment of
+that term from a to t, about theta'(a) delta, in float64.  The sum is
 reduced mod 2pi.  theta mod 2pi is then within ~1e-15 rad of its true value
 up to t = 1e6 (~1e-14 below 8pi, where a complex128 Stirling series is used),
 and nothing depends on the platform's long double.
@@ -98,12 +102,13 @@ def tau(t: float) -> float:
 
 
 def _theta_lead(ts: np.ndarray):
-    """(t/2)(ln(t/2pi) - 1) - pi/8 as a double-double (hi, lo), t > 0."""
+    """(t/2)(ln(t/2pi) - 1) - pi/8 as a double-double (hi, lo), t > 0, and
+    ln(t/2pi) - 1 rounded to float64."""
     hi, lo = _tables.ln_dd(ts)
-    hi, lo = _tables.dd_add(hi, lo, -_LN_2PI_E[0], -_LN_2PI_E[1])
-    hi, lo = _tables.dd_mul(hi, lo, 0.5 * ts, 0.0)
-    return _tables.dd_add(hi, lo, -_tables.PI_DD[0] / 8,
-                          -_tables.PI_DD[1] / 8)
+    ell, lo = _tables.dd_add(hi, lo, -_LN_2PI_E[0], -_LN_2PI_E[1])
+    hi, lo = _tables.dd_mul(ell, lo, 0.5 * ts, 0.0)
+    return (*_tables.dd_add(hi, lo, -_tables.PI_DD[0] / 8,
+                            -_tables.PI_DD[1] / 8), ell)
 
 
 def _theta_stirling(ts: np.ndarray) -> np.ndarray:
@@ -129,18 +134,34 @@ def _theta_stirling(ts: np.ndarray) -> np.ndarray:
 
 def _theta_dd(ts: np.ndarray):
     """Unreduced theta(t) = hi + lo for an array of t > 0: the asymptotic
-    series for t >= 8pi, Stirling (lo = 0) below."""
+    series for t >= 8pi, Stirling (lo = 0) below.
+
+    From 8pi on, the double-double leading term is taken once per anchor a
+    (`kernels.anchors`), and t = a + delta adds its exact increment
+    (t/2) ln(1 + delta/a) + (delta/2)(ln(a/2pi) - 1), within ~1e-16 rad
+    since |delta| <= 1/8, and the series sum_k c_k t^(1-2k) at t itself.
+    At t = a this is the direct evaluation, bit for bit."""
     ts = np.asarray(ts, dtype=np.float64)
     hi, lo = np.empty_like(ts), np.zeros_like(ts)
     big = ts >= RS_MIN
     if big.any():
         tb = ts[big]
+        perm = np.argsort(tb, kind="stable")
+        a_s = kernels.anchors(tb[perm])
+        new = kernels.run_starts(a_s)
+        at = np.empty(tb.size, dtype=np.intp)
+        at[perm] = np.cumsum(new) - 1
+        a = a_s[new]
+        lead_hi, lead_lo, ell = _theta_lead(a)
+        a = a[at]
+        d = tb - a
         w = 1.0 / tb
         w2 = w * w
         ser = _THETA_SERIES[4]
         for c in _THETA_SERIES[3::-1]:
             ser = c + w2 * ser
-        hi[big], lo[big] = _tables.dd_add(*_theta_lead(tb), w * ser, 0.0)
+        inc = 0.5 * tb * np.log1p(d / a) + 0.5 * d * ell[at] + w * ser
+        hi[big], lo[big] = _tables.dd_add(lead_hi[at], lead_lo[at], inc, 0.0)
     if not big.all():
         hi[~big] = _theta_stirling(ts[~big])
     return hi, lo
@@ -164,10 +185,16 @@ def theta(t: float) -> float:
     return float(_theta_dd(np.array([t]))[0][0])
 
 
+def z_phases(ts: np.ndarray) -> np.ndarray:
+    """e^{i theta(t)} for an array of t >= 0, with the phase reduced mod 2pi
+    in double-double, so that z_phases(t) * zeta(1/2+it) is real to ~1e-12
+    even at t ~ 1e6."""
+    return np.exp(1j * _theta_reduced(np.asarray(ts, dtype=np.float64)))
+
+
 def z_phase(t: float) -> complex:
-    """e^{i theta(t)} with the phase reduced mod 2pi in double-double, so
-    that z_phase(t) * zeta(1/2+it) is real to ~1e-12 even at t ~ 1e6."""
-    return cmath.exp(1j * float(_theta_reduced(np.array([t]))[0]))
+    """e^{i theta(t)} at one height: the one-point call of z_phases."""
+    return complex(z_phases(np.array([t]))[0])
 
 
 def riemann_siegel_z_values(ts: np.ndarray, cfg: RSConfig = RSConfig()

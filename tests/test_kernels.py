@@ -1,5 +1,5 @@
-"""The numpy main-sum kernel against frozen high-precision values, and the
-phase tables it reads."""
+"""The main-sum kernel against frozen high-precision values, and the phase
+and power tables it reads."""
 
 from __future__ import annotations
 
@@ -43,7 +43,8 @@ LN_REF = {
     499979: "13.12232137652230409791276646748673711813",
     500000: "13.12236337740432879469071660664800867753",
 }
-# 2 sum_{n <= floor(tau)} n^{-1/2} cos(theta - t ln n) at (t, theta)
+# 2 sum_{n <= floor(tau)} n^{-1/2} cos(theta - t ln n) at (t, theta); the
+# last six sit on anchor-cell edges, 1/8 above or below their anchor
 MAIN_SUM_REF = {
     (12000.0, 0.5): "-0.324473965892499305145198522405",
     (12345.678, 3.0): "-0.985497144061877623498144188918",
@@ -51,6 +52,21 @@ MAIN_SUM_REF = {
     (100003.25, 1.25): "2.82981549892942355610467588082",
     (1000000.0, 2.0): "-3.82301744589577586092840483077",
     (999983.5, 4.75): "5.65031958069760080838911629899",
+    (12000.125, 1.5): "-1.12855132812075600457299185448",
+    (12000.375, 1.5): "-3.26935785603523467360495526457",
+    (100000.125, 4.0): "-3.09333814268460599714133083148",
+    (100000.375, 4.0): "-5.3771740659292067899039647796",
+    (1000000.125, 0.25): "3.47783652931093864316954106466",
+    (1000000.375, 0.25): "2.84980520685343951452611503137",
+}
+# the main sum at theta = 2 in the anchor cell [12164.125, 12164.375] that
+# holds tau = 44 (t = 12164.2467546...): floor(tau) is 43 for the first two
+# points and 44 for the last two
+CROSSING_REF = {
+    12164.126: "-7.95203245278669296061859537682",
+    12164.246753699677: "-8.28838815439486900241704060716",
+    12164.246755699678: "-8.07812712442547391782145900332",
+    12164.374: "-7.88881772684094522285772735999",
 }
 # the correction term (-1)^(N-1) psi(p) / sqrt(tau), N = floor(tau),
 # p = frac(tau), psi = cos(2pi(p^2 - p - 1/16)) / cos(2pi p), at t with
@@ -110,21 +126,30 @@ class TestPhaseTables:
             assert np.array_equal(grown, built)
         # doubling: one entry past the end grows the table to twice its size
         assert _tables._extend(tab, 70001)[0].shape == (140000,)
+        # (ln m)^j / j!: an entry does not depend on the table's extent
+        assert np.array_equal(_tables._build_powers(20, 3000)[:7, :100],
+                              _tables._build_powers(7, 100))
 
     def test_concurrent_growth_reads_whole_tables(self, monkeypatch):
         # the sweep's pool threads grow and read the shared tables at once
         ref = _tables._build(0, 40000)
+        ref_pow = _tables._build_powers(24, 3000)
         monkeypatch.setattr(_tables, "_tab", _tables._build(0, 1024))
+        monkeypatch.setattr(_tables, "_pow", _tables._build_powers(1, 1))
         bad = []
 
         def reader(seed):
             rng = np.random.default_rng(seed)
-            for n in rng.integers(1, 40000, 30):
+            for n, k, m in zip(rng.integers(1, 40000, 30),
+                               rng.integers(1, 25, 30),
+                               rng.integers(1, 3000, 30)):
                 hi, lo = _tables.ln_n_turns(int(n))
                 if not (np.array_equal(hi, ref[0][:n])
                         and np.array_equal(lo, ref[1][:n])
                         and np.array_equal(_tables.rsqrt_n(int(n)),
-                                           ref[2][:n])):
+                                           ref[2][:n])
+                        and np.array_equal(_tables.ln_powers(int(k), int(m)),
+                                           ref_pow[:k, :m])):
                     bad.append(int(n))
 
         old = sys.getswitchinterval()
@@ -197,8 +222,9 @@ class TestZMainSum:
         assert np.array_equal(alone, batch)
 
     def test_fallback_wide_blocks_match_points_alone(self):
-        # 600 points with floor(tau) = 126: the batch sums numpy row blocks
-        # (two of them), each point alone sums on Python floats
+        # 600 points with floor(tau) = 126, over some 6,000 anchors: the
+        # batch forms its moments in many anchor blocks, each point alone
+        # in one
         rng = np.random.default_rng(13)
         ts = TWO_PI * (126.0 + rng.uniform(0.0, 1.0, 600)) ** 2
         thetas = rng.uniform(0.0, TWO_PI, ts.size)
@@ -207,6 +233,43 @@ class TestZMainSum:
                                              0)[0]
                           for i in range(ts.size)])
         assert np.array_equal(alone, batch)
+
+    def test_anchor_cell_spanning_integer_tau(self):
+        # 10,000 shuffled points in the one anchor cell that holds tau = 44,
+        # with the four frozen points among them: the cell's two groups
+        # (floor(tau) = 43 and 44) each fill more than one block of points,
+        # and every point matches itself alone and the 200-bit main sum
+        rng = np.random.default_rng(17)
+        ref = np.array(list(CROSSING_REF))
+        ts = rng.permutation(np.concatenate(
+            (ref, rng.uniform(12164.125, 12164.375, 9996))))
+        assert np.array_equal(kernels.anchors(ts), np.full(ts.size, 12164.25))
+        thetas = np.full(ts.size, 2.0)
+        for order in (0, 1):
+            batch = kernels.z_main_sum(ts, thetas, order)
+            picks = np.concatenate((np.flatnonzero(np.isin(ts, ref)),
+                                    np.arange(0, ts.size, 50)))
+            for i in picks.tolist():
+                alone = kernels.z_main_sum(ts[i:i + 1], thetas[i:i + 1],
+                                           order)
+                assert alone[0] == batch[i], (order, ts[i])
+            if order == 0:
+                got = dict(zip(ts.tolist(), batch.tolist()))
+                for t, digits in CROSSING_REF.items():
+                    err = Fraction(got[t]) - _exact(digits)
+                    assert abs(err) <= Fraction(5e-15), t
+
+    @pytest.mark.parametrize("height", [12000.0, 100000.0, 1000000.0])
+    def test_z_continuous_across_anchor_edges(self, height):
+        # grids of step 1e-4 across the cell edges 1/8 and 3/8 above height,
+        # where the anchor of the moments changes: smooth Z has third
+        # differences up to ~3e-9 there, and a step in Z would show at its
+        # size
+        for edge in (0.125, 0.375):
+            ts = height + edge + 1e-4 * np.arange(-20, 21)
+            assert np.unique(kernels.anchors(ts)).size == 2
+            z = riemann_siegel_z_values(ts)
+            assert np.abs(np.diff(z, 3)).max() <= 1e-8, edge
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)

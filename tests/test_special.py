@@ -35,7 +35,8 @@ Z_REF = {
     1000.0: 0.9977946375215866,
     10000.0: -0.34139472423120854,
 }
-# theta(t) mod 2pi at 200 bits (mpmath siegeltheta), to 30 digits
+# theta(t) mod 2pi at 200 bits (mpmath siegeltheta), to 30 digits; the
+# heights ending in .125 and .375 sit 1/8 from their anchors
 THETA_MOD_REF = {
     1.0: "4.51563735436729608862307026729",
     5.5: "2.7781768238338607887536704163",
@@ -49,6 +50,12 @@ THETA_MOD_REF = {
     100000.0: "4.89591864238817406130945534968",
     314159.25: "2.39631906035623944810701501543",
     1000000.0: "1.5979149177270622465431291794",
+    12000.125: "2.331813561531069170949887265",
+    12000.375: "3.27616427342728052140904816836",
+    100000.125: "5.50060920636045255246989151645",
+    100000.375: "0.426805261500032435612047518115",
+    1000000.125: "2.34651701485549251840058711738",
+    1000000.375: "3.84372123254984915586824957422",
 }
 TWO_PI_EXACT = Fraction(Decimal("6.283185307179586476925286766559005768394"))
 GAMMA_1 = 14.134725141734695
