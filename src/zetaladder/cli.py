@@ -268,9 +268,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _moment_cache_key(T: float, H: float, eff, qcfg: QuadConfig,
                       rs_cfg: RSConfig) -> str:
+    # outer=gl16 names the outer integral's rule: a memo of the adaptive
+    # rule differs in jbar's last digits and is recomputed, not replayed
     blob = "|".join(["moment", repr(float(T)), repr(float(H)),
                      repr(float(eff["u0_exponent"])),
-                     table_key(qcfg, rs_cfg)])
+                     table_key(qcfg, rs_cfg), "outer=gl16"])
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

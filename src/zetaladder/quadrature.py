@@ -16,8 +16,11 @@ Three consumers sit on top of the same panel machinery:
 - integrate_z / integrate_z2: plain adaptive integrals with tolerances.
 - PanelChain: a fixed panel grid whose per-panel Legendre interpolants are
   integrated in closed form, giving a cheap prefix integral t -> int_a^t.
-  The windowed moment reuses it so the inner and outer integrals share one
-  set of Z evaluations instead of re-evaluating O(U0 * H) times.
+  The windowed moment reads both of its integrals off one Z chain: the
+  inner window is a difference of prefixes, and the outer integral of its
+  square is a piecewise polynomial that GL16 integrates exactly
+  (`PanelChain.windowed_sq_integral`), with no further Z evaluations and
+  no adaptivity.
 - SecondMomentTable: checkpoints of I(T) = int_0^T Z^2 at a fixed stride,
   extended append-only (single writer) and persisted as `smtable-v2` files
   keyed by `table_key`: the QuadConfig fingerprint plus the Riemann-Siegel
@@ -57,6 +60,8 @@ from .special import RS_MIN, RSConfig, TWO_PI
 _NOISE_FLOOR = 1e-10
 
 _GL_X, _GL_W = npleg.leggauss(15)
+# exact through degree 31: the square of a chain's degree-15 prefix
+_GL16_X, _GL16_W = npleg.leggauss(16)
 # projection of nodal values onto Legendre coefficients (exact for deg <= 14)
 _GL_PROJ = (0.5 * (2.0 * np.arange(15) + 1.0))[:, None] \
     * (npleg.legvander(_GL_X, 14).T * _GL_W[None, :])
@@ -326,12 +331,47 @@ class PanelChain:
         t = np.asarray(t, dtype=np.float64)
         if t.size and (t.min() < self.a - 1e-9 or t.max() > self.b + 1e-9):
             raise RangeError("prefix query outside the chain span")
-        idx, x = self._locate(t)
+        return self._prefix_at(*self._locate(t))
+
+    def _prefix_at(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Prefix at position x of panels idx; x may carry leading axes."""
         inner = npleg.legval(x, self.coef[:, idx], tensor=False)
         return self.cum[idx] + (self.cum_lo[idx] + inner)
 
     def integral(self, u, v) -> np.ndarray:
         return self.prefix(v) - self.prefix(u)
+
+    def windowed_sq_integral(self, a: float, b: float, h: float) -> float:
+        """int_a^b (prefix(t + h) - prefix(t))^2 dt, exact to roundoff.
+
+        Between the breaks edges and edges - h the window W(t) is one
+        degree-15 polynomial, so GL16 integrates W^2 exactly on each piece.
+        Nodes are offsets from the piece's left end u, and their panel
+        coordinates come from the exact difference u - edge, so no node is
+        rounded to the ulp of t.
+        """
+        if not (self.a <= a <= b and 0.0 <= h and b + h <= self.b + 1e-9):
+            raise RangeError("window outside the chain span")
+        e = self.edges
+        cuts = np.concatenate((e, e - h))
+        br = np.unique(np.concatenate(([a, b], cuts[(cuts > a) & (cuts < b)])))
+        u = br[:-1]
+        hw = 0.5 * np.diff(br)
+        step = hw[:, None] * (1.0 + _GL16_X)
+        last = self.mids.size - 1
+
+        def shifted_prefix(s):
+            # prefix at the nodes shifted by s, (nodes, pieces); the panel
+            # is looked up once per piece, at its mid
+            idx = np.clip(np.searchsorted(e, u + hw + s, side="right") - 1,
+                          0, last)
+            off = (u - e[idx]) + s
+            return self._prefix_at(
+                idx, ((off[:, None] + step) / self.hws[idx, None] - 1.0).T)
+
+        w = shifted_prefix(h) - shifted_prefix(0.0)
+        sums = np.add.reduce(w * w * _GL16_W[:, None], axis=0) * hw
+        return fsum(sums.tolist())
 
     def slope(self, t) -> np.ndarray:
         """Derivative of prefix: the interpolated integrand itself."""
@@ -523,9 +563,11 @@ def hl_moment(T: float, H: float, cfg: QuadConfig = QuadConfig(),
     """Mean square of the windowed integral int_t^{t+H} Z over [T, T+U0].
 
     U0 = T^u0_exponent; the expected value of the mean square is 2 pi H, so
-    ratio -> 1 as T grows for admissible H.  The chain antiderivative makes
-    the inner window a difference of prefix integrals, so Z is evaluated
-    once per grid node no matter how the outer points fall.
+    ratio -> 1 as T grows for admissible H.  Z is evaluated once, on a
+    chain over [T, T+U0+H]: the inner window is a difference of its
+    prefixes, and the outer integral of the window's square is exact on
+    the chain's pieces (`PanelChain.windowed_sq_integral`), so the error of
+    jbar is the chain's own and no outer tolerance applies.
     """
     if T < 100.0:
         raise DomainError(f"hl_moment needs T >= 100, got {T}")
@@ -535,11 +577,6 @@ def hl_moment(T: float, H: float, cfg: QuadConfig = QuadConfig(),
             f"H={H} not admissible at T={T}: need {lo:.6g} < H < {hi:.6g}")
     u0 = T ** u0_exponent
     chain = z_chain(T, T + u0 + H, cfg, rs_cfg)
-
-    def windowed_sq(ts: np.ndarray) -> np.ndarray:
-        return chain.integral(ts, ts + H) ** 2
-
-    res = adaptive_integrate(windowed_sq, T, T + u0, cfg)
-    jbar = res.value
+    jbar = chain.windowed_sq_integral(T, T + u0, H)
     return MomentReport(T=T, H=H, U0=u0, jbar=jbar,
                        ratio=jbar / (TWO_PI * H * u0))

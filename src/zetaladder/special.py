@@ -167,13 +167,17 @@ def _theta_dd(ts: np.ndarray):
     return hi, lo
 
 
-def _theta_reduced(ts: np.ndarray) -> np.ndarray:
-    """theta(t) mod 2pi as float64, the phase the main-sum kernel takes."""
-    hi, lo = _theta_dd(ts)
+def _mod_2pi(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """(hi + lo) mod 2pi as float64, reduced in double-double."""
     k = np.floor(hi / TWO_PI)
     p, pe = _tables.two_prod(k, _tables.TWO_PI_DD[0])
     r = (((hi - p) - pe) + lo) - k * _tables.TWO_PI_DD[1]
     return np.mod(r, TWO_PI)
+
+
+def _theta_reduced(ts: np.ndarray) -> np.ndarray:
+    """theta(t) mod 2pi as float64, the phase the main-sum kernel takes."""
+    return _mod_2pi(*_theta_dd(ts))
 
 
 def theta(t: float) -> float:
@@ -197,6 +201,16 @@ def z_phase(t: float) -> complex:
     return complex(z_phases(np.array([t]))[0])
 
 
+def _rs_heights(ts) -> np.ndarray:
+    """ts as float64, refused unless every t is finite and >= 2pi."""
+    ts = np.asarray(ts, dtype=np.float64)
+    ok = np.isfinite(ts) & (ts >= TWO_PI)
+    if not ok.all():
+        raise DomainError(f"riemann_siegel_z needs finite t >= 2pi, got "
+                          f"{float(ts[~ok][0])}")
+    return ts
+
+
 def riemann_siegel_z_values(ts: np.ndarray, cfg: RSConfig = RSConfig()
                             ) -> np.ndarray:
     """Z(t) for an array of finite t >= 2pi by the Riemann-Siegel formula.
@@ -205,22 +219,23 @@ def riemann_siegel_z_values(ts: np.ndarray, cfg: RSConfig = RSConfig()
     evaluator.  A point's value does not depend on the other points in the
     call.
     """
-    ts = np.asarray(ts, dtype=np.float64)
-    ok = np.isfinite(ts) & (ts >= TWO_PI)
-    if not ok.all():
-        raise DomainError(f"riemann_siegel_z needs finite t >= 2pi, got "
-                          f"{float(ts[~ok][0])}")
+    ts = _rs_heights(ts)
     return kernels.z_main_sum(ts, _theta_reduced(ts), cfg.correction_order)
 
 
 def riemann_siegel_z(t: float, cfg: RSConfig = RSConfig()) -> CriticalPoint:
-    """Z(t) at one height: the one-point call of riemann_siegel_z_values.
-
-    theta is the unreduced phase.  |Z| equals |zeta(1/2+it)| up to the
-    formula remainder, so zeta_abs is |z|.
+    """Z(t) at one height: riemann_siegel_z_values on one point, with the
+    unreduced phase, bit-equal to theta(t), from the same theta evaluation.
+    |Z| equals |zeta(1/2+it)| up to the formula remainder, so zeta_abs is
+    |z|.
     """
-    z = float(riemann_siegel_z_values(np.array([t]), cfg)[0])
-    return CriticalPoint(t=t, z=z, theta=theta(t), zeta_abs=abs(z))
+    # the vector path frees the unreduced theta before its kernel call, so
+    # large batches hold no extra arrays; one point keeps its hi word here
+    ts = _rs_heights(np.array([t]))
+    hi, lo = _theta_dd(ts)
+    z = float(kernels.z_main_sum(ts, _mod_2pi(hi, lo),
+                                 cfg.correction_order)[0])
+    return CriticalPoint(t=t, z=z, theta=float(hi[0]), zeta_abs=abs(z))
 
 
 def em_zeta_half(t: float, tol: float = 1e-10) -> complex:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetaladder import cli, kernels, quadrature
+from zetaladder import cli, kernels
 from zetaladder.ladder import save_calibration
 from zetaladder.quadrature import PanelChain, save_table
 from zetaladder.special import riemann_siegel_z
@@ -125,10 +125,10 @@ class TestMoment:
 
     def test_cache_hit_is_faster_and_identical(self, cli_cache, tmp_path,
                                                monkeypatch):
-        # the hit must do no numeric work: no kernel call, no adaptive
-        # integral and no chain build (a wall-clock ratio would measure the
-        # host's load as much as the cache)
-        calls = {"kernel": 0, "adaptive": 0, "chain": 0}
+        # the hit must do no numeric work: no kernel call, no chain build
+        # and no outer integral (a wall-clock ratio would measure the host's
+        # load as much as the cache)
+        calls = {"kernel": 0, "outer": 0, "chain": 0}
 
         def counted(key, fn):
             def wrapper(*a, **kw):
@@ -138,8 +138,8 @@ class TestMoment:
 
         monkeypatch.setattr(kernels, "z_main_sum",
                             counted("kernel", kernels.z_main_sum))
-        monkeypatch.setattr(quadrature, "adaptive_integrate",
-                            counted("adaptive", quadrature.adaptive_integrate))
+        monkeypatch.setattr(PanelChain, "windowed_sq_integral",
+                            counted("outer", PanelChain.windowed_sq_integral))
         monkeypatch.setattr(PanelChain, "build", classmethod(
             counted("chain", PanelChain.build.__func__)))
         out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"
@@ -161,6 +161,23 @@ class TestMoment:
         assert run(cli_cache, *args, "--out", str(out2)) == 0
         assert Path(memo).read_text() == text
         assert run(cli_cache, *args, "--no-cache", "--out", str(out1)) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_memo_of_the_adaptive_outer_rule_is_recomputed(self, cli_cache,
+                                                           tmp_path):
+        # bd51b711110f3131 is the key of (T, H) = (2e4, 1.75) under the
+        # default config when the memo key named no outer rule, as it did
+        # while the outer integral was adaptive; such a memo is never read
+        out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"
+        args = ("moment", "--T", "20000", "--H", "1.75")
+        planted = {"schema": "moment-v1", "T": 20000.0, "H": 1.75,
+                   "U0": 20000.0 ** 0.5001, "jbar": 1.5, "ratio": 0.5}
+        stale = cli_cache / "moment-bd51b711110f3131.json"
+        stale.write_text(json.dumps(planted, indent=2) + "\n")
+        assert run(cli_cache, *args, "--out", str(out1)) == 0
+        assert manifest_of(out1)["outputs"][1] != str(stale)
+        assert json.loads(out1.read_text())["jbar"] != planted["jbar"]
+        assert run(cli_cache, *args, "--no-cache", "--out", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_no_cache_recomputes_same_bytes(self, cli_cache, tmp_path):

@@ -368,3 +368,85 @@ class TestHlMoment:
         r1 = hl_moment(1.0e4, 1.5, qcfg, rs_cfg)
         r2 = hl_moment(1.0e4, 1.5, qcfg, rs_cfg)
         assert r1.jbar == r2.jbar and r1.ratio == r2.ratio
+
+    @pytest.mark.parametrize("h", [0.3, 0.5])
+    def test_windowed_square_of_polynomial_chain_exact(self, h):
+        # on each panel the integrand is 1 + P_14 of the panel's own
+        # coordinate x, so the chain is exact and its prefix is
+        # t - a0 + hw Q(x) with Q = (P_15 - P_13)/29, zero at both panel
+        # ends.  The window W(t) = P(t + h) - P(t) changes formula at edges
+        # and at edges - h, and on a piece it has a full degree-15 term:
+        # GL15 misses W^2 there, GL16 does not.
+        a0, b0 = 1.0, 5.0
+        edges = _initial_edges(a0, b0, 0.5)
+        leg14 = npleg.Legendre.basis(14)
+
+        def f(ts):
+            i = np.searchsorted(edges, ts, side="right") - 1
+            hw = 0.5 * (edges[i + 1] - edges[i])
+            return 1.0 + leg14((ts - edges[i]) / hw - 1.0)
+
+        chain = PanelChain.build(a0, b0, f)
+        assert np.array_equal(chain.edges, edges)
+        a, b = 1.1, b0 - h
+        got = chain.windowed_sq_integral(a, b, h)
+
+        # the same integral in exact rationals, piece by piece, with
+        # polynomials as ascending coefficient lists in z = t - u
+        leg = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+        for n in range(1, 15):
+            nxt = [Fraction(0)] + [(2 * n + 1) * c for c in leg[n]]
+            for m, c in enumerate(leg[n - 1]):
+                nxt[m] -= n * c
+            leg.append([c / (n + 1) for c in nxt])
+        q = [(c - (leg[13][m] if m < 14 else 0)) / 29
+             for m, c in enumerate(leg[15])]
+
+        def mul(p, r):
+            out = [Fraction(0)] * (len(p) + len(r) - 1)
+            for m, c in enumerate(p):
+                for n, d in enumerate(r):
+                    out[m + n] += c * d
+            return out
+
+        fe, fh = [Fraction(e) for e in edges], Fraction(h)
+
+        def prefix_poly(u, shift):
+            # hw_k Q(x_k(u + shift + z)) on the panel k holding u + shift
+            t = u + shift
+            k = max(m for m in range(len(fe) - 1) if fe[m] <= t)
+            hw = (fe[k + 1] - fe[k]) / 2
+            lin = [(t - fe[k]) / hw - 1, 1 / hw]
+            out = [Fraction(0)]
+            for c in reversed(q):
+                out = mul(out, lin)
+                out[0] += c
+            return [hw * c for c in out]
+
+        fa, fb = Fraction(a), Fraction(b)
+        brk = sorted({fa, fb} | {e for e in fe if fa < e < fb}
+                     | {e - fh for e in fe if fa < e - fh < fb})
+        want = Fraction(0)
+        for u, v in zip(brk, brk[1:]):
+            w = [p - r for p, r in zip(prefix_poly(u, fh),
+                                       prefix_poly(u, Fraction(0)))]
+            w[0] += fh
+            want += sum(c * (v - u) ** (m + 1) / (m + 1)
+                        for m, c in enumerate(mul(w, w)))
+        assert abs(got - float(want)) <= 1e-13 * float(want)
+        for bad in ((a, b0, h), (a, b, -h), (a0 - h, b, h)):
+            with pytest.raises(RangeError):
+                chain.windowed_sq_integral(*bad)
+
+    @pytest.mark.parametrize("T", [2.0e4, 2.0e5])
+    def test_windowed_square_matches_adaptive_outer_integral(self, T, qcfg,
+                                                              rs_cfg):
+        # the adaptive integral of the squared prefix difference is the
+        # reference: the same chain, integrated to its tolerance
+        h, u0 = 2.0, T ** 0.5001
+        chain = z_chain(T, T + u0 + h, qcfg, rs_cfg)
+        ref = adaptive_integrate(
+            lambda ts: chain.integral(ts, ts + h) ** 2, T, T + u0, qcfg)
+        got = chain.windowed_sq_integral(T, T + u0, h)
+        assert abs(got - ref.value) <= 1e-11 * ref.value
+        assert hl_moment(T, h, qcfg, rs_cfg).jbar == got

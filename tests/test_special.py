@@ -188,6 +188,19 @@ class TestRiemannSiegelZ:
         for t, v in zip(ts, vec):
             assert riemann_siegel_z(float(t)).z == v
 
+    def test_point_bit_equal_to_one_point_calls(self):
+        # the scalar call evaluates theta once for both fields; each must
+        # keep the bits of its own one-point evaluator, on both sides of 8pi
+        rng = np.random.default_rng(7)
+        ts = np.concatenate((rng.uniform(TWO_PI, RS_MIN, 40),
+                             RS_MIN + np.array([-1e-9, 0.0, 1e-9]),
+                             np.geomspace(RS_MIN, 1e6, 157)
+                             * rng.uniform(0.999, 1.0, 157)))
+        for t in ts.tolist():
+            point = riemann_siegel_z(t)
+            assert point.z == riemann_siegel_z_values(np.array([t]))[0]
+            assert point.theta == theta(t)
+
     def test_below_two_pi_refused(self):
         for bad in (6.0, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
