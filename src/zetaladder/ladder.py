@@ -378,9 +378,12 @@ class InverseLevel:
         cumf = np.maximum.accumulate(chain.cum)
         j = np.clip(np.searchsorted(cumf, tgt) - 1, 0, chain.mids.size - 1)
         lo, hi = chain.edges[j], chain.edges[j + 1]
+        # bisection stays inside panel j, so it reads the prefix there
+        # without the panel lookup, bit for bit what prefix() returns
+        e0, hw = lo, chain.hws[j]
         for _ in range(16):
             mid = 0.5 * (lo + hi)
-            left = chain.prefix(mid) >= tgt
+            left = chain._prefix_at(j, (mid - e0) / hw - 1.0) >= tgt
             lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
         return newton_to_plateau(
             0.5 * (lo + hi), chain.prefix, tgt,

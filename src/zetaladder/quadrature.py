@@ -1,14 +1,17 @@
 """Oscillation-aware quadrature for Z and Z^2.
 
 Z(t) oscillates with local frequency theta'(t) ~ (1/2) ln(t/2pi), so every
-integral here is cut into Gauss-Legendre 15-point panels whose width keeps
-the phase advance per panel below osc_factor radians.  On such panels the
-integrand is polynomial-tame and GL15 is accurate to roundoff.  Adaptive
-bisection supplies the error control: level by level, the halves of every
-pending panel are evaluated in one vectorized sweep and compared with the
-whole panel (the h-refinement estimate), and accepted contributions are
-summed exactly.  Which panels are accepted depends only on the inputs and
-a panel's sum only on its own nodes, so results never depend on batch
+integral here is cut into panels whose width keeps the phase advance per
+panel below osc_factor radians, with an edge wherever tau = sqrt(t/2pi)
+passes an integer (the Riemann-Siegel Z^2 jumps there).  On such panels
+the integrand is polynomial-tame and Gauss-Legendre 15 is accurate to
+roundoff.  Adaptive integration supplies the error control with the
+embedded Gauss-Kronrod 15/31 pair: level by level, every pending panel is
+evaluated at its 31 Kronrod nodes in one vectorized sweep, its value is
+the K31 sum and its estimate |K31 - G15|; a panel over budget is bisected
+and each half gets its own 31 nodes.  Accepted contributions are summed
+exactly.  Which panels are accepted depends only on the inputs and a
+panel's sums only on its own nodes, so results never depend on batch
 shape or scheduling.
 
 Three consumers sit on top of the same panel machinery:
@@ -51,15 +54,40 @@ from .errors import (DomainError, PrecisionError, RangeError,
                      TableIntegrityError)
 from .special import RS_MIN, RSConfig, TWO_PI
 
-# acceptance floor, relative to the panel's value scale.  Z^2 carries genuine
-# broadband micro-structure at ~1e-11 relative amplitude (still present in a
-# 25-digit reference evaluation, so it is signal, not kernel roundoff), but
-# resolving it multiplies cost several-fold while moving 64-wide integrals by
-# well under 1e-9.  Panels whose refinement estimate is below this floor are
-# accepted with their estimate recorded, keeping the reported bound honest.
-_NOISE_FLOOR = 1e-10
-
-_GL_X, _GL_W = npleg.leggauss(15)
+_GL_X = npleg.leggauss(15)[0]
+# The Gauss-Kronrod 15/31 pair (QUADPACK's qk31; Piessens et al. 1983), to
+# 25 digits: the Stieltjes polynomial E_16 solved in exact rationals, its
+# roots and the weights in 60-digit arithmetic (mpmath), offline; literals,
+# so the import solves for nothing.  Kronrod nodes x > 0 in QUADPACK's
+# order (its xgk(1), xgk(3), ...):
+_KR_XPOS = np.array([
+    0.9980022986933970602851728, 0.967739075679139134257348,
+    0.8972645323440819008825097, 0.7904185014424659329676493,
+    0.6509967412974169705337359, 0.4850818636402396806936557,
+    0.29918000715316881216678, 0.1011420669187174990270742])
+# K31 weights of the nodes in ascending order from -1 to 0
+_K31_WNEG = np.array([
+    0.005377479872923348987792051, 0.01500794732931612253837476,
+    0.025460847326715320186874, 0.03534636079137584622203795,
+    0.0445897513247648766082273, 0.05348152469092808726534315,
+    0.06200956780067064028513923, 0.06985412131872825870952008,
+    0.07684968075772037889443278, 0.08308050282313302103828925,
+    0.08856444305621177064727544, 0.09312659817082532122548687,
+    0.09664272698362367850517991, 0.09917359872179195933239317,
+    0.1007698455238755950449467, 0.1013300070147915490173748])
+# G15 weights of the nodes in ascending order from -1 to 0
+_GL_WNEG = np.array([
+    0.03075324199611726835462839, 0.07036604748810812470926742,
+    0.1071592204671719350118695, 0.1395706779261543144478048,
+    0.1662692058169939335532009, 0.1861610000155622110268006,
+    0.1984314853271115764561183, 0.2025782419255612728806202])
+_GL_W = np.concatenate((_GL_WNEG, _GL_WNEG[-2::-1]))
+# the 31 nodes ascending; Kronrod and Gauss nodes interlace, so the Gauss
+# nodes (numpy's leggauss, as `_panel_sums` uses) sit at the odd places
+_K31_X = np.empty(31)
+_K31_X[0::2] = np.concatenate((-_KR_XPOS, _KR_XPOS[::-1]))
+_K31_X[1::2] = _GL_X
+_K31_W = np.concatenate((_K31_WNEG, _K31_WNEG[-2::-1]))
 # exact through degree 31: the square of a chain's degree-15 prefix
 _GL16_X, _GL16_W = npleg.leggauss(16)
 # projection of nodal values onto Legendre coefficients (exact for deg <= 14)
@@ -113,7 +141,7 @@ class QuadConfig:
     def fingerprint(self) -> str:
         """Short stable hash identifying results produced under this config
         (panel rule version included so cached tables invalidate on change)."""
-        blob = (f"panelgl15-v5|abs={self.abs_tol!r}|rel={self.rel_tol!r}"
+        blob = (f"panelgk31-v6|abs={self.abs_tol!r}|rel={self.rel_tol!r}"
                 f"|depth={self.max_depth}|osc={self.osc_factor!r}")
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -125,22 +153,55 @@ def table_key(cfg: QuadConfig, rs_cfg: RSConfig) -> str:
     return f"{cfg.fingerprint}-rs{rs_cfg.correction_order}"
 
 
-def _panel_freq(t: float) -> float:
+def _panel_freq(t):
     # theta' floored at its 8pi value; below 8pi the oracle integrand varies
     # on unit scales anyway
-    return 0.5 * math.log(max(t, RS_MIN) / TWO_PI)
+    return 0.5 * np.log(np.maximum(t, RS_MIN) / TWO_PI)
 
 
 def _initial_edges(a: float, b: float, osc_factor: float) -> np.ndarray:
-    """Panel edges with width * theta'(right edge) <= osc_factor (theta' is
-    nondecreasing, so sizing against a lookahead point is conservative)."""
-    edges = [a]
-    t = a
-    while t < b:
-        w = osc_factor / _panel_freq(t + osc_factor / _panel_freq(t))
-        t = min(b, t + w)
-        edges.append(t)
-    return np.asarray(edges)
+    """Panel edges over [a, b] with width * theta'(right edge) <= osc_factor.
+
+    [a, b] is cut into blocks of at most 64 units and at every t = 2 pi k^2
+    (k >= 2) inside it, where tau passes an integer and the Riemann-Siegel
+    Z^2 jumps (k = 2 is RS_MIN, the switch from the oracle).  Each block
+    gets equal panels sized by theta' at its right end, which bounds every
+    panel in it since theta' is nondecreasing.
+
+    Edges other than a and b are rounded to a grid of 2^-44 of the
+    endpoints' binade (at most 2^-15 of the narrowest panel), so the
+    midpoint of a panel, and of its halves for eight bisection levels, is
+    exact wherever panels span 2^15 ulps of t, as at every height here.
+    Nodes then pair off about it and round antisymmetrically, which
+    cancels their rounding to first order; a rounded midpoint would shift
+    all 31 nodes together, an error that |K31 - G15| cannot see.  A cut
+    moves by half a grid step at most, far less than the distance from an
+    edge to its panel's first node.  Split blocks leave two grid steps of
+    room for the rounding.
+    """
+    top = max(abs(a), abs(b))
+    step = math.ldexp(1.0, min(math.frexp(top)[1] - 44, math.frexp(
+        osc_factor / _panel_freq(top))[1] - 16))
+
+    def snap(t):
+        return np.rint(t / step) * step
+
+    ks = np.arange(max(2, math.ceil(math.sqrt(max(a, 0.0) / TWO_PI))),
+                   math.floor(math.sqrt(max(b, 0.0) / TWO_PI)) + 1)
+    inner = snap(np.concatenate((
+        a + 64.0 * np.arange(1, math.ceil((b - a) / 64.0)),
+        TWO_PI * (ks * ks))))
+    blocks = np.unique(np.concatenate(
+        ([a], inner[(inner > a) & (inner < b)], [b])))
+    lo, width = blocks[:-1], np.diff(blocks)
+    freq = _panel_freq(blocks[1:])
+    n = np.where(width * freq <= osc_factor, 1.0, np.ceil(
+        width * freq / (osc_factor - 2.0 * step * freq))).astype(np.int64)
+    blk = np.repeat(np.arange(n.size), n)
+    pos = np.arange(blk.size) - np.repeat(np.cumsum(n) - n, n)
+    edges = np.where(pos == 0, lo[blk],
+                     snap(lo[blk] + width[blk] * (pos / n[blk])))
+    return np.append(edges, b)
 
 
 @dataclass(frozen=True)
@@ -150,17 +211,29 @@ class QuadResult:
     neval: int
 
 
+def _panel_values(fvec, lo: np.ndarray, hi: np.ndarray,
+                  xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Values (P, len(xs)) of fvec at the nodes xs of the panels [lo, hi],
+    and the panels' half widths (P,)."""
+    mids = 0.5 * (lo + hi)
+    hws = 0.5 * (hi - lo)
+    nodes = mids[:, None] + hws[:, None] * xs[None, :]
+    vals = np.asarray(fvec(nodes.ravel()), dtype=np.float64)
+    return vals.reshape(nodes.shape), hws
+
+
+def _rule_sums(vals: np.ndarray, weights: np.ndarray,
+               hws: np.ndarray) -> np.ndarray:
+    # summed row by row along the contiguous axis, in an order fixed by the
+    # row length alone, so a panel's sum does not depend on the batch
+    return np.add.reduce(vals * weights, axis=1) * hws
+
+
 def _panel_sums(fvec, lo: np.ndarray,
                 hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """GL15 node values (P, 15) and sums (P,) of the panels [lo, hi]."""
-    mids = 0.5 * (lo + hi)
-    hws = 0.5 * (hi - lo)
-    nodes = mids[:, None] + hws[:, None] * _GL_X[None, :]
-    vals = np.asarray(fvec(nodes.ravel()), dtype=np.float64)
-    vals = vals.reshape(nodes.shape)
-    # summed row by row along the contiguous axis, in an order fixed by the
-    # row length alone, so a panel's sum does not depend on the batch
-    return vals, np.add.reduce(vals * _GL_W, axis=1) * hws
+    vals, hws = _panel_values(fvec, lo, hi, _GL_X)
+    return vals, _rule_sums(vals, _GL_W, hws)
 
 
 def adaptive_integrate(fvec: Callable[[np.ndarray], np.ndarray], a: float,
@@ -168,55 +241,42 @@ def adaptive_integrate(fvec: Callable[[np.ndarray], np.ndarray], a: float,
     """Deterministic adaptive integration of a vectorized integrand.
 
     Bisects level by level, starting from the phase-bounded panels.  Each
-    pass evaluates the two halves of every pending panel in one vectorized
-    call and accepts a panel when its h-refinement estimate |halves -
-    whole| meets its width-proportional budget or the noise floor, or when
-    the panel sits at max_depth; the halves of the others are the next
-    level.  The common case ends after one pass: a phase-bounded panel is
-    already converged and its halves only certify it.  Value and bound are
-    exact sums, so the order in which panels are accepted does not matter.
+    pass evaluates every pending panel at its 31 Kronrod nodes in one
+    vectorized call; a panel's value is its K31 sum and its estimate
+    |K31 - G15|, from the 15 Gauss nodes among the 31.  A panel is accepted
+    when the estimate meets its width-proportional budget or the panel
+    sits at max_depth; the halves of the others are the next level.  The
+    common case ends after one pass.  Value and bound are exact sums, so
+    the order in which panels are accepted does not matter.
     """
     if b <= a:
         return QuadResult(0.0, 0.0, 0)
     edges = _initial_edges(a, b, cfg.osc_factor)
     lo, hi = edges[:-1], edges[1:]
-    _, whole = _panel_sums(fvec, lo, hi)
-    neval = 15 * whole.size
+    neval = 0
     inv_total = 1.0 / (b - a)
     parts: List[float] = []
     errs: List[float] = []
     depth = 0
     while lo.size:
-        mid = 0.5 * (lo + hi)
-        vals, halves = _panel_sums(fvec, np.column_stack((lo, mid)).ravel(),
-                                   np.column_stack((mid, hi)).ravel())
-        neval += 15 * halves.size
-        halves = halves.reshape(-1, 2)
-        fine = halves[:, 0] + halves[:, 1]
-        est = np.abs(fine - whole)
+        vals, hws = _panel_values(fvec, lo, hi, _K31_X)
+        neval += vals.size
+        kronrod = _rule_sums(vals, _K31_W, hws)
+        est = np.abs(kronrod - _rule_sums(vals[:, 1::2], _GL_W, hws))
         if depth == 0:
-            s0 = fsum(fine.tolist())
-        widths = hi - lo
+            s0 = fsum(kronrod.tolist())
         # panel budgets come from abs_tol alone: additivity contracts
         # compare decompositions in abs_tol units, so the looser rel_tol
         # allowance must not leak into per-panel acceptance.  rel_tol only
         # relaxes the final achievability check below.
-        budgets = cfg.abs_tol * widths * inv_total
-        # noise floor: integrand values carry ~1e-13 of phase roundoff at
-        # the top of the supported t range, so |fine - whole| stops meaning
-        # anything below ~1e-12 * scale and bisection would drill to
-        # max_depth for nothing.  Panels accepted by the floor still report
-        # their est, so the returned bound (and the PrecisionError check
-        # against it) stays honest.
-        floors = _NOISE_FLOOR * np.abs(vals).reshape(lo.size, 30).max(
-            axis=1) * widths
-        done = (est <= budgets) | (est <= floors) | (depth >= cfg.max_depth)
-        parts.extend(halves[done].ravel().tolist())
+        budgets = cfg.abs_tol * (hi - lo) * inv_total
+        done = (est <= budgets) | (depth >= cfg.max_depth)
+        parts.extend(kronrod[done].tolist())
         errs.extend(est[done].tolist())
         keep = ~done
-        lo = np.column_stack((lo[keep], mid[keep])).ravel()
-        hi = np.column_stack((mid[keep], hi[keep])).ravel()
-        whole = halves[keep].ravel()
+        mid = 0.5 * (lo[keep] + hi[keep])
+        lo, hi = (np.column_stack((lo[keep], mid)).ravel(),
+                  np.column_stack((mid, hi[keep])).ravel())
         depth += 1
 
     value = fsum(parts)

@@ -25,7 +25,9 @@ from zetaladder.quadrature import (Interval, MomentReport, PanelChain,
                                    cumulative_I, hl_moment, integrate_z,
                                    integrate_z2, load_table, save_table,
                                    z2_chain, z2_values, z_chain)
-from zetaladder.quadrature import _initial_edges, _panel_sums
+from zetaladder.quadrature import (_GL_W, _GL_X, _K31_W, _K31_X,
+                                   _initial_edges, _panel_freq, _panel_sums,
+                                   _panel_values, _rule_sums)
 from zetaladder.special import RSConfig, TWO_PI
 
 
@@ -80,7 +82,30 @@ class TestAdaptiveIntegrate:
         exact = (2.0 / 3.0) * (c ** 1.5 + (1.0 - c) ** 1.5)
         assert abs(res.value - exact) <= res.error_bound
         assert (res.value, res.error_bound, res.neval) \
-            == (0.4949475606702291, 5.86902981021564e-12, 1530)
+            == (0.4949475606702245, 3.832341183788249e-12, 1550)
+
+    def test_smooth_integrand_takes_one_pass(self):
+        # every phase-bounded panel of a cubic is accepted at 31 nodes
+        res = adaptive_integrate(lambda x: x ** 3, 0.0, 3.0, QuadConfig())
+        panels = _initial_edges(0.0, 3.0, 0.5).size - 1
+        assert res.neval == 31 * panels
+
+    def test_tau_integer_crossing(self):
+        # Riemann-Siegel Z^2 jumps where tau = sqrt(t / 2pi) passes 37; the
+        # reference integrates each side on its own, GL15 on an 8-way split
+        # of its panels (1-, 2-, 4- and 8-way splits agree to ~1e-10)
+        a, b = 8592.0, 8608.0
+        edges = _initial_edges(a, b, 0.5)
+        c = edges[np.argmin(np.abs(edges - TWO_PI * 37 ** 2))]
+        assert abs(c - TWO_PI * 37 ** 2) <= 1e-9
+        parts = []
+        for lo, hi in ((a, c), (c, b)):
+            e = _initial_edges(lo, hi, 0.5)
+            fine = e[:-1, None] + np.diff(e)[:, None] * (np.arange(9) / 8.0)
+            parts.extend(_panel_sums(z2_values, fine[:, :-1].ravel(),
+                                     fine[:, 1:].ravel())[1].tolist())
+        res = adaptive_integrate(z2_values, a, b, QuadConfig())
+        assert abs(res.value - math.fsum(parts)) <= res.error_bound + 1e-10
 
     def test_unreachable_tolerance_reported(self):
         # kink at an irrational point, far too little depth for 1e-14
@@ -90,6 +115,63 @@ class TestAdaptiveIntegrate:
                                0.0, 1.0, cfg)
         assert err.value.estimate is not None
         assert err.value.bound > 1e-14
+
+
+class TestKronrodRule:
+    """The G15/K31 pair behind `adaptive_integrate`."""
+
+    def test_k31_exact_through_degree_46(self):
+        for d in range(47):
+            got = float(np.dot(_K31_W, npleg.legval(_K31_X, [0] * d + [1])))
+            assert abs(got - (2.0 if d == 0 else 0.0)) <= 1e-15, d
+
+    def test_g15_exact_through_degree_29(self):
+        for d in range(30):
+            got = float(np.dot(_GL_W, npleg.legval(_GL_X, [0] * d + [1])))
+            assert abs(got - (2.0 if d == 0 else 0.0)) <= 1e-15, d
+
+    def test_nodes_contain_the_gauss_nodes(self):
+        assert np.all(np.diff(_K31_X) > 0)
+        assert set(npleg.leggauss(15)[0].tolist()) <= set(_K31_X.tolist())
+        assert np.array_equal(_K31_X[1::2], _GL_X)
+        # QUADPACK's xgk(1)
+        assert _K31_X[-1] == pytest.approx(0.998002298693397060285, abs=1e-16)
+
+    def test_weights_positive(self):
+        assert np.all(_K31_W > 0) and np.all(_GL_W > 0)
+        assert _K31_W.size == 31 and _GL_W.size == 15
+
+
+class TestInitialEdges:
+    @pytest.mark.parametrize("a, b", [(0.0, 200.0), (1.2e4, 1.3e4),
+                                      (1.0e6, 1.0e6 + 500.0)])
+    def test_phase_bound_and_tau_integer_cuts(self, a, b):
+        e = _initial_edges(a, b, 0.5)
+        assert e[0] == a and e[-1] == b and np.all(np.diff(e) > 0)
+        assert np.all(np.diff(e) * _panel_freq(e[1:]) <= 0.5)
+        # every t = 2 pi k^2 inside, to the edge grid
+        ks = np.arange(2, int(math.sqrt(b / TWO_PI)) + 2)
+        cuts = TWO_PI * (ks * ks)
+        cuts = cuts[(cuts > a) & (cuts < b)]
+        assert cuts.size
+        gaps = np.abs(e[:, None] - cuts[None, :]).min(axis=0)
+        assert np.all(gaps <= 1e-13 * b)
+        # interior midpoints are exact: their sums do not round
+        inner = e[1:-1]
+        assert np.all((inner[1:] + inner[:-1]) - inner[1:] == inner[:-1])
+
+    def test_narrow_panels(self):
+        # 1.7e-5 wide at 1e6, where the grid shrinks from 2^-24 to 2^-31
+        e = _initial_edges(1.0e6, 1.0e6 + 0.1, 1e-4)
+        assert e.size > 5900 and np.all(np.diff(e) > 0)
+        assert np.all(np.diff(e) * _panel_freq(e[1:]) <= 1e-4)
+        # narrower than that grid allows: a finer grid, never a bad count
+        e = _initial_edges(1.0e6, 1.0e6 + 1e-3, 1e-7)
+        assert e.size > 59000 and np.all(np.diff(e) > 0)
+
+    def test_rs_min_is_an_edge(self):
+        e = _initial_edges(20.0, 30.0, 0.5)
+        assert np.abs(e - 4.0 * TWO_PI).min() <= 1e-13 * 30.0
 
 
 class TestIntegrateZ:
@@ -213,6 +295,18 @@ class TestPanelBatchInvariance:
         _, batch = _panel_sums(self._f, edges[:-1], edges[1:])
         alone = np.array([_panel_sums(self._f, edges[k:k + 1],
                                       edges[k + 1:k + 2])[1][0]
+                          for k in range(edges.size - 1)])
+        assert np.array_equal(alone, batch)
+
+    def test_kronrod_sums(self):
+        edges = _initial_edges(self.A, self.B, 0.5)
+
+        def sums(lo, hi):
+            vals, hws = _panel_values(self._f, lo, hi, _K31_X)
+            return _rule_sums(vals, _K31_W, hws)
+
+        batch = sums(edges[:-1], edges[1:])
+        alone = np.array([sums(edges[k:k + 1], edges[k + 1:k + 2])[0]
                           for k in range(edges.size - 1)])
         assert np.array_equal(alone, batch)
 
