@@ -273,13 +273,15 @@ class _LevelMaps:
             cur = self.map_down(level, cur)
         return val * z_values(cur, self.cfg.rs)
 
-    def base_integrand(self, us: np.ndarray) -> np.ndarray:
-        """The iterated integrand pulled back to the base window.
+    def base_integrand(self, us: np.ndarray, dus: np.ndarray) -> np.ndarray:
+        """The iterated integrand pulled back to the base window, at the
+        quadrature nodes us + dus (exact remainders dus).
 
         Z(u) times the telescoped Jacobian prod_j F'(v_{j-1}) / ln v_j
         along the ascending chain; integrating this over (eta, eta+H)
         equals integrating `integrand` over [A, B] exactly, with every
-        factor order one.
+        factor order one.  Only Z reads the remainders: the Jacobian varies
+        on the scale of the chain, not of Z's phase.
         """
         u = np.asarray(us, dtype=np.float64)
         w = np.ones_like(u)
@@ -288,7 +290,7 @@ class _LevelMaps:
             cur = self.map_up(level, prev)
             w = w * (np.log(prev) + self._slope_c) / np.log(cur)
             prev = cur
-        return z_values(u, self.cfg.rs) * w
+        return z_values(u, self.cfg.rs, dts=dus) * w
 
 
 def iterated_integrand(t: float, k: int, cfg: FactorConfig,

@@ -19,15 +19,17 @@ The phase a ln n / 2pi is formed by Dekker's two-product against the
 double-double ln n / 2pi table and reduced mod 1 (`_tables.turns`), so each
 cos and sin argument carries ~1e-15 rad of error at any t the kernel accepts;
 the main sum lands within ~3e-15 of a 200-bit evaluation at t = 1.2e4, 1e5
-and 1e6.  Thetas arrive reduced mod 2pi.
+and 1e6.  Thetas arrive reduced mod 2pi.  A height may also arrive as a
+float t plus an exact remainder dt, the form a quadrature node takes when
+it must not be rounded to the ulp of t; dt then joins delta.
 
 Anchors and orders come from t alone.  The moments are summed along the
 contiguous n axis and the Taylor terms along the contiguous k axis, both in
 an order fixed by the row length, and the scratch arrays are cut into blocks
 of about `_CHUNK_FLOATS` floats.  So a point's value depends only on its own
-t and theta, never on the other points in its call, and scalar and batched
-evaluation agree bit for bit.  No BLAS product is used: its summation order
-depends on the shape of the call.
+t, remainder and theta, never on the other points in its call, and scalar
+and batched evaluation agree bit for bit.  No BLAS product is used: its
+summation order depends on the shape of the call.
 """
 
 from __future__ import annotations
@@ -118,14 +120,22 @@ def _moments(a: np.ndarray, nv: int, k: int):
             cs[:, 1 - odd, ks] * _IM_SIGN[ks % 4])
 
 
-def z_main_sum(ts: np.ndarray, thetas: np.ndarray, order: int) -> np.ndarray:
+def z_main_sum(ts: np.ndarray, thetas: np.ndarray, order: int,
+               dts: np.ndarray = None) -> np.ndarray:
     """Riemann-Siegel main sum (plus first correction if order == 1) for an
     array of t >= 0.  thetas must already be reduced mod 2pi; callers
-    validate domain, and t below 2pi contributes an empty sum."""
+    validate domain, and t below 2pi contributes an empty sum.
+
+    dts, if given, holds exact remainders: the heights are ts + dts, each
+    an unevaluated sum like a double-double.  A remainder joins the exact
+    offset from the anchor, delta = (t - a) + dt, so the moments see it to
+    ~1e-17; the correction term, which varies by ~1e-14 over a remainder's
+    ~1e-10, reads t alone."""
     ts = np.ascontiguousarray(ts, dtype=np.float64)
     thetas = np.ascontiguousarray(thetas, dtype=np.float64)
-    if ts.shape != thetas.shape:
-        raise ValueError("ts and thetas must have matching shapes")
+    if ts.shape != thetas.shape or (dts is not None
+                                    and np.shape(dts) != ts.shape):
+        raise ValueError("ts, thetas and dts must have matching shapes")
     out = np.empty_like(ts)
     if ts.size == 0:
         return out
@@ -149,6 +159,8 @@ def z_main_sum(ts: np.ndarray, thetas: np.ndarray, order: int) -> np.ndarray:
     starts = np.flatnonzero(new)
     bounds = starts.tolist() + [t_s.size]
     delta = t_s - a_s
+    if dts is not None:
+        delta += np.asarray(dts, dtype=np.float64)[perm]
     th = thetas[perm]
     z = np.zeros(t_s.size)
     g_nv = nv_s[starts]

@@ -1,23 +1,30 @@
 """Oscillation-aware quadrature for Z and Z^2.
 
 Z(t) oscillates with local frequency theta'(t) ~ (1/2) ln(t/2pi), so every
-integral here is cut into panels whose width keeps the phase advance per
-panel below osc_factor radians, with an edge wherever tau = sqrt(t/2pi)
-passes an integer (the Riemann-Siegel Z^2 jumps there).  On such panels
-the integrand is polynomial-tame and Gauss-Legendre 15 is accurate to
-roundoff.  Adaptive integration supplies the error control with the
-embedded Gauss-Kronrod 15/31 pair: level by level, every pending panel is
-evaluated at its 31 Kronrod nodes in one vectorized sweep, its value is
-the K31 sum and its estimate |K31 - G15|; a panel over budget is bisected
-and each half gets its own 31 nodes.  Accepted contributions are summed
-exactly.  Which panels are accepted depends only on the inputs and a
-panel's sums only on its own nodes, so results never depend on batch
-shape or scheduling.
+integral here is cut into panels whose width bounds the phase advance per
+panel, with an edge wherever tau = sqrt(t/2pi) passes an integer (the
+Riemann-Siegel Z^2 jumps there).  On such panels the integrand is
+polynomial-tame and Gauss-Legendre 15 is accurate to roundoff.
+
+Adaptive integration supplies the error control with the embedded
+Gauss-Kronrod 15/31 pair: level by level, every pending panel is evaluated
+at its 31 Kronrod nodes in one vectorized sweep, its value is the K31 sum
+and its estimate |K31 - G15|; a panel over budget is bisected and each
+half gets its own 31 nodes.  First-level panels advance the phase of Z by
+at most 6 radians, where G15 is exact to roundoff on Z^2, so the common
+stride passes at the first level.  Each node is passed to the integrand
+as a float t plus its exact remainder dt (fvec(t, dt)): a node rounded to
+the ulp of t (1.2e-10 at 1e6) would change Z^2 by ~1e-9 relative, an error
+that the shared nodes hide from |K31 - G15| on wide panels.  Accepted
+contributions are summed exactly.  Which panels are accepted depends only
+on the inputs and a panel's sums only on its own nodes, so results never
+depend on batch shape or scheduling.
 
 Three consumers sit on top of the same panel machinery:
 
 - integrate_z / integrate_z2: plain adaptive integrals with tolerances.
-- PanelChain: a fixed panel grid whose per-panel Legendre interpolants are
+- PanelChain: a fixed grid of panels osc_factor radians wide, nodes rounded
+  to floats (fvec(t)), whose per-panel Legendre interpolants are
   integrated in closed form, giving a cheap prefix integral t -> int_a^t.
   The windowed moment reads both of its integrals off one Z chain: the
   inner window is a difference of prefixes, and the outer integral of its
@@ -49,7 +56,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from . import _tables, special
+from . import _tables, kernels, special
 from .errors import (DomainError, PrecisionError, RangeError,
                      TableIntegrityError)
 from .special import RS_MIN, RSConfig, TWO_PI
@@ -122,8 +129,26 @@ class Interval:
         return self.b - self.a
 
 
+# Phase advance of Z across a first-level panel of `adaptive_integrate`, in
+# radians: Z^2 then varies like cos(w x), w <= 6, in the panel's [-1, 1],
+# and G15 integrates cos(6x) to 2.5e-16 (7.7e-15 at w = 8).  So a panel
+# fails its budget only where Z^2 is not smooth, and the K31 - G15
+# difference is roundoff where it is (Trefethen, Approximation Theory and
+# Approximation Practice, 2013, ch. 19).
+_FIRST_LEVEL_PHASE = 6.0
+
+
 @dataclass(frozen=True)
 class QuadConfig:
+    """Tolerances of `adaptive_integrate` and the panel width of chains.
+
+    abs_tol splits over the interval in per-panel budgets; rel_tol only
+    relaxes the final achievability check; max_depth caps bisection.
+    osc_factor is the phase advance of Z per `PanelChain` panel, in
+    radians: chains are not adaptive, so their width is their accuracy.
+    Adaptive integrals start from `_FIRST_LEVEL_PHASE` instead.
+    """
+
     abs_tol: float = 1e-8
     rel_tol: float = 1e-8
     max_depth: int = 24
@@ -141,7 +166,7 @@ class QuadConfig:
     def fingerprint(self) -> str:
         """Short stable hash identifying results produced under this config
         (panel rule version included so cached tables invalidate on change)."""
-        blob = (f"panelgk31-v6|abs={self.abs_tol!r}|rel={self.rel_tol!r}"
+        blob = (f"panelgk31-v7|abs={self.abs_tol!r}|rel={self.rel_tol!r}"
                 f"|depth={self.max_depth}|osc={self.osc_factor!r}")
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -172,12 +197,13 @@ def _initial_edges(a: float, b: float, osc_factor: float) -> np.ndarray:
     endpoints' binade (at most 2^-15 of the narrowest panel), so the
     midpoint of a panel, and of its halves for eight bisection levels, is
     exact wherever panels span 2^15 ulps of t, as at every height here.
-    Nodes then pair off about it and round antisymmetrically, which
-    cancels their rounding to first order; a rounded midpoint would shift
-    all 31 nodes together, an error that |K31 - G15| cannot see.  A cut
-    moves by half a grid step at most, far less than the distance from an
-    edge to its panel's first node.  Split blocks leave two grid steps of
-    room for the rounding.
+    That matters to `PanelChain`, whose nodes are rounded to floats: they
+    then pair off about the midpoint and round antisymmetrically, which
+    cancels their rounding to first order, where a rounded midpoint would
+    shift all nodes together.  (`adaptive_integrate`'s nodes are exact.)
+    A cut moves by half a grid step at most, far less than the distance
+    from an edge to its panel's first node.  Split blocks leave two grid
+    steps of room for the rounding.
     """
     top = max(abs(a), abs(b))
     step = math.ldexp(1.0, min(math.frexp(top)[1] - 44, math.frexp(
@@ -191,8 +217,9 @@ def _initial_edges(a: float, b: float, osc_factor: float) -> np.ndarray:
     inner = snap(np.concatenate((
         a + 64.0 * np.arange(1, math.ceil((b - a) / 64.0)),
         TWO_PI * (ks * ks))))
-    blocks = np.unique(np.concatenate(
+    blocks = np.sort(np.concatenate(
         ([a], inner[(inner > a) & (inner < b)], [b])))
+    blocks = blocks[kernels.run_starts(blocks)]
     lo, width = blocks[:-1], np.diff(blocks)
     freq = _panel_freq(blocks[1:])
     n = np.where(width * freq <= osc_factor, 1.0, np.ceil(
@@ -211,15 +238,29 @@ class QuadResult:
     neval: int
 
 
+def _panel_nodes(lo: np.ndarray, hi: np.ndarray, xs: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes t + dt (P, len(xs)) at xs of the panels [lo, hi], and the
+    panels' half widths (P,).
+
+    t is the float mid + hw x and dt its exact remainder, which carries the
+    rounding of the midpoint too, so t + dt is the node unrounded."""
+    mids, mid_lo = _tables.two_sum(lo, hi)
+    mids *= 0.5
+    mid_lo *= 0.5
+    hws = 0.5 * (hi - lo)
+    t, dt = _tables.two_sum(mids[:, None], hws[:, None] * xs[None, :])
+    dt += mid_lo[:, None]
+    return t, dt, hws
+
+
 def _panel_values(fvec, lo: np.ndarray, hi: np.ndarray,
                   xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Values (P, len(xs)) of fvec at the nodes xs of the panels [lo, hi],
-    and the panels' half widths (P,)."""
-    mids = 0.5 * (lo + hi)
-    hws = 0.5 * (hi - lo)
-    nodes = mids[:, None] + hws[:, None] * xs[None, :]
-    vals = np.asarray(fvec(nodes.ravel()), dtype=np.float64)
-    return vals.reshape(nodes.shape), hws
+    """Values (P, len(xs)) of fvec(t, dt) at the exact nodes xs of the
+    panels [lo, hi], and the panels' half widths (P,)."""
+    t, dt, hws = _panel_nodes(lo, hi, xs)
+    vals = np.asarray(fvec(t.ravel(), dt.ravel()), dtype=np.float64)
+    return vals.reshape(t.shape), hws
 
 
 def _rule_sums(vals: np.ndarray, weights: np.ndarray,
@@ -231,16 +272,21 @@ def _rule_sums(vals: np.ndarray, weights: np.ndarray,
 
 def _panel_sums(fvec, lo: np.ndarray,
                 hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """GL15 node values (P, 15) and sums (P,) of the panels [lo, hi]."""
-    vals, hws = _panel_values(fvec, lo, hi, _GL_X)
+    """GL15 node values (P, 15) and sums (P,) of the panels [lo, hi], with
+    fvec taking the nodes rounded to floats."""
+    t, _, hws = _panel_nodes(lo, hi, _GL_X)
+    vals = np.asarray(fvec(t.ravel()), dtype=np.float64).reshape(t.shape)
     return vals, _rule_sums(vals, _GL_W, hws)
 
 
-def adaptive_integrate(fvec: Callable[[np.ndarray], np.ndarray], a: float,
-                       b: float, cfg: QuadConfig) -> QuadResult:
+def adaptive_integrate(fvec: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                       a: float, b: float, cfg: QuadConfig) -> QuadResult:
     """Deterministic adaptive integration of a vectorized integrand.
 
-    Bisects level by level, starting from the phase-bounded panels.  Each
+    fvec(t, dt) takes each node as a float t plus its exact remainder dt;
+    an integrand that cannot use the remainder ignores it.  Bisects level
+    by level, starting from panels across which Z advances its phase by
+    `_FIRST_LEVEL_PHASE` radians (cfg.osc_factor sizes chains only).  Each
     pass evaluates every pending panel at its 31 Kronrod nodes in one
     vectorized call; a panel's value is its K31 sum and its estimate
     |K31 - G15|, from the 15 Gauss nodes among the 31.  A panel is accepted
@@ -251,7 +297,7 @@ def adaptive_integrate(fvec: Callable[[np.ndarray], np.ndarray], a: float,
     """
     if b <= a:
         return QuadResult(0.0, 0.0, 0)
-    edges = _initial_edges(a, b, cfg.osc_factor)
+    edges = _initial_edges(a, b, _FIRST_LEVEL_PHASE)
     lo, hi = edges[:-1], edges[1:]
     neval = 0
     inv_total = 1.0 / (b - a)
@@ -290,13 +336,23 @@ def adaptive_integrate(fvec: Callable[[np.ndarray], np.ndarray], a: float,
     return QuadResult(value, bound, neval)
 
 
-def z_values(ts: np.ndarray, rs_cfg: RSConfig = RSConfig()) -> np.ndarray:
-    """Signed Z on arrays: Riemann-Siegel for t >= 8pi, oracle below."""
+def z_values(ts: np.ndarray, rs_cfg: RSConfig = RSConfig(), *,
+             dts: np.ndarray = None) -> np.ndarray:
+    """Signed Z on arrays: Riemann-Siegel for t >= 8pi, oracle below.
+
+    dts, if given, are exact remainders of the heights (quadrature nodes
+    t + dt); the oracle, whose own error is ~4e-15, ignores them.  rs_cfg
+    is checked, so an integrand passed bare to `adaptive_integrate`, which
+    would bind a remainder to it, fails."""
+    if not isinstance(rs_cfg, RSConfig):
+        raise TypeError(f"rs_cfg must be an RSConfig, got "
+                        f"{type(rs_cfg).__name__}; pass remainders as dts=")
     ts = np.asarray(ts, dtype=np.float64)
     out = np.empty_like(ts)
     hi = ts >= RS_MIN
     if hi.any():
-        out[hi] = special.riemann_siegel_z_values(ts[hi], rs_cfg)
+        out[hi] = special.riemann_siegel_z_values(
+            ts[hi], rs_cfg, dts=None if dts is None else np.asarray(dts)[hi])
     if not hi.all():
         phase = special.z_phases(ts[~hi])
         zeta = np.array([special.em_zeta_half(t) for t in ts[~hi].tolist()])
@@ -306,9 +362,10 @@ def z_values(ts: np.ndarray, rs_cfg: RSConfig = RSConfig()) -> np.ndarray:
     return out
 
 
-def z2_values(ts: np.ndarray, rs_cfg: RSConfig = RSConfig()) -> np.ndarray:
+def z2_values(ts: np.ndarray, rs_cfg: RSConfig = RSConfig(), *,
+              dts: np.ndarray = None) -> np.ndarray:
     """Z^2 on arrays, the square of `z_values`."""
-    return z_values(ts, rs_cfg) ** 2
+    return z_values(ts, rs_cfg, dts=dts) ** 2
 
 
 def integrate_z(iv: Interval, cfg: QuadConfig = QuadConfig(),
@@ -316,8 +373,8 @@ def integrate_z(iv: Interval, cfg: QuadConfig = QuadConfig(),
     """Adaptive integral of Z over [a, b], a >= 10."""
     if iv.a < 10.0:
         raise DomainError(f"integrate_z needs a >= 10, got {iv.a}")
-    return adaptive_integrate(lambda ts: z_values(ts, rs_cfg), iv.a, iv.b,
-                              cfg).value
+    return adaptive_integrate(lambda t, dt: z_values(t, rs_cfg, dts=dt),
+                              iv.a, iv.b, cfg).value
 
 
 def integrate_z2(iv: Interval, cfg: QuadConfig = QuadConfig(),
@@ -325,8 +382,8 @@ def integrate_z2(iv: Interval, cfg: QuadConfig = QuadConfig(),
     """Adaptive integral of Z^2 over [a, b], a >= 0."""
     if iv.a < 0.0:
         raise DomainError(f"integrate_z2 needs a >= 0, got {iv.a}")
-    return adaptive_integrate(lambda ts: z2_values(ts, rs_cfg), iv.a, iv.b,
-                              cfg).value
+    return adaptive_integrate(lambda t, dt: z2_values(t, rs_cfg, dts=dt),
+                              iv.a, iv.b, cfg).value
 
 
 def _prefix_sums(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -414,7 +471,8 @@ class PanelChain:
             raise RangeError("window outside the chain span")
         e = self.edges
         cuts = np.concatenate((e, e - h))
-        br = np.unique(np.concatenate(([a, b], cuts[(cuts > a) & (cuts < b)])))
+        br = np.sort(np.concatenate(([a, b], cuts[(cuts > a) & (cuts < b)])))
+        br = br[kernels.run_starts(br)]
         u = br[:-1]
         hw = 0.5 * np.diff(br)
         step = hw[:, None] * (1.0 + _GL16_X)
@@ -502,7 +560,7 @@ class SecondMomentTable:
 
             def seg_value(lo: float) -> float:
                 return adaptive_integrate(
-                    lambda ts: z2_values(ts, self.rs_cfg), lo,
+                    lambda t, dt: z2_values(t, self.rs_cfg, dts=dt), lo,
                     lo + self.STRIDE, self.cfg).value
 
             if workers <= 0:
@@ -533,8 +591,8 @@ def cumulative_I(T: float, table: SecondMomentTable) -> float:
     t0, i0 = table.value_at(T)
     if t0 == T:
         return i0
-    part = adaptive_integrate(lambda ts: z2_values(ts, table.rs_cfg), t0, T,
-                              table.cfg)
+    part = adaptive_integrate(
+        lambda t, dt: z2_values(t, table.rs_cfg, dts=dt), t0, T, table.cfg)
     return i0 + part.value
 
 

@@ -23,10 +23,12 @@ ln n / 2pi table and reduced mod 1 turn.  theta for t >= 8pi comes from its
 asymptotic series: the leading (t/2)(ln(t/2pi) - 1) is formed in
 double-double once per quarter-unit anchor a (`kernels.anchors`, the anchors
 of the main-sum moments), and each t = a + delta adds the exact increment of
-that term from a to t, about theta'(a) delta, in float64.  The sum is
-reduced mod 2pi.  theta mod 2pi is then within ~1e-15 rad of its true value
-up to t = 1e6 (~1e-14 below 8pi, where a complex128 Stirling series is used),
-and nothing depends on the platform's long double.
+that term from a to t, about theta'(a) delta, in float64; a height given
+as t plus an exact remainder dt (a quadrature node) has delta = (t - a) + dt
+here and in the kernel.  The sum is reduced mod 2pi.  theta mod 2pi is then
+within ~1e-15 rad of its true value up to t = 1e6 (~1e-14 below 8pi, where
+a complex128 Stirling series is used), and nothing depends on the
+platform's long double.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ def _theta_stirling(ts: np.ndarray) -> np.ndarray:
     return lg.imag - 0.5 * ts * _LN_PI
 
 
-def _theta_dd(ts: np.ndarray):
+def _theta_dd(ts: np.ndarray, dts: np.ndarray = None):
     """Unreduced theta(t) = hi + lo for an array of t > 0: the asymptotic
     series for t >= 8pi, Stirling (lo = 0) below.
 
@@ -140,7 +142,9 @@ def _theta_dd(ts: np.ndarray):
     (`kernels.anchors`), and t = a + delta adds its exact increment
     (t/2) ln(1 + delta/a) + (delta/2)(ln(a/2pi) - 1), within ~1e-16 rad
     since |delta| <= 1/8, and the series sum_k c_k t^(1-2k) at t itself.
-    At t = a this is the direct evaluation, bit for bit."""
+    At t = a this is the direct evaluation, bit for bit.  An exact
+    remainder dt of each t joins delta as (t - a) + dt, as in the kernel;
+    below 8pi it is ignored."""
     ts = np.asarray(ts, dtype=np.float64)
     hi, lo = np.empty_like(ts), np.zeros_like(ts)
     big = ts >= RS_MIN
@@ -155,6 +159,8 @@ def _theta_dd(ts: np.ndarray):
         lead_hi, lead_lo, ell = _theta_lead(a)
         a = a[at]
         d = tb - a
+        if dts is not None:
+            d += np.asarray(dts, dtype=np.float64)[big]
         w = 1.0 / tb
         w2 = w * w
         ser = _THETA_SERIES[4]
@@ -175,9 +181,9 @@ def _mod_2pi(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return np.mod(r, TWO_PI)
 
 
-def _theta_reduced(ts: np.ndarray) -> np.ndarray:
+def _theta_reduced(ts: np.ndarray, dts: np.ndarray = None) -> np.ndarray:
     """theta(t) mod 2pi as float64, the phase the main-sum kernel takes."""
-    return _mod_2pi(*_theta_dd(ts))
+    return _mod_2pi(*_theta_dd(ts, dts))
 
 
 def theta(t: float) -> float:
@@ -211,16 +217,18 @@ def _rs_heights(ts) -> np.ndarray:
     return ts
 
 
-def riemann_siegel_z_values(ts: np.ndarray, cfg: RSConfig = RSConfig()
-                            ) -> np.ndarray:
+def riemann_siegel_z_values(ts: np.ndarray, cfg: RSConfig = RSConfig(), *,
+                            dts: np.ndarray = None) -> np.ndarray:
     """Z(t) for an array of finite t >= 2pi by the Riemann-Siegel formula.
 
     Below 2pi the main sum is empty and the oracle is the only supported
-    evaluator.  A point's value does not depend on the other points in the
-    call.
+    evaluator.  dts, if given, are exact remainders: Z is taken at
+    ts + dts, unrounded.  A point's value does not depend on the other
+    points in the call.
     """
     ts = _rs_heights(ts)
-    return kernels.z_main_sum(ts, _theta_reduced(ts), cfg.correction_order)
+    return kernels.z_main_sum(ts, _theta_reduced(ts, dts),
+                              cfg.correction_order, dts=dts)
 
 
 def riemann_siegel_z(t: float, cfg: RSConfig = RSConfig()) -> CriticalPoint:

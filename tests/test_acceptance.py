@@ -133,8 +133,8 @@ def test_criterion_05_ladder_derivative(ladder_cfg, smtable, qcfg,
         fd = ld.phi1(t + 0.5, ladder_cfg, smtable).phi1 \
             - ld.phi1(t - 0.5, ladder_cfg, smtable).phi1
         wavg = adaptive_integrate(
-            lambda u: z2_values(u) / np.log(u), t - 0.5, t + 0.5,
-            qcfg).value
+            lambda u, du: z2_values(u, dts=du) / np.log(u), t - 0.5,
+            t + 0.5, qcfg).value
         pred = math.log(t) / ld.moment_profile_slope(
             ld.phi1(t, ladder_cfg, smtable).phi1, ladder_cfg)
         worst_raw = max(worst_raw, abs(fd / wavg - 1.0))

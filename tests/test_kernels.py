@@ -221,6 +221,23 @@ class TestZMainSum:
                           for i in range(ts.size)])
         assert np.array_equal(alone, batch)
 
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_batch_invariant_with_remainders(self, order):
+        # exact remainders of half an ulp or less, across twelve floor(tau)
+        # groups: each point's bits depend on its own (t, dt, theta) alone
+        rng = np.random.default_rng(23)
+        k = np.repeat(np.arange(3.0, 400.0, 36.0), 6)
+        ts = TWO_PI * (k + rng.uniform(0.0, 1.0, k.size)) ** 2
+        dts = rng.uniform(-0.5, 0.5, ts.size) * np.spacing(ts)
+        thetas = rng.uniform(0.0, TWO_PI, ts.size)
+        batch = kernels.z_main_sum(ts, thetas, order, dts=dts)
+        alone = np.array([kernels.z_main_sum(ts[i:i + 1], thetas[i:i + 1],
+                                             order, dts=dts[i:i + 1])[0]
+                          for i in range(ts.size)])
+        assert np.array_equal(alone, batch)
+        assert not np.array_equal(batch, kernels.z_main_sum(ts, thetas,
+                                                            order))
+
     def test_fallback_wide_blocks_match_points_alone(self):
         # 600 points with floor(tau) = 126, over some 6,000 anchors: the
         # batch forms its moments in many anchor blocks, each point alone

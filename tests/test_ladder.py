@@ -87,8 +87,8 @@ class TestZtildeSq:
     def test_window_integral_matches_ladder_increment(self, ladder_cfg,
                                                       smtable, qcfg):
         lhs = adaptive_integrate(
-            lambda ts: z2_values(ts) / np.log(ts), 1.0e4, 1.0e4 + 100.0,
-            qcfg).value
+            lambda ts, dts: z2_values(ts, dts=dts) / np.log(ts), 1.0e4,
+            1.0e4 + 100.0, qcfg).value
         rhs = ld.phi1(1.0e4 + 100.0, ladder_cfg, smtable).phi1 \
             - ld.phi1(1.0e4, ladder_cfg, smtable).phi1
         # the leading-log weight undercounts by a few percent at this height
@@ -209,8 +209,8 @@ class TestPhi1:
             fd = ld.phi1(t + 0.5, ladder_cfg, smtable).phi1 \
                 - ld.phi1(t - 0.5, ladder_cfg, smtable).phi1
             wavg = adaptive_integrate(
-                lambda u: z2_values(u) / np.log(u), t - 0.5, t + 0.5,
-                qcfg).value
+                lambda u, du: z2_values(u, dts=du) / np.log(u), t - 0.5,
+                t + 0.5, qcfg).value
             pred = math.log(t) / ld.moment_profile_slope(
                 ld.phi1(t, ladder_cfg, smtable).phi1, ladder_cfg)
             assert fd / wavg == pytest.approx(pred, abs=1e-3)

@@ -8,7 +8,11 @@ if both quadrature and integrand are right.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -25,10 +29,16 @@ from zetaladder.quadrature import (Interval, MomentReport, PanelChain,
                                    cumulative_I, hl_moment, integrate_z,
                                    integrate_z2, load_table, save_table,
                                    z2_chain, z2_values, z_chain)
-from zetaladder.quadrature import (_GL_W, _GL_X, _K31_W, _K31_X,
-                                   _initial_edges, _panel_freq, _panel_sums,
-                                   _panel_values, _rule_sums)
+from zetaladder.quadrature import (_FIRST_LEVEL_PHASE, _GL_W, _GL_X,
+                                   _K31_W, _K31_X, _initial_edges,
+                                   _panel_freq, _panel_sums, _panel_values,
+                                   _rule_sums)
 from zetaladder.special import RSConfig, TWO_PI
+
+
+def _z2(ts, dts):
+    """Z^2 at the exact quadrature nodes ts + dts."""
+    return z2_values(ts, dts=dts)
 
 
 class TestInterval:
@@ -66,28 +76,28 @@ class TestQuadConfig:
 
 class TestAdaptiveIntegrate:
     def test_polynomial_exact(self):
-        res = adaptive_integrate(lambda x: x ** 3, 0.0, 1.0, QuadConfig())
+        res = adaptive_integrate(lambda x, _: x ** 3, 0.0, 1.0, QuadConfig())
         assert res.value == pytest.approx(0.25, abs=1e-13)
 
     def test_empty_range(self):
-        res = adaptive_integrate(lambda x: x, 5.0, 5.0, QuadConfig())
+        res = adaptive_integrate(lambda x, _: x, 5.0, 5.0, QuadConfig())
         assert res.value == 0.0 and res.neval == 0
 
     def test_refines_a_kink(self):
         # sqrt|x - c| has a kink at the irrational c = 1/pi, so no panel
         # edge meets it and acceptance needs several bisection levels
         c = 1.0 / math.pi
-        res = adaptive_integrate(lambda x: np.sqrt(np.abs(x - c)), 0.0, 1.0,
-                                 QuadConfig())
+        res = adaptive_integrate(lambda x, _: np.sqrt(np.abs(x - c)), 0.0,
+                                 1.0, QuadConfig())
         exact = (2.0 / 3.0) * (c ** 1.5 + (1.0 - c) ** 1.5)
         assert abs(res.value - exact) <= res.error_bound
         assert (res.value, res.error_bound, res.neval) \
-            == (0.4949475606702245, 3.832341183788249e-12, 1550)
+            == (0.4949475606702341, 3.840395348452095e-12, 1519)
 
     def test_smooth_integrand_takes_one_pass(self):
-        # every phase-bounded panel of a cubic is accepted at 31 nodes
-        res = adaptive_integrate(lambda x: x ** 3, 0.0, 3.0, QuadConfig())
-        panels = _initial_edges(0.0, 3.0, 0.5).size - 1
+        # every first-level panel of a cubic is accepted at 31 nodes
+        res = adaptive_integrate(lambda x, _: x ** 3, 0.0, 3.0, QuadConfig())
+        panels = _initial_edges(0.0, 3.0, _FIRST_LEVEL_PHASE).size - 1
         assert res.neval == 31 * panels
 
     def test_tau_integer_crossing(self):
@@ -104,17 +114,73 @@ class TestAdaptiveIntegrate:
             fine = e[:-1, None] + np.diff(e)[:, None] * (np.arange(9) / 8.0)
             parts.extend(_panel_sums(z2_values, fine[:, :-1].ravel(),
                                      fine[:, 1:].ravel())[1].tolist())
-        res = adaptive_integrate(z2_values, a, b, QuadConfig())
+        res = adaptive_integrate(_z2, a, b, QuadConfig())
         assert abs(res.value - math.fsum(parts)) <= res.error_bound + 1e-10
 
     def test_unreachable_tolerance_reported(self):
         # kink at an irrational point, far too little depth for 1e-14
         cfg = QuadConfig(abs_tol=1e-14, rel_tol=1e-14, max_depth=4)
         with pytest.raises(PrecisionError) as err:
-            adaptive_integrate(lambda x: np.sqrt(np.abs(x - 1 / math.pi)),
-                               0.0, 1.0, cfg)
+            adaptive_integrate(
+                lambda x, _: np.sqrt(np.abs(x - 1 / math.pi)), 0.0, 1.0, cfg)
         assert err.value.estimate is not None
         assert err.value.bound > 1e-14
+
+
+def _split_sums(lo, hi, ways=16):
+    """K31 sums of Z^2 over the panels [lo, hi], each the exact sum of its
+    ways-way split, all nodes exact."""
+    e = lo[:, None] + (hi - lo)[:, None] * (np.arange(ways + 1) / ways)
+    vals, hws = _panel_values(_z2, e[:, :-1].ravel(), e[:, 1:].ravel(),
+                              _K31_X)
+    sub = _rule_sums(vals, _K31_W, hws).reshape(lo.size, ways)
+    return np.array([math.fsum(r) for r in sub.tolist()])
+
+
+class TestWidePanels:
+    """First-level panels `_FIRST_LEVEL_PHASE` radians wide with exact
+    nodes: against 16-way splits of themselves, they are right to
+    roundoff, so strides pass at the first level with honest bounds."""
+
+    def test_panel_matches_its_exact_split(self):
+        # a node rounded to the ulp of t (1.2e-10 here) moves Z^2 by ~1e-9
+        # relative, which the split does not share with the whole panel
+        e = _initial_edges(1.0e6, 1.0e6 + 8.0, _FIRST_LEVEL_PHASE)
+        vals, hws = _panel_values(_z2, e[:-1], e[1:], _K31_X)
+        whole = _rule_sums(vals, _K31_W, hws)
+        scale = np.abs(vals).max(axis=1) * np.diff(e)
+        assert np.all(np.abs(whole - _split_sums(e[:-1], e[1:]))
+                      <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("a, b", [(1.2e4, 1.2e4 + 64.0),
+                                      (1.0e5, 1.0e5 + 64.0),
+                                      (1.0e6, 1.0e6 + 64.0),
+                                      (8576.0, 8640.0)])
+    def test_stride_within_bound_of_exact_reference(self, a, b):
+        # [8576, 8640] crosses tau = 37 at 2 pi 37^2
+        e = _initial_edges(a, b, _FIRST_LEVEL_PHASE)
+        res = adaptive_integrate(_z2, a, b, QuadConfig())
+        ref = math.fsum(_split_sums(e[:-1], e[1:]).tolist())
+        assert abs(res.value - ref) \
+            <= res.error_bound + 4.0 * np.spacing(res.value)
+        # every first-level panel passes at its 31 nodes
+        assert res.neval == 31 * (e.size - 1)
+
+    def test_no_numpy_ma(self):
+        # numpy.ma costs 13 ms to import, inside every timed command;
+        # np.unique loads it on its first call
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = ("import sys\n"
+                  "from zetaladder.quadrature import (SecondMomentTable,\n"
+                  "                                   hl_moment)\n"
+                  "SecondMomentTable().ensure(64.0, workers=1)\n"
+                  "hl_moment(1.0e4, 1.5)\n"
+                  "print('numpy.ma' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 class TestKronrodRule:
@@ -226,12 +292,14 @@ class TestIntegrateZ2:
         assert integrate_z2(Interval(a, a + w)) >= 0.0
 
     def test_halving_osc_factor_stays_within_bounds(self):
+        # osc_factor sizes chain panels; chains of both widths land within
+        # 1e-11 of the adaptive integral, past its bound (their nodes are
+        # rounded to floats: up to 1.1e-12 off at 9.7e4)
         for a in (1.0e4, 3.163e4, 9.7e4):
-            r1 = adaptive_integrate(z2_values, a, a + 5.0, QuadConfig())
-            r2 = adaptive_integrate(z2_values, a, a + 5.0,
-                                    QuadConfig(osc_factor=0.25))
-            assert abs(r1.value - r2.value) \
-                <= r1.error_bound + r2.error_bound
+            ref = adaptive_integrate(_z2, a, a + 5.0, QuadConfig())
+            for osc in (0.5, 0.25):
+                total = z2_chain(a, a + 5.0, QuadConfig(osc_factor=osc)).total
+                assert abs(total - ref.value) <= ref.error_bound + 1e-11
 
 
 class TestPanelChain:
@@ -284,10 +352,10 @@ class TestPanelBatchInvariance:
     A, B = 1.0e4, 1.0e4 + 40.0
 
     @staticmethod
-    def _f(ts):
+    def _f(ts, dts=0.0):
         # plain IEEE arithmetic, so the node values themselves cannot
         # depend on the batch
-        return 1.0 / (1.0 + (ts - 1.00203e4) ** 2) + 1e-3 * ts
+        return 1.0 / (1.0 + ((ts - 1.00203e4) + dts) ** 2) + 1e-3 * ts
 
     def test_panel_sums(self):
         edges = _initial_edges(self.A, self.B, 0.5)
@@ -540,7 +608,7 @@ class TestHlMoment:
         h, u0 = 2.0, T ** 0.5001
         chain = z_chain(T, T + u0 + h, qcfg, rs_cfg)
         ref = adaptive_integrate(
-            lambda ts: chain.integral(ts, ts + h) ** 2, T, T + u0, qcfg)
+            lambda ts, _: chain.integral(ts, ts + h) ** 2, T, T + u0, qcfg)
         got = chain.windowed_sq_integral(T, T + u0, h)
         assert abs(got - ref.value) <= 1e-11 * ref.value
         assert hl_moment(T, h, qcfg, rs_cfg).jbar == got

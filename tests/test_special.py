@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from zetaladder import special
 from zetaladder.errors import DomainError
-from zetaladder.quadrature import _panel_freq
+from zetaladder.quadrature import (QuadConfig, _panel_freq,
+                                   adaptive_integrate, z2_values, z_values)
 from zetaladder.special import (RS_MIN, CriticalPoint, RSConfig, TWO_PI,
                                 em_zeta_half, hl_x, riemann_siegel_z,
                                 riemann_siegel_z_values, tau, theta, z_phase)
@@ -58,6 +59,15 @@ THETA_MOD_REF = {
     1000000.375: "3.84372123254984915586824957422",
 }
 TWO_PI_EXACT = Fraction(Decimal("6.283185307179586476925286766559005768394"))
+# Z by the first-order Riemann-Siegel formula (main sum plus the first
+# correction term) at the double-double heights hi + lo, lo about half an
+# ulp of hi: 200-bit mpmath (siegeltheta, the main sum and psi), to 30
+# digits.  Z at hi alone is 2.7e-10 to 7.8e-10 away from each.
+Z_DD_REF = {
+    (1000000.3, 4.773028194904327e-11): "-3.4127083268425071340121783363",
+    (999999.871, -5.471520125865936e-11): "-1.03420625888294591279153707557",
+    (1000003.1416, 3.3760443329811094e-11): "2.68367024113484593790680699316",
+}
 GAMMA_1 = 14.134725141734695
 # C in the Riemann-Siegel remainder envelope C * t^(-1/4) that the checks
 # against the oracle allow
@@ -217,6 +227,48 @@ class TestRiemannSiegelZ:
         for t in (100.0, 1000.0, 10000.0):
             d = abs(riemann_siegel_z(t, cfg0).z - oracle_z(t))
             assert d <= RS_BAND_C * t ** -0.25
+
+
+class TestRemainders:
+    """Heights given as a float t plus an exact remainder dt (dts=)."""
+
+    TS = np.array([7.5, 20.0, RS_MIN, 100.0, 12000.125, 1.0e5 + 0.3,
+                   1.0e6 + 0.7])
+
+    def test_zero_remainder_is_bit_equal(self):
+        zero = np.zeros_like(self.TS)
+        assert np.array_equal(z_values(self.TS, dts=zero), z_values(self.TS))
+        ts = self.TS[self.TS >= RS_MIN]
+        assert np.array_equal(
+            riemann_siegel_z_values(ts, dts=np.zeros_like(ts)),
+            riemann_siegel_z_values(ts))
+
+    def test_double_double_heights_frozen(self):
+        for (hi, lo), digits in Z_DD_REF.items():
+            ref = Fraction(Decimal(digits))
+            got = z_values(np.array([hi]), dts=np.array([lo]))[0]
+            assert abs(Fraction(got) - ref) <= Fraction(2e-14), hi
+            # without its remainder the height is a different one
+            rounded = z_values(np.array([hi]))[0]
+            assert abs(Fraction(rounded) - ref) > Fraction(2e-10), hi
+
+    def test_batch_invariant(self):
+        rng = np.random.default_rng(19)
+        ts = np.concatenate((rng.uniform(10.0, 100.0, 20),
+                             np.geomspace(100.0, 1e6, 80)
+                             * rng.uniform(0.999, 1.0, 80)))
+        dts = rng.uniform(-0.5, 0.5, ts.size) * np.spacing(ts)
+        batch = z_values(ts, dts=dts)
+        alone = np.array([z_values(ts[i:i + 1], dts=dts[i:i + 1])[0]
+                          for i in range(ts.size)])
+        assert np.array_equal(alone, batch)
+
+    def test_bare_evaluator_refused_as_integrand(self):
+        # adaptive_integrate calls fvec(t, dt); bare, dt would bind to
+        # rs_cfg, below 8pi as above it
+        for a in (10.0, 1.0e4):
+            with pytest.raises(TypeError):
+                adaptive_integrate(z2_values, a, a + 1.0, QuadConfig())
 
 
 class TestEmZetaHalf:
