@@ -6,18 +6,17 @@ from .errors import (CalibrationError, DegenerateConfigurationError,
                      TableIntegrityError, ZetaLadderError)
 from .factorization import (AlphaSequence, FactorConfig, FactorizationReport,
                             SpectrumEntry, build_alpha_sequence, factorize,
-                            find_beta, find_eta, iterated_integrand,
-                            lambda_factor, local_spectrum, multiform_G)
+                            find_beta, find_eta, lambda_factor,
+                            local_spectrum, multiform_G)
 from .kernels import backend_name
 from .ladder import (IterateDirection, LadderConfig, LadderPoint,
-                     PrimePiTable, calibrate_c0, euler_constant, omega, phi1,
-                     phi1_inverse, phi1_iterates, pi_count, ztilde_sq)
-from .quadrature import (Interval, MomentReport, PanelChain, QuadConfig,
+                     PrimePiTable, calibrate_c0, euler_constant, phi1,
+                     phi1_inverse, phi1_iterates, pi_count)
+from .quadrature import (MomentReport, PanelChain, QuadConfig,
                          SecondMomentTable, adaptive_integrate,
                          admissible_h_range, cumulative_I, hl_moment,
-                         integrate_z, integrate_z2, load_table, save_table,
-                         z2_chain, z_chain)
-from .special import (CriticalPoint, RSConfig, em_zeta_half, hl_x,
+                         load_table, save_table, z2_chain, z_chain)
+from .special import (CriticalPoint, RSConfig, em_zeta_half,
                       riemann_siegel_z, tau, theta, z_phase)
 
 __version__ = "0.1.0"

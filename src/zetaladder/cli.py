@@ -13,7 +13,8 @@ produced.  Primary outputs are deterministic: numbers are emitted in
 round-trip decimal form, sweep rows are buffered and written in input
 order no matter how many workers computed them, and cache hits replay the
 exact bytes that were first written.  The manifest carries the only
-timestamp.
+timestamp.  Every file is written whole (`write_atomic`), so a failed or
+killed run leaves the old file or the whole new one.
 
 Configuration precedence is flags over config file over defaults; the
 checkpoint table, calibration artifact and moment memos live in the cache
@@ -42,8 +43,7 @@ from . import factorization as fz
 from . import ladder as ld
 from . import svgplot
 from .errors import (CalibrationError, DegenerateConfigurationError,
-                     DomainError, PrecisionError, RangeError,
-                     TableIntegrityError, ZetaLadderError)
+                     DomainError, PrecisionError, TableIntegrityError)
 from .quadrature import (QuadConfig, SecondMomentTable, admissible_h_range,
                          hl_moment, load_table, save_table, table_key,
                          write_atomic)
@@ -54,7 +54,6 @@ _log = logging.getLogger(__name__)
 _DEFAULTS: Dict[str, object] = {
     "abs_tol": 1e-8,
     "rel_tol": 1e-8,
-    "osc_factor": 0.5,
     "max_depth": 24,
     "correction_order": 1,
     "u0_exponent": 0.5001,
@@ -86,8 +85,8 @@ def _write_manifest(command: str, out: Path, params: Dict[str, object],
            "timestamp": datetime.now(timezone.utc).isoformat(
                timespec="seconds"),
            "outputs": [str(p) for p in (out,) + extra]}
-    out.with_suffix(out.suffix + ".manifest.json").write_text(
-        json.dumps(doc, indent=2) + "\n")
+    write_atomic(out.with_suffix(out.suffix + ".manifest.json"),
+                 json.dumps(doc, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +125,6 @@ def _effective_config(args: argparse.Namespace) -> Dict[str, object]:
 def _quad_config(eff: Dict[str, object]) -> QuadConfig:
     return QuadConfig(abs_tol=float(eff["abs_tol"]),
                       rel_tol=float(eff["rel_tol"]),
-                      osc_factor=float(eff["osc_factor"]),
                       max_depth=int(eff["max_depth"]))
 
 
@@ -205,10 +203,7 @@ def _factor_config(eff, cfg_ladder, qcfg, rs_cfg) -> fz.FactorConfig:
 
 
 def _write_rows(path: Path, header: str, rows: Sequence[str]) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+    write_atomic(path, "".join(line + "\n" for line in [header, *rows]))
 
 
 def _parse_sweep(text: str) -> List[float]:
@@ -321,7 +316,7 @@ def cmd_moment(args: argparse.Namespace) -> int:
                            u0_exponent=float(eff["u0_exponent"]))
         text = json.dumps(report.as_dict(), indent=2) + "\n"
         write_atomic(memo, text)
-    out.write_text(text)
+    write_atomic(out, text)
     _write_manifest("moment", out, {"T": args.T, "H": args.H}, eff, memo)
     print(f"moment: T={args.T:g} H={args.H:g} -> {out}")
     return 0
@@ -364,7 +359,7 @@ def cmd_alphas(args: argparse.Namespace) -> int:
            "eta": seq.eta, "beta": seq.beta, "Hk": seq.Hk,
            "alphas": list(seq.alphas)}
     out = Path(args.out)
-    out.write_text(json.dumps(doc, indent=2) + "\n")
+    write_atomic(out, json.dumps(doc, indent=2) + "\n")
     save_table(table, cache / _TABLE_FILE)
     _write_manifest("alphas", out, {"T": args.T, "H": args.H, "k": args.k},
                     eff)
@@ -397,7 +392,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         print(f"factorize: {len(rows)} sweep rows -> {out}")
     else:
         report = fz.factorize(args.T, args.H, args.k, fcfg, table)
-        out.write_text(json.dumps(report.as_dict(), indent=2) + "\n")
+        write_atomic(out, json.dumps(report.as_dict(), indent=2) + "\n")
         params = {"T": args.T, "H": args.H, "k": args.k}
         print(f"factorize: ratio = {report.ratio:.6f} -> {out}")
     save_table(table, cache / _TABLE_FILE)
@@ -461,7 +456,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         title=args.title or "", xlabel=args.xlabel or args.x,
         ylabel=args.ylabel or "")
     out = Path(args.out)
-    svgplot.write_svg(spec, out)
+    write_atomic(out, svgplot.render(spec))
     _write_manifest("plot", out, {"input": args.input, "x": args.x,
                                   "y": y_cols, "kind": args.kind}, eff)
     print(f"plot: {len(series)} series -> {out}")

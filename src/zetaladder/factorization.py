@@ -6,7 +6,8 @@ has its quadratic-mean size sqrt(2 pi H).  The window's k-fold inverse
 image [A, B] under phi1 is then taken one level at a time, and the
 mean-value theorem is applied to the iterated integrand
 
-    Z(phi1^k(t)) * prod_{r=0}^{k-1} ztilde_sq(phi1^r(t)),     t in [A, B],
+    Z(phi1^k(t)) * prod_{r=0}^{k-1} Z^2(phi1^r(t)) / ln phi1^r(t),
+                                                              t in [A, B],
 
 whose mean-value point beta generates the alpha sequence: alpha_r is the
 (k-r)-fold forward image of beta, so alpha_k = beta sits in [A, B] and
@@ -49,14 +50,13 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import (DegenerateConfigurationError, DomainError,
-                     PrecisionError, RangeError, TableIntegrityError)
-from .ladder import (LadderConfig, brentq, inverse_levels, invert_profile,
-                     phi1, ztilde_sq)
+                     PrecisionError, TableIntegrityError)
+from .ladder import LadderConfig, brentq, inverse_levels, invert_profile
 from .quadrature import (QuadConfig, SecondMomentTable, adaptive_integrate,
                          admissible_h_range, table_key, z2_values, z_chain,
                          z_values)
 # no longer called here; kept because the benchmark's layer tracer wraps them
-from .ladder import phi1_iterates  # noqa: F401
+from .ladder import phi1, phi1_iterates  # noqa: F401
 from .quadrature import cumulative_I, z2_chain  # noqa: F401
 from .special import (RS_MIN, RSConfig, TWO_PI, em_zeta_half,
                       riemann_siegel_z, tau)
@@ -291,23 +291,6 @@ class _LevelMaps:
             w = w * (np.log(prev) + self._slope_c) / np.log(cur)
             prev = cur
         return z_values(u, self.cfg.rs, dts=dus) * w
-
-
-def iterated_integrand(t: float, k: int, cfg: FactorConfig,
-                       table: SecondMomentTable) -> float:
-    """Z at the k-th forward image times the ztilde_sq of the ones above.
-
-    Spot-check form on the checkpoint table; the quadrature inside
-    find_beta uses the chain-backed vectorized equivalent.
-    """
-    if k < 0:
-        raise DomainError(f"k must be >= 0, got {k}")
-    val = 1.0
-    x = float(t)
-    for _ in range(k):
-        val *= ztilde_sq(x, cfg.rs)
-        x = phi1(x, cfg.ladder, table).phi1
-    return val * riemann_siegel_z(x, cfg.rs).z
 
 
 def _mean_value_roots(maps: _LevelMaps, mean: float,

@@ -23,8 +23,8 @@ finishes with the Newton loop `newton_to_plateau`.  `phi1_inverse` is its one-po
 `inverse_levels` stacks it level by level for the inverse iterates and the
 factorization's level maps, and phi1 inverts the profile through
 `invert_profile`, which shares the same Newton loop.  LadderConfig holds
-only the constants euler_c and c0: the weight omega(t) dividing Z^2 is
-always ln t.  Everything here treats the SecondMomentTable as an immutable
+only the constants euler_c and c0: the weight dividing Z^2 is always
+ln t.  Everything here treats the SecondMomentTable as an immutable
 snapshot apart from its own append-only extension; calibration mutates the
 LadderConfig and must happen before dependent calls.
 """
@@ -44,8 +44,10 @@ import numpy as np
 from .errors import (CalibrationError, DomainError, PrecisionError,
                      RangeError, TableIntegrityError)
 from .quadrature import (SecondMomentTable, cumulative_I, write_atomic,
-                         z2_chain, z2_values)
-from .special import RS_MIN, RSConfig, TWO_PI, riemann_siegel_z
+                         z2_chain)
+from .special import TWO_PI
+# not called here; kept because the benchmark's layer tracer wraps it
+from .special import riemann_siegel_z  # noqa: F401
 
 _LN_TWO_PI = math.log(TWO_PI)
 
@@ -114,30 +116,6 @@ class LadderPoint:
     def phi(self) -> float:
         """Unhalved ladder value; the halved one is what gets iterated."""
         return 2.0 * self.phi1
-
-
-def omega(t: float) -> float:
-    """Weight ln t dividing Z^2."""
-    if t <= math.e:
-        raise DomainError(f"omega needs t > e, got {t}")
-    return math.log(t)
-
-
-def ztilde_sq(t: float, rs_cfg: RSConfig = RSConfig()) -> float:
-    """Weighted square Z(t)^2 / omega(t), the ladder's derivative."""
-    if t < RS_MIN:
-        raise DomainError(f"ztilde_sq needs t >= 8pi, got {t}")
-    point = riemann_siegel_z(t, rs_cfg)
-    return point.z * point.z / omega(t)
-
-
-def ztilde_sq_values(ts: np.ndarray,
-                     rs_cfg: RSConfig = RSConfig()) -> np.ndarray:
-    """Vectorized ztilde_sq for quadrature integrands."""
-    ts = np.asarray(ts, dtype=np.float64)
-    if ts.size and float(ts.min()) <= math.e:
-        raise DomainError("ztilde_sq_values needs t > e throughout")
-    return z2_values(ts, rs_cfg) / np.log(ts)
 
 
 def moment_profile(y: float, cfg: LadderConfig) -> float:

@@ -20,11 +20,10 @@ contributions are summed exactly.  Which panels are accepted depends only
 on the inputs and a panel's sums only on its own nodes, so results never
 depend on batch shape or scheduling.
 
-Three consumers sit on top of the same panel machinery:
+Two consumers sit on top of the same panel machinery:
 
-- integrate_z / integrate_z2: plain adaptive integrals with tolerances.
-- PanelChain: a fixed grid of panels osc_factor radians wide, nodes rounded
-  to floats (fvec(t)), whose per-panel Legendre interpolants are
+- PanelChain: a fixed grid of panels `_CHAIN_PHASE` radians wide, nodes
+  rounded to floats (fvec(t)), whose per-panel Legendre interpolants are
   integrated in closed form, giving a cheap prefix integral t -> int_a^t.
   The windowed moment reads both of its integrals off one Z chain: the
   inner window is a difference of prefixes, and the outer integral of its
@@ -44,6 +43,7 @@ on both sides of 8pi.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
@@ -113,22 +113,6 @@ def _legendre_project(vals: np.ndarray) -> np.ndarray:
     return coef
 
 
-@dataclass(frozen=True)
-class Interval:
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise DomainError("interval endpoints must be finite")
-        if self.b < self.a:
-            raise DomainError(f"interval needs a <= b, got [{self.a}, {self.b}]")
-
-    @property
-    def width(self) -> float:
-        return self.b - self.a
-
-
 # Phase advance of Z across a first-level panel of `adaptive_integrate`, in
 # radians: Z^2 then varies like cos(w x), w <= 6, in the panel's [-1, 1],
 # and G15 integrates cos(6x) to 2.5e-16 (7.7e-15 at w = 8).  So a panel
@@ -136,38 +120,36 @@ class Interval:
 # difference is roundoff where it is (Trefethen, Approximation Theory and
 # Approximation Practice, 2013, ch. 19).
 _FIRST_LEVEL_PHASE = 6.0
+# Phase advance of Z across a `PanelChain` panel, in radians.  Chains are
+# not adaptive, so their width sets their accuracy.
+_CHAIN_PHASE = 0.5
 
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances of `adaptive_integrate` and the panel width of chains.
+    """Tolerances of `adaptive_integrate`.
 
     abs_tol splits over the interval in per-panel budgets; rel_tol only
     relaxes the final achievability check; max_depth caps bisection.
-    osc_factor is the phase advance of Z per `PanelChain` panel, in
-    radians: chains are not adaptive, so their width is their accuracy.
-    Adaptive integrals start from `_FIRST_LEVEL_PHASE` instead.
     """
 
     abs_tol: float = 1e-8
     rel_tol: float = 1e-8
     max_depth: int = 24
-    osc_factor: float = 0.5
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise DomainError("tolerances must be positive")
-        if not (0 < self.osc_factor <= 1.0):
-            raise DomainError("osc_factor must lie in (0, 1]")
         if not (4 <= self.max_depth <= 60):
             raise DomainError("max_depth must lie in [4, 60]")
 
     @property
     def fingerprint(self) -> str:
         """Short stable hash identifying results produced under this config
-        (panel rule version included so cached tables invalidate on change)."""
+        (panel rule version and chain width included so cached tables
+        invalidate on change)."""
         blob = (f"panelgk31-v7|abs={self.abs_tol!r}|rel={self.rel_tol!r}"
-                f"|depth={self.max_depth}|osc={self.osc_factor!r}")
+                f"|depth={self.max_depth}|osc={_CHAIN_PHASE!r}")
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -184,8 +166,8 @@ def _panel_freq(t):
     return 0.5 * np.log(np.maximum(t, RS_MIN) / TWO_PI)
 
 
-def _initial_edges(a: float, b: float, osc_factor: float) -> np.ndarray:
-    """Panel edges over [a, b] with width * theta'(right edge) <= osc_factor.
+def _initial_edges(a: float, b: float, phase: float) -> np.ndarray:
+    """Panel edges over [a, b] with width * theta'(right edge) <= phase.
 
     [a, b] is cut into blocks of at most 64 units and at every t = 2 pi k^2
     (k >= 2) inside it, where tau passes an integer and the Riemann-Siegel
@@ -207,7 +189,7 @@ def _initial_edges(a: float, b: float, osc_factor: float) -> np.ndarray:
     """
     top = max(abs(a), abs(b))
     step = math.ldexp(1.0, min(math.frexp(top)[1] - 44, math.frexp(
-        osc_factor / _panel_freq(top))[1] - 16))
+        phase / _panel_freq(top))[1] - 16))
 
     def snap(t):
         return np.rint(t / step) * step
@@ -222,8 +204,8 @@ def _initial_edges(a: float, b: float, osc_factor: float) -> np.ndarray:
     blocks = blocks[kernels.run_starts(blocks)]
     lo, width = blocks[:-1], np.diff(blocks)
     freq = _panel_freq(blocks[1:])
-    n = np.where(width * freq <= osc_factor, 1.0, np.ceil(
-        width * freq / (osc_factor - 2.0 * step * freq))).astype(np.int64)
+    n = np.where(width * freq <= phase, 1.0, np.ceil(
+        width * freq / (phase - 2.0 * step * freq))).astype(np.int64)
     blk = np.repeat(np.arange(n.size), n)
     pos = np.arange(blk.size) - np.repeat(np.cumsum(n) - n, n)
     edges = np.where(pos == 0, lo[blk],
@@ -286,7 +268,7 @@ def adaptive_integrate(fvec: Callable[[np.ndarray, np.ndarray], np.ndarray],
     fvec(t, dt) takes each node as a float t plus its exact remainder dt;
     an integrand that cannot use the remainder ignores it.  Bisects level
     by level, starting from panels across which Z advances its phase by
-    `_FIRST_LEVEL_PHASE` radians (cfg.osc_factor sizes chains only).  Each
+    `_FIRST_LEVEL_PHASE` radians (`_CHAIN_PHASE` sizes chains).  Each
     pass evaluates every pending panel at its 31 Kronrod nodes in one
     vectorized call; a panel's value is its K31 sum and its estimate
     |K31 - G15|, from the 15 Gauss nodes among the 31.  A panel is accepted
@@ -368,24 +350,6 @@ def z2_values(ts: np.ndarray, rs_cfg: RSConfig = RSConfig(), *,
     return z_values(ts, rs_cfg, dts=dts) ** 2
 
 
-def integrate_z(iv: Interval, cfg: QuadConfig = QuadConfig(),
-                rs_cfg: RSConfig = RSConfig()) -> float:
-    """Adaptive integral of Z over [a, b], a >= 10."""
-    if iv.a < 10.0:
-        raise DomainError(f"integrate_z needs a >= 10, got {iv.a}")
-    return adaptive_integrate(lambda t, dt: z_values(t, rs_cfg, dts=dt),
-                              iv.a, iv.b, cfg).value
-
-
-def integrate_z2(iv: Interval, cfg: QuadConfig = QuadConfig(),
-                 rs_cfg: RSConfig = RSConfig()) -> float:
-    """Adaptive integral of Z^2 over [a, b], a >= 0."""
-    if iv.a < 0.0:
-        raise DomainError(f"integrate_z2 needs a >= 0, got {iv.a}")
-    return adaptive_integrate(lambda t, dt: z2_values(t, rs_cfg, dts=dt),
-                              iv.a, iv.b, cfg).value
-
-
 def _prefix_sums(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Running sums 0, x0, x0 + x1, ... as float64 pairs hi + lo.
 
@@ -421,11 +385,10 @@ class PanelChain:
         self._dcoef = None
 
     @classmethod
-    def build(cls, a: float, b: float, fvec, osc_factor: float = 0.5
-              ) -> "PanelChain":
+    def build(cls, a: float, b: float, fvec) -> "PanelChain":
         if not b > a:
             raise DomainError("PanelChain needs b > a")
-        edges = _initial_edges(a, b, osc_factor)
+        edges = _initial_edges(a, b, _CHAIN_PHASE)
         vals, _ = _panel_sums(fvec, edges[:-1], edges[1:])
         mids = 0.5 * (edges[:-1] + edges[1:])
         hws = 0.5 * np.diff(edges)
@@ -506,14 +469,12 @@ class PanelChain:
 
 def z_chain(a: float, b: float, cfg: QuadConfig = QuadConfig(),
             rs_cfg: RSConfig = RSConfig()) -> PanelChain:
-    return PanelChain.build(a, b, lambda ts: z_values(ts, rs_cfg),
-                            cfg.osc_factor)
+    return PanelChain.build(a, b, lambda ts: z_values(ts, rs_cfg))
 
 
 def z2_chain(a: float, b: float, cfg: QuadConfig = QuadConfig(),
              rs_cfg: RSConfig = RSConfig()) -> PanelChain:
-    return PanelChain.build(a, b, lambda ts: z2_values(ts, rs_cfg),
-                            cfg.osc_factor)
+    return PanelChain.build(a, b, lambda ts: z2_values(ts, rs_cfg))
 
 
 class SecondMomentTable:
@@ -598,13 +559,19 @@ def cumulative_I(T: float, table: SecondMomentTable) -> float:
 
 def write_atomic(path, text: str) -> None:
     """Write text to a temporary file beside path, then rename it into
-    place, so readers find the old file or the whole new one."""
+    place, so readers find the old file or the whole new one.  If the
+    write or the rename fails, the temporary file is removed."""
     tmp = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _table_header(table: SecondMomentTable, rows: int) -> str:

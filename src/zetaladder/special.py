@@ -293,7 +293,3 @@ def _em_eval(t: float, s: complex, n_cut: int):
         * abs(s + (2 * k + 1)) / (sigma + 2 * k + 1)
     return total, bound
 
-
-def hl_x(t: float, cfg: RSConfig = RSConfig()) -> float:
-    """Signed eigenfunction-normalized value -(pi/2)^{1/4} Z(t)."""
-    return -((math.pi / 2.0) ** 0.25) * riemann_siegel_z(t, cfg).z

@@ -163,8 +163,3 @@ def render(spec: PlotSpec) -> str:
                      f'{escape(spec.ylabel, quote=False)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_svg(spec: PlotSpec, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(render(spec))

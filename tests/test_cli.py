@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetaladder import cli, kernels
+from zetaladder import cli, kernels, svgplot
 from zetaladder.ladder import save_calibration
 from zetaladder.quadrature import PanelChain, save_table
 from zetaladder.special import riemann_siegel_z
@@ -315,6 +315,14 @@ class TestPlot:
         svg = out.read_text()
         assert svg.startswith("<svg xmlns=")
         assert svg.count("<path") == 1
+        # the file is the whole document render() makes of the columns
+        rows = [ln.split(",") for ln in csv_path.read_text().split()[1:]]
+        spec = svgplot.PlotSpec(
+            kind=svgplot.PlotKind.SCATTER, xlabel="n",
+            series=(svgplot.Series(
+                label="omega", x=np.array([float(r[0]) for r in rows]),
+                y=np.array([float(r[1]) for r in rows])),))
+        assert svg == svgplot.render(spec)
 
     def test_multi_series_line(self, cli_cache, tmp_path):
         csv_path = tmp_path / "ladder.csv"
@@ -392,3 +400,33 @@ class TestConfigPlumbing:
         assert run(cli_cache, "spectrum", "--x", "100", "--out", str(out),
                    "--config", str(cfg)) == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_osc_factor_is_no_longer_an_option(self, cli_cache, tmp_path,
+                                               capsys):
+        out = tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(cli_cache, "spectrum", "--x", "100", "--out", str(out),
+                "--osc-factor", "0.5")
+        assert exc.value.code == 2
+        cfg = tmp_path / "zl.cfg"
+        cfg.write_text("osc_factor = 0.5\n")
+        assert run(cli_cache, "spectrum", "--x", "100", "--out", str(out),
+                   "--config", str(cfg)) == 2
+        assert "unknown config key 'osc_factor'" in capsys.readouterr().err
+
+
+class TestWholeOutputs:
+    def test_failed_rename_keeps_the_old_output(self, cli_cache, tmp_path,
+                                                monkeypatch, capsys):
+        out = tmp_path / "s.csv"
+        out.write_text("old bytes\n")
+
+        def refuse(src, dst):
+            raise OSError(f"rename of {src} refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert run(cli_cache, "spectrum", "--x", "100", "--out",
+                   str(out)) == 2
+        assert "refused" in capsys.readouterr().err
+        assert out.read_text() == "old bytes\n"
+        assert list(tmp_path.glob("*.tmp")) == []

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from zetaladder import factorization as fz
 from zetaladder.errors import DomainError, TableIntegrityError
-from zetaladder.ladder import pi_count, phi1, ztilde_sq
-from zetaladder.quadrature import Interval, integrate_z
+from zetaladder.ladder import pi_count, phi1
+from zetaladder.quadrature import adaptive_integrate, z2_values, z_values
 from zetaladder.special import RSConfig, em_zeta_half, riemann_siegel_z, tau
 
 TWO_PI = 2.0 * math.pi
@@ -62,7 +62,8 @@ class TestFindEta:
         T, H = 1.0e4, 2.0
         eta = fz.find_eta(T, H, fconfig)
         assert T < eta < T + T ** fconfig.u0_exponent
-        w = integrate_z(Interval(eta, eta + H), qcfg, fconfig.rs)
+        w = adaptive_integrate(lambda t, dt: z_values(t, fconfig.rs, dts=dt),
+                               eta, eta + H, qcfg).value
         assert 0.9999 <= abs(w) / math.sqrt(TWO_PI * H) <= 1.0001
 
     def test_below_8pi_rejected(self, fconfig):
@@ -77,30 +78,37 @@ class TestFindEta:
 
 
 class TestIteratedIntegrand:
-    def test_order_zero_is_z(self, fconfig, smtable):
-        for t in (50.0, 1.0e4, 12345.6):
-            assert fz.iterated_integrand(t, 0, fconfig, smtable) \
-                == riemann_siegel_z(t, fconfig.rs).z
+    """`_LevelMaps.integrand` on the k = 1 job against the forward ladder.
 
-    def test_sign_carried_by_deepest_factor(self, fconfig, smtable):
-        for t in (1.0e4 + 11.0, 1.0e4 + 23.0, 1.0e4 + 36.0):
-            val = fz.iterated_integrand(t, 1, fconfig, smtable)
+    The level map reads I through its `InverseLevel` chain; `phi1` reads it
+    through `cumulative_I`, so these compare two evaluators of I.  At the
+    five heights they agree bit for bit; the 1e-10 relative bound leaves
+    room for the 1.2e-10 the two I evaluators differ by at most over
+    [1e4, 1e5], which moves phi1(t) by ~1e-11 and the integrand by ~1e-10
+    relative at most.
+    """
+
+    @staticmethod
+    def _heights(job):
+        _, _, a, b, _, _, _, _ = job
+        return [float(t) for t in np.linspace(a, b, 7)[1:-1]]
+
+    def test_sign_carried_by_deepest_factor(self, job151, fconfig, smtable):
+        maps = job151[1]
+        for t in self._heights(job151):
+            val = float(maps.integrand(np.array([t]))[0])
             down = phi1(t, fconfig.ladder, smtable).phi1
             z_down = riemann_siegel_z(down, fconfig.rs).z
-            assert math.copysign(1.0, val) == math.copysign(1.0, z_down) \
-                or val == 0.0
+            assert math.copysign(1.0, val) == math.copysign(1.0, z_down)
 
-    def test_magnitude_is_weighted_product(self, fconfig, smtable):
-        t = 1.0e4 + 11.0
-        val = fz.iterated_integrand(t, 1, fconfig, smtable)
-        down = phi1(t, fconfig.ladder, smtable).phi1
-        expect = ztilde_sq(t, fconfig.rs) \
-            * riemann_siegel_z(down, fconfig.rs).z
-        assert val == pytest.approx(expect, rel=1e-12)
-
-    def test_negative_order_rejected(self, fconfig, smtable):
-        with pytest.raises(DomainError):
-            fz.iterated_integrand(1.0e4, -1, fconfig, smtable)
+    def test_magnitude_is_weighted_product(self, job151, fconfig, smtable):
+        maps = job151[1]
+        for t in self._heights(job151):
+            val = float(maps.integrand(np.array([t]))[0])
+            down = phi1(t, fconfig.ladder, smtable).phi1
+            expect = float(z2_values(np.array([t]), fconfig.rs)[0]) \
+                / math.log(t) * riemann_siegel_z(down, fconfig.rs).z
+            assert val == pytest.approx(expect, rel=1e-10)
 
 
 class TestFindBeta:

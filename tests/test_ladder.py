@@ -50,39 +50,18 @@ class TestConstants:
         assert pt.phi == 8.0
 
 
-class TestOmega:
-    def test_exp_heights(self):
-        assert ld.omega(math.e ** 2) == pytest.approx(2.0, rel=1e-15)
-        assert ld.omega(math.e ** 10) == pytest.approx(10.0, rel=1e-15)
-
-    def test_below_e_rejected(self):
-        with pytest.raises(DomainError):
-            ld.omega(math.e)
-
-    def test_monotone(self):
-        grid = np.geomspace(3.0, 1e6, 50)
-        vals = [ld.omega(float(t)) for t in grid]
-        assert all(u < v for u, v in zip(vals, vals[1:]))
-
-
 class TestZtildeSq:
-    def test_nonnegative(self):
-        for t in np.random.default_rng(3).uniform(1e4, 1e5, 40):
-            assert ld.ztilde_sq(float(t)) >= 0.0
+    """The ladder's derivative Z~^2(t) = Z^2(t) / ln t."""
 
     def test_vanishes_at_a_zero(self):
         # refine around the smallest sample just above 1e4; a true zero of
         # Z sits inside the refined window
         ts = np.arange(1.0e4, 1.0e4 + 2.0, 0.01)
-        zs = ld.ztilde_sq_values(ts)
+        zs = z2_values(ts) / np.log(ts)
         i = int(np.argmin(zs))
         lo, hi = float(ts[max(i - 1, 0)]), float(ts[min(i + 1, len(ts) - 1)])
         grid = np.linspace(lo, hi, 4001)
-        assert float(ld.ztilde_sq_values(grid).min()) < 1e-4
-
-    def test_below_8pi_rejected(self):
-        with pytest.raises(DomainError):
-            ld.ztilde_sq(20.0)
+        assert float((z2_values(grid) / np.log(grid)).min()) < 1e-4
 
     def test_window_integral_matches_ladder_increment(self, ladder_cfg,
                                                       smtable, qcfg):
@@ -200,7 +179,7 @@ class TestPhi1:
 
     def test_derivative_by_finite_differences(self, ladder_cfg, smtable,
                                               qcfg):
-        # FD of phi1 equals the window average of ztilde_sq up to the
+        # FD of phi1 equals the window average of Z^2 / ln up to the
         # leading-log weight truncation; compensating by the profile slope
         # pins the match to the solver tolerance
         rng = np.random.default_rng(11)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from zetaladder import special
@@ -20,7 +20,7 @@ from zetaladder.errors import DomainError
 from zetaladder.quadrature import (QuadConfig, _panel_freq,
                                    adaptive_integrate, z2_values, z_values)
 from zetaladder.special import (RS_MIN, CriticalPoint, RSConfig, TWO_PI,
-                                em_zeta_half, hl_x, riemann_siegel_z,
+                                em_zeta_half, riemann_siegel_z,
                                 riemann_siegel_z_values, tau, theta, z_phase)
 
 # mpmath mp.dps=30: zeta(0.5), |zeta(0.5+100j)|, theta and Z at spot heights
@@ -299,27 +299,3 @@ class TestEmZetaHalf:
     def test_phase_is_unimodular(self):
         for t in (10.0, 123.4, 9999.0, 7.5e5):
             assert abs(abs(z_phase(t)) - 1.0) <= 1e-15
-
-
-class TestHlX:
-    CONST = (math.pi / 2.0) ** 0.25
-
-    def test_ratio_is_minus_constant(self):
-        for t in (100.0, 543.2, 10000.0):
-            z = riemann_siegel_z(t).z
-            assert hl_x(t) / z == pytest.approx(-self.CONST, rel=1e-14)
-
-    def test_sign_opposite_z(self):
-        for t in (100.0, 101.0, 250.3):
-            z = riemann_siegel_z(t).z
-            assert math.copysign(1.0, hl_x(t)) == -math.copysign(1.0, z)
-
-    def test_vanishes_at_zero_of_z(self):
-        # gamma_1 is below 2pi*4 but fine for the formula itself
-        assert abs(hl_x(GAMMA_1)) <= 2.0 * GAMMA_1 ** -0.25 * self.CONST
-
-    @given(st.floats(min_value=TWO_PI, max_value=1e5))
-    @settings(max_examples=25, deadline=None)
-    def test_proportionality_everywhere(self, t):
-        assert hl_x(t) == pytest.approx(-self.CONST * riemann_siegel_z(t).z,
-                                        rel=1e-13, abs=1e-300)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from zetaladder.errors import DomainError
-from zetaladder.svgplot import PlotKind, PlotSpec, Series, render, write_svg
+from zetaladder.quadrature import write_atomic
+from zetaladder.svgplot import PlotKind, PlotSpec, Series, render
 
 
 def _spec(kind=PlotKind.LINE, nser=2):
@@ -93,7 +94,9 @@ class TestRender:
 
 class TestWriteSvg:
     def test_writes_file(self, tmp_path):
+        # zl plot writes render() whole through write_atomic; the file reads
+        # back byte for byte and no temporary file is left beside it
         path = tmp_path / "out.svg"
-        write_svg(_spec(), path)
-        text = path.read_text()
-        assert text == render(_spec())
+        write_atomic(path, render(_spec()))
+        assert path.read_text() == render(_spec())
+        assert [p.name for p in tmp_path.iterdir()] == ["out.svg"]
