@@ -57,14 +57,7 @@ _DEFAULTS: Dict[str, object] = {
     "max_depth": 24,
     "correction_order": 1,
     "u0_exponent": 0.5001,
-    "zero_threshold": 1e-6,
-    "max_retries": 8,
-    "scan_step": 0.1,
     "workers": 0,
-    "sieve_limit": 1_100_000,
-    "anchor_lo": 1.0e4,
-    "anchor_hi": 1.0e5,
-    "anchor_count": 10,
 }
 
 _TABLE_FILE = "smtable.csv"
@@ -105,9 +98,10 @@ def _read_config_file(path: str) -> Dict[str, object]:
             if not sep or key not in _DEFAULTS:
                 raise DomainError(
                     f"{path}:{ln}: unknown config key {key!r}")
-            default = _DEFAULTS[key]
-            out[key] = int(val) if isinstance(default, int) else \
-                float(val) if isinstance(default, float) else val
+            try:
+                out[key] = type(_DEFAULTS[key])(val)
+            except ValueError as exc:
+                raise DomainError(f"{path}:{ln}: {key}: {exc}") from None
     return out
 
 
@@ -151,17 +145,10 @@ def _load_or_new_table(cache: Path, qcfg: QuadConfig,
     return SecondMomentTable(qcfg, rs_cfg)
 
 
-def _default_anchors(eff: Dict[str, object]) -> List[float]:
-    return [float(a) for a in np.geomspace(float(eff["anchor_lo"]),
-                                           float(eff["anchor_hi"]),
-                                           int(eff["anchor_count"]))]
-
-
-def _calibrated_context(args, eff, qcfg, rs_cfg):
-    """Table, calibrated ladder config and sieve shared by ladder stages."""
+def _calibrated_context(args, qcfg, rs_cfg):
+    """Cache, table and calibrated ladder config shared by ladder stages."""
     cache = _cache_dir(args)
     table = _load_or_new_table(cache, qcfg, rs_cfg)
-    pi_table = ld.PrimePiTable.build(int(eff["sieve_limit"]))
     art = cache / _CALIB_FILE
     cfg = None
     if art.exists():
@@ -175,20 +162,19 @@ def _calibrated_context(args, eff, qcfg, rs_cfg):
         except TableIntegrityError as exc:
             _log.warning("ignoring calibration artifact: %s", exc)
     if cfg is None:
-        anchors = _default_anchors(eff)
+        anchors = ld.CALIBRATION_ANCHORS
         _log.info("calibrating c0 at %d anchors (first run extends the "
                   "checkpoint table and takes minutes)", len(anchors))
-        cfg = _calibrate(cache, table, pi_table, anchors, art)
-    return cache, table, cfg, pi_table
+        cfg = _calibrate(cache, table, anchors, art)
+    return cache, table, cfg
 
 
 def _calibrate(cache: Path, table: SecondMomentTable,
-               pi_table: ld.PrimePiTable, anchors: List[float],
-               out: Path) -> ld.LadderConfig:
+               anchors: Sequence[float], out: Path) -> ld.LadderConfig:
     """Fit c0 at the anchors, write the artifact to out, and save the
     checkpoint table the fit extended."""
     cfg = ld.LadderConfig()
-    ld.calibrate_c0(anchors, cfg, table, pi_table)
+    ld.calibrate_c0(anchors, cfg, table)
     ld.save_calibration(out, cfg, table, anchors)
     save_table(table, cache / _TABLE_FILE)
     return cfg
@@ -196,10 +182,7 @@ def _calibrate(cache: Path, table: SecondMomentTable,
 
 def _factor_config(eff, cfg_ladder, qcfg, rs_cfg) -> fz.FactorConfig:
     return fz.FactorConfig(ladder=cfg_ladder, quad=qcfg, rs=rs_cfg,
-                           u0_exponent=float(eff["u0_exponent"]),
-                           zero_threshold=float(eff["zero_threshold"]),
-                           max_retries=int(eff["max_retries"]),
-                           scan_step=float(eff["scan_step"]))
+                           u0_exponent=float(eff["u0_exponent"]))
 
 
 def _write_rows(path: Path, header: str, rows: Sequence[str]) -> None:
@@ -212,17 +195,26 @@ def _parse_sweep(text: str) -> List[float]:
     parts = rest.split(":")
     if name.strip() != "T" or not sep or len(parts) != 3:
         raise DomainError(f"sweep spec must look like T=a:b:n, got {text!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if not (0 < lo <= hi) or n < 1:
+    try:
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise DomainError(f"bad number in sweep spec {text!r}: {exc}") \
+            from None
+    if not (0 < lo <= hi < math.inf) or n < 1:
         raise DomainError(f"bad sweep range in {text!r}")
     return [float(v) for v in np.geomspace(lo, hi, n)]
 
 
-def _pool_size(eff: Dict[str, object]) -> int:
-    workers = int(eff["workers"])
-    if workers <= 0:
-        workers = min(8, os.cpu_count() or 1)
-    return workers
+def _parse_floats(text: str, flag: str) -> List[float]:
+    """The comma list given to flag, each entry a finite number."""
+    try:
+        vals = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise DomainError(f"{flag} {text!r}: {exc}") from None
+    bad = [v for v in vals if not math.isfinite(v)]
+    if bad:
+        raise DomainError(f"{flag} {text!r}: {bad[0]} is not finite")
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +304,7 @@ def cmd_moment(args: argparse.Namespace) -> int:
     if memo.exists() and not args.no_cache:
         text = _replayable_memo(memo, args.T, args.H)
     if text is None:
-        report = hl_moment(args.T, args.H, qcfg, rs_cfg,
+        report = hl_moment(args.T, args.H, rs_cfg,
                            u0_exponent=float(eff["u0_exponent"]))
         text = json.dumps(report.as_dict(), indent=2) + "\n"
         write_atomic(memo, text)
@@ -325,19 +317,20 @@ def cmd_moment(args: argparse.Namespace) -> int:
 def _parse_t_list(text: str) -> List[float]:
     if "=" in text:
         return _parse_sweep(text)
-    return [float(v) for v in text.split(",") if v.strip()]
+    return _parse_floats(text, "--T")
 
 
 def cmd_ladder(args: argparse.Namespace) -> int:
     eff = _effective_config(args)
     qcfg, rs_cfg = _quad_config(eff), _rs_config(eff)
-    cache, table, cfg, pi_table = _calibrated_context(args, eff, qcfg,
-                                                      rs_cfg)
-    ts = _parse_t_list(args.T) if args.T else _default_anchors(eff)
+    ts = _parse_t_list(args.T) if args.T else ld.CALIBRATION_ANCHORS
+    cache, table, cfg = _calibrated_context(args, qcfg, rs_cfg)
+    points = [ld.phi1(t, cfg, table) for t in ts]
+    # sized only once phi1 has accepted every T and extended the table to it
+    pi_table = ld.PrimePiTable.build(max([2] + [math.floor(t) for t in ts]))
     one_minus_c = 1.0 - cfg.euler_c
     rows = []
-    for t in ts:
-        point = ld.phi1(t, cfg, table)
+    for t, point in zip(ts, points):
         ratio = (t - point.phi1) / (one_minus_c * ld.pi_count(t, pi_table))
         rows.append(",".join([repr(float(t)), repr(point.phi1),
                               repr(point.residual), repr(ratio)]))
@@ -352,7 +345,7 @@ def cmd_ladder(args: argparse.Namespace) -> int:
 def cmd_alphas(args: argparse.Namespace) -> int:
     eff = _effective_config(args)
     qcfg, rs_cfg = _quad_config(eff), _rs_config(eff)
-    cache, table, cfg, _ = _calibrated_context(args, eff, qcfg, rs_cfg)
+    cache, table, cfg = _calibrated_context(args, qcfg, rs_cfg)
     fcfg = _factor_config(eff, cfg, qcfg, rs_cfg)
     seq = fz.build_alpha_sequence(args.T, args.H, args.k, fcfg, table)
     doc = {"schema": "alphaseq-v1", "T": seq.T, "H": seq.H, "k": seq.k,
@@ -370,18 +363,19 @@ def cmd_alphas(args: argparse.Namespace) -> int:
 def cmd_factorize(args: argparse.Namespace) -> int:
     eff = _effective_config(args)
     qcfg, rs_cfg = _quad_config(eff), _rs_config(eff)
-    cache, table, cfg, _ = _calibrated_context(args, eff, qcfg, rs_cfg)
+    ts = _parse_sweep(args.sweep) if args.sweep else None
+    cache, table, cfg = _calibrated_context(args, qcfg, rs_cfg)
     fcfg = _factor_config(eff, cfg, qcfg, rs_cfg)
     out = Path(args.out)
-    if args.sweep:
-        ts = _parse_sweep(args.sweep)
-
+    if ts is not None:
         def job(t: float) -> str:
             report = fz.factorize(t, args.H, args.k, fcfg, table)
             _log.info("factorize sweep: T = %g done", t)
             return report.csv_row()
 
-        workers = _pool_size(eff)
+        workers = int(eff["workers"])
+        if workers <= 0:
+            workers = min(8, os.cpu_count() or 1)
         if workers > 1 and len(ts) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(job, ts))     # input order preserved
@@ -415,12 +409,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     eff = _effective_config(args)
     qcfg, rs_cfg = _quad_config(eff), _rs_config(eff)
     cache = _cache_dir(args)
+    anchors = _parse_floats(args.anchors, "--anchors") if args.anchors \
+        else ld.CALIBRATION_ANCHORS
     table = _load_or_new_table(cache, qcfg, rs_cfg)
-    pi_table = ld.PrimePiTable.build(int(eff["sieve_limit"]))
-    anchors = [float(a) for a in args.anchors.split(",") if a.strip()] \
-        if args.anchors else _default_anchors(eff)
     out = Path(args.out) if args.out else cache / _CALIB_FILE
-    c0 = _calibrate(cache, table, pi_table, anchors, out).c0
+    c0 = _calibrate(cache, table, anchors, out).c0
     _write_manifest("calibrate", out, {"anchors": anchors}, eff)
     print(f"calibrate: c0 = {c0!r} -> {out}")
     return 0

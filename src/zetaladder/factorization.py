@@ -63,27 +63,26 @@ from .special import (RS_MIN, RSConfig, TWO_PI, em_zeta_half,
 
 _SQRT_TWO_PI = math.sqrt(TWO_PI)
 
+ZERO_THRESHOLD = 1e-6   # smallest |zeta| an alpha may have
+_MAX_RETRIES = 8        # mean-value roots tried before a job is degenerate
+_SCAN_STEP = 0.1        # grid step of the eta scan over (T, T+U0)
+
 _log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class FactorConfig:
-    """Knobs for the alpha-sequence construction.
+    """Settings of the alpha-sequence construction.
 
     ladder carries the calibrated constants; quad and rs must match the
-    table_key of the checkpoint table in use.  zero_threshold is the
-    exclusion radius around zeta zeros (the identity needs every factor
-    nonzero), and max_retries bounds how many mean-value roots are tried
-    before the configuration is declared degenerate.
+    table_key of the checkpoint table in use; U0 = T^u0_exponent is the
+    span of the eta scan.
     """
 
     ladder: LadderConfig
     quad: QuadConfig = QuadConfig()
     rs: RSConfig = RSConfig()
     u0_exponent: float = 0.5001
-    zero_threshold: float = 1e-6
-    max_retries: int = 8
-    scan_step: float = 0.1
 
     def __post_init__(self):
         if not isinstance(self.ladder, LadderConfig):
@@ -91,14 +90,6 @@ class FactorConfig:
         if not 0.5 <= self.u0_exponent <= 0.75:
             raise DomainError(
                 f"u0_exponent outside [0.5, 0.75]: {self.u0_exponent}")
-        if not 0.0 < self.zero_threshold <= 1e-2:
-            raise DomainError(
-                f"zero_threshold outside (0, 1e-2]: {self.zero_threshold}")
-        if self.max_retries < 1:
-            raise DomainError(f"max_retries must be >= 1, got "
-                              f"{self.max_retries}")
-        if not 0.0 < self.scan_step <= 1.0:
-            raise DomainError(f"scan_step outside (0, 1]: {self.scan_step}")
 
 
 @dataclass(frozen=True)
@@ -192,10 +183,10 @@ def find_eta(T: float, H: float, cfg: FactorConfig) -> float:
             f"H = {H:g} outside the admissible range ({h_lo:.4g}, "
             f"{h_hi:.4g}) at T = {T:g}")
     u0 = T ** cfg.u0_exponent
-    chain = z_chain(T, T + u0 + H, cfg.quad, cfg.rs)
+    chain = z_chain(T, T + u0 + H, cfg.rs)
     target = TWO_PI * H
 
-    etas = T + cfg.scan_step * np.arange(1, int(u0 / cfg.scan_step))
+    etas = T + _SCAN_STEP * np.arange(1, int(u0 / _SCAN_STEP))
     wins = chain.integral(etas, etas + H)
     g = wins * wins - target
     flips = np.nonzero(np.signbit(g[:-1]) != np.signbit(g[1:]))[0]
@@ -371,19 +362,19 @@ def build_alpha_sequence(T: float, H: float, k: int, cfg: FactorConfig,
     """Alpha chain for (T, H, k), retrying past zeta-zero neighborhoods.
 
     Candidate betas are tried nearest-midpoint first; one is accepted when
-    every |zeta| along its forward chain clears zero_threshold (the
+    every |zeta| along its forward chain clears ZERO_THRESHOLD (the
     factors must stay away from zeros for both sides to be finite).
     """
     eta, maps, a, b, hk, F, mean, roots = _build_job(T, H, k, cfg, table)
     tried = 0
-    for lo, hi in roots[:cfg.max_retries]:
+    for lo, hi in roots[:_MAX_RETRIES]:
         tried += 1
         beta = _refine_beta(maps, mean, lo, hi)
         _check_beta(maps, beta, mean)
         descend = maps.descend(beta)          # beta = alpha_k ... alpha_0
         alphas = tuple(reversed(descend))
         smallest = min(abs(em_zeta_half(x)) for x in alphas)
-        if smallest > cfg.zero_threshold:
+        if smallest > ZERO_THRESHOLD:
             return AlphaSequence(T=float(T), H=float(H), k=k, eta=eta,
                                  beta=beta, alphas=alphas, Hk=hk)
         _log.debug("beta candidate %d rejected: |zeta| = %.3g within the "

@@ -318,7 +318,7 @@ class InverseLevel:
         for step in (100.0 * 2 ** j for j in range(_WIDENINGS)):
             table.ensure(lo)
             t_c, self.i_c = table.value_at(lo)
-            self.chain = z2_chain(t_c, hi, table.cfg, table.rs_cfg)
+            self.chain = z2_chain(t_c, hi, table.rs_cfg)
             seen = xs >= t_c                # heights the chain covers
             bad = xs[seen][self.cumulative(xs[seen]) > targets[seen]]
             if bad.size:
@@ -437,7 +437,7 @@ class PrimePiTable:
     counts: np.ndarray
 
     @classmethod
-    def build(cls, limit: int = 1_100_000) -> "PrimePiTable":
+    def build(cls, limit: int) -> "PrimePiTable":
         if limit < 2:
             raise DomainError(f"sieve limit must be >= 2, got {limit}")
         mask = np.ones(limit + 1, dtype=bool)
@@ -445,8 +445,7 @@ class PrimePiTable:
         for p in range(2, math.isqrt(limit) + 1):
             if mask[p]:
                 mask[p * p::p] = False
-        return cls(limit=int(limit),
-                   counts=np.cumsum(mask).astype(np.int64))
+        return cls(limit=int(limit), counts=np.cumsum(mask, dtype=np.int64))
 
 
 def pi_count(x: float, table: PrimePiTable) -> int:
@@ -481,13 +480,19 @@ def calibration_offsets(anchors: Sequence[float], cfg: LadderConfig,
     return out
 
 
+# anchors of a calibration that names none: ten log-spaced heights across
+# [1e4, 1e5], the span calibrate_c0 requires
+CALIBRATION_ANCHORS = tuple(float(a) for a in np.geomspace(1e4, 1e5, 10))
+
+
 def calibrate_c0(anchors: Sequence[float], cfg: LadderConfig,
-                 table: SecondMomentTable,
-                 pi_table: PrimePiTable) -> float:
+                 table: SecondMomentTable) -> float:
     """Least-squares c0 over the anchors; writes it into cfg.
 
     Must run before any phi1-dependent call on the same config (single
-    exclusive mutation, per the module contract).
+    exclusive mutation, per the module contract).  The table is extended
+    to the top anchor before the sieve is sized by it, so an anchor out of
+    reach costs table time, never a sieve of that size.
     """
     ts = sorted(float(a) for a in anchors)
     if len(ts) < 3:
@@ -496,7 +501,9 @@ def calibrate_c0(anchors: Sequence[float], cfg: LadderConfig,
         raise CalibrationError(
             f"anchors must spread across [1e4, 1e5]; got span "
             f"[{ts[0]:g}, {ts[-1]:g}]")
-    offsets = calibration_offsets(ts, cfg, table, pi_table)
+    table.ensure(ts[-1])
+    offsets = calibration_offsets(ts, cfg, table,
+                                  PrimePiTable.build(math.floor(ts[-1])))
     c0 = fsum(offsets) / len(offsets)
     if not math.isfinite(c0):
         raise CalibrationError("calibration did not converge to a finite c0")

@@ -31,10 +31,10 @@ Two consumers sit on top of the same panel machinery:
   (`PanelChain.windowed_sq_integral`), with no further Z evaluations and
   no adaptivity.
 - SecondMomentTable: checkpoints of I(T) = int_0^T Z^2 at a fixed stride,
-  extended append-only (single writer) and persisted as `smtable-v2` files
-  keyed by `table_key`: the QuadConfig fingerprint plus the Riemann-Siegel
-  correction order, written whole (`write_atomic`) and refused on load
-  when damaged.
+  extended append-only, one segment after another under a lock, and
+  persisted as `smtable-v2` files keyed by `table_key`: the QuadConfig
+  fingerprint plus the Riemann-Siegel correction order, written whole
+  (`write_atomic`) and refused on load when damaged.
 
 Below t = 8pi the Riemann-Siegel route is too short to trust, so Z switches
 to the rotated Euler-Maclaurin oracle there; Z^2 is the square of that Z
@@ -48,7 +48,6 @@ import hashlib
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import fsum
 from typing import Callable, List, Tuple
@@ -467,13 +466,11 @@ class PanelChain:
         return float(self.cum[-1])
 
 
-def z_chain(a: float, b: float, cfg: QuadConfig = QuadConfig(),
-            rs_cfg: RSConfig = RSConfig()) -> PanelChain:
+def z_chain(a: float, b: float, rs_cfg: RSConfig = RSConfig()) -> PanelChain:
     return PanelChain.build(a, b, lambda ts: z_values(ts, rs_cfg))
 
 
-def z2_chain(a: float, b: float, cfg: QuadConfig = QuadConfig(),
-             rs_cfg: RSConfig = RSConfig()) -> PanelChain:
+def z2_chain(a: float, b: float, rs_cfg: RSConfig = RSConfig()) -> PanelChain:
     return PanelChain.build(a, b, lambda ts: z2_values(ts, rs_cfg))
 
 
@@ -481,8 +478,8 @@ class SecondMomentTable:
     """Append-only checkpoints of I(T) = int_0^T Z^2 at a fixed stride.
 
     Checkpoint values depend only on the stride grid and the configs, never
-    on which caller triggered the extension, so concurrent use just needs
-    the single-writer lock around extension.
+    on which caller triggered the extension, so concurrent callers (the
+    sweep's threads) just need the lock around extension.
     """
 
     STRIDE = 64.0
@@ -505,33 +502,20 @@ class SecondMomentTable:
     def checkpoints(self) -> List[Tuple[float, float]]:
         return list(zip(self._ts, self._is))
 
-    def ensure(self, t: float, workers: int = 0) -> None:
+    def ensure(self, t: float) -> None:
         """Extend checkpoints so the last one is within one stride below t.
 
-        Segments are independent integrals, so they may be evaluated by a
-        thread pool; the fold into running totals stays in ascending order,
-        which keeps the checkpoint values bit-identical for any worker count.
+        Segments are integrated in ascending order and folded into the
+        running total as they come, under the lock, so a thread that finds
+        the table short waits for the one extending it.
         """
         with self._lock:
             n_seg = int((t - self._ts[-1]) // self.STRIDE)
-            if n_seg <= 0:
-                return
-            base = self._ts[-1]
-            los = [base + i * self.STRIDE for i in range(n_seg)]
-
-            def seg_value(lo: float) -> float:
-                return adaptive_integrate(
+            for _ in range(n_seg):
+                lo = self._ts[-1]
+                v = adaptive_integrate(
                     lambda t, dt: z2_values(t, self.rs_cfg, dts=dt), lo,
                     lo + self.STRIDE, self.cfg).value
-
-            if workers <= 0:
-                workers = min(8, os.cpu_count() or 1)
-            if workers > 1 and n_seg > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    vals = list(pool.map(seg_value, los))
-            else:
-                vals = [seg_value(lo) for lo in los]
-            for lo, v in zip(los, vals):
                 self._ts.append(lo + self.STRIDE)
                 self._is.append(self._is[-1] + v)
 
@@ -642,8 +626,7 @@ def admissible_h_range(T: float) -> Tuple[float, float]:
     return llt / lt, T ** (1.0 / llt)
 
 
-def hl_moment(T: float, H: float, cfg: QuadConfig = QuadConfig(),
-              rs_cfg: RSConfig = RSConfig(),
+def hl_moment(T: float, H: float, rs_cfg: RSConfig = RSConfig(),
               u0_exponent: float = 0.5001) -> MomentReport:
     """Mean square of the windowed integral int_t^{t+H} Z over [T, T+U0].
 
@@ -661,7 +644,7 @@ def hl_moment(T: float, H: float, cfg: QuadConfig = QuadConfig(),
         raise DomainError(
             f"H={H} not admissible at T={T}: need {lo:.6g} < H < {hi:.6g}")
     u0 = T ** u0_exponent
-    chain = z_chain(T, T + u0 + H, cfg, rs_cfg)
+    chain = z_chain(T, T + u0 + H, rs_cfg)
     jbar = chain.windowed_sq_integral(T, T + u0, H)
     return MomentReport(T=T, H=H, U0=u0, jbar=jbar,
                        ratio=jbar / (TWO_PI * H * u0))

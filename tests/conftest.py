@@ -48,9 +48,9 @@ def pi_table() -> PrimePiTable:
 
 
 @pytest.fixture(scope="session")
-def ladder_cfg(smtable, pi_table) -> LadderConfig:
+def ladder_cfg(smtable) -> LadderConfig:
     cfg = LadderConfig()
-    calibrate_c0(list(ANCHORS), cfg, smtable, pi_table)
+    calibrate_c0(list(ANCHORS), cfg, smtable)
     return cfg
 
 

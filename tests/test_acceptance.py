@@ -106,14 +106,13 @@ def test_criterion_03_first_zero(record_criterion):
                     f", |Z| there {z_here:.2e}")
 
 
-def test_criterion_04_moment_ratio_tightens(qcfg, rs_cfg,
-                                            record_criterion):
-    base = hl_moment(1.0e5, 2.0, qcfg, rs_cfg)
+def test_criterion_04_moment_ratio_tightens(rs_cfg, record_criterion):
+    base = hl_moment(1.0e5, 2.0, rs_cfg)
     in_band = 0.7 <= base.ratio <= 1.3
 
     def dev(T):
-        offs = [abs(hl_moment(T * (1.0 + 0.003 * j), 2.0, qcfg,
-                              rs_cfg).ratio - 1.0) for j in range(5)]
+        offs = [abs(hl_moment(T * (1.0 + 0.003 * j), 2.0, rs_cfg).ratio
+                    - 1.0) for j in range(5)]
         return sum(offs) / len(offs)
 
     d4 = dev(1.0e4)
@@ -185,7 +184,7 @@ def test_criterion_08_chains_strict_everywhere(sweep_reports, fconfig,
             abs(ld.phi1(seq.alphas[r + 1], fconfig.ladder, smtable).phi1
                 - seq.alphas[r]) <= 1e-6 * seq.alphas[r]
             for r in range(k))
-        clear = all(abs(em_zeta_half(a)) > fconfig.zero_threshold
+        clear = all(abs(em_zeta_half(a)) > fz.ZERO_THRESHOLD
                     for a in seq.alphas)
         good += strict and links and clear
     ok = good == len(sweep_reports) == 20

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from zetaladder import cli, kernels, svgplot
+from zetaladder import ladder as ld
 from zetaladder.ladder import save_calibration
 from zetaladder.quadrature import PanelChain, save_table
 from zetaladder.special import riemann_siegel_z
@@ -261,6 +263,27 @@ class TestFactorize:
         assert run(cli_cache, "factorize", "--sweep", "H=1:2:3", "--H", "2",
                    "--k", "1", "--out", str(out)) == 2
 
+    def test_sieve_built_only_where_pi_is_read(self, cli_cache, tmp_path,
+                                               monkeypatch):
+        limits = []
+        build = ld.PrimePiTable.build.__func__
+
+        def counted(cls, limit):
+            limits.append(limit)
+            return build(cls, limit)
+
+        monkeypatch.setattr(ld.PrimePiTable, "build", classmethod(counted))
+        assert run(cli_cache, "factorize", "--T", "10000", "--H", "2",
+                   "--k", "1", "--out", str(tmp_path / "f.json")) == 0
+        assert limits == []
+        assert run(cli_cache, "ladder", "--T", "12000", "--out",
+                   str(tmp_path / "ladder.csv")) == 0
+        assert limits and max(limits) <= 12000
+        limits.clear()
+        assert run(cli_cache, "calibrate", "--anchors", "10000,31623,100000",
+                   "--out", str(tmp_path / "calibration.txt")) == 0
+        assert limits == [100000]
+
 
 class TestSpectrum:
     def test_two_frequencies_at_8pi(self, cli_cache, tmp_path):
@@ -381,13 +404,13 @@ class TestImportPath:
 class TestConfigPlumbing:
     def test_file_then_flag_precedence(self, cli_cache, tmp_path):
         cfg = tmp_path / "zl.cfg"
-        cfg.write_text("abs_tol = 1e-7\nmax_retries = 4\n")
+        cfg.write_text("abs_tol = 1e-7\nmax_depth = 30\n")
         out = tmp_path / "s.csv"
         run(cli_cache, "spectrum", "--x", "100", "--out", str(out),
             "--config", str(cfg))
         eff = manifest_of(out)["parameters"]["config"]
         assert eff["abs_tol"] == 1e-7
-        assert eff["max_retries"] == 4
+        assert eff["max_depth"] == 30
         run(cli_cache, "spectrum", "--x", "100", "--out", str(out),
             "--config", str(cfg), "--abs-tol", "1e-6")
         eff = manifest_of(out)["parameters"]["config"]
@@ -401,18 +424,48 @@ class TestConfigPlumbing:
                    "--config", str(cfg)) == 2
         assert "unknown config key" in capsys.readouterr().err
 
-    def test_osc_factor_is_no_longer_an_option(self, cli_cache, tmp_path,
-                                               capsys):
+    @pytest.mark.parametrize("key", [
+        "osc_factor", "zero_threshold", "max_retries", "scan_step",
+        "sieve_limit", "anchor_lo", "anchor_hi", "anchor_count"])
+    def test_deleted_key_is_not_an_option(self, cli_cache, tmp_path, capsys,
+                                          key):
         out = tmp_path / "s.csv"
         with pytest.raises(SystemExit) as exc:
             run(cli_cache, "spectrum", "--x", "100", "--out", str(out),
-                "--osc-factor", "0.5")
+                "--" + key.replace("_", "-"), "1")
         assert exc.value.code == 2
         cfg = tmp_path / "zl.cfg"
-        cfg.write_text("osc_factor = 0.5\n")
+        cfg.write_text(f"{key} = 1\n")
         assert run(cli_cache, "spectrum", "--x", "100", "--out", str(out),
                    "--config", str(cfg)) == 2
-        assert "unknown config key 'osc_factor'" in capsys.readouterr().err
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, config, bad", [
+        (("spectrum", "--x", "100"), "max_depth = 2.5\n", "'2.5'"),
+        (("factorize", "--sweep", "T=1e4:2e4:x", "--H", "2", "--k", "1"),
+         None, "'x'"),
+        (("ladder", "--T", "1e4,abc"), None, "'abc'"),
+        (("calibrate", "--anchors", "1e4,x"), None, "'x'"),
+        (("calibrate", "--anchors", "1e4,3e4,inf"), None, "inf is not"),
+    ], ids=["config", "sweep", "ladder", "anchors", "anchors-inf"])
+    def test_malformed_number_exits_2(self, tmp_path, capsys, argv, config,
+                                      bad):
+        # a fresh cache: the number is refused before any calibration
+        cache = tmp_path / "fresh"
+        if config is not None:
+            (tmp_path / "zl.cfg").write_text(config)
+            argv += ("--config", str(tmp_path / "zl.cfg"))
+        assert run(cache, *argv, "--out", str(tmp_path / "out")) == 2
+        assert bad in capsys.readouterr().err
+        assert not (cache / "smtable.csv").exists()
+
+    def test_readme_lists_every_config_key(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", readme.read_text(),
+                          re.M)
+        assert [k for k, _ in rows] == list(cli._DEFAULTS)
+        assert [type(cli._DEFAULTS[k])(v.strip()) for k, v in rows] \
+            == list(cli._DEFAULTS.values())
 
 
 class TestWholeOutputs:

@@ -41,16 +41,10 @@ class TestFactorConfig:
     def test_defaults_accepted(self, ladder_cfg):
         cfg = fz.FactorConfig(ladder=ladder_cfg)
         assert cfg.u0_exponent == 0.5001
-        assert cfg.max_retries == 8
 
     @pytest.mark.parametrize("kwargs", [
         {"u0_exponent": 0.4},
         {"u0_exponent": 0.8},
-        {"zero_threshold": 0.0},
-        {"zero_threshold": 0.5},
-        {"max_retries": 0},
-        {"scan_step": 0.0},
-        {"scan_step": 2.0},
     ])
     def test_validation(self, ladder_cfg, kwargs):
         with pytest.raises(DomainError):
@@ -182,9 +176,9 @@ class TestAlphaSequence:
             down = phi1(seq_big.alphas[r + 1], fconfig.ladder, smtable).phi1
             assert down == pytest.approx(seq_big.alphas[r], rel=1e-6)
 
-    def test_factors_clear_the_zero_threshold(self, seq_big, fconfig):
+    def test_factors_clear_the_zero_threshold(self, seq_big):
         for a in seq_big.alphas:
-            assert abs(em_zeta_half(a)) > fconfig.zero_threshold
+            assert abs(em_zeta_half(a)) > fz.ZERO_THRESHOLD
 
     def test_gaps_track_prime_count(self, seq_big, fconfig, pi_table):
         unit = [(1.0 - fconfig.ladder.euler_c) * pi_count(a, pi_table)

@@ -350,18 +350,17 @@ class TestCalibration:
                                  * ld.pi_count(T, pi_table))
         assert not 0.7 <= ratio <= 1.3
 
-    def test_writes_config(self, smtable, pi_table):
+    def test_writes_config(self, smtable):
         cfg = ld.LadderConfig()
-        c0 = ld.calibrate_c0(list(np.geomspace(1e4, 1e5, 5)), cfg, smtable,
-                             pi_table)
+        c0 = ld.calibrate_c0(list(np.geomspace(1e4, 1e5, 5)), cfg, smtable)
         assert cfg.c0 == c0 and math.isfinite(c0)
 
-    def test_needs_enough_spread(self, smtable, pi_table):
+    def test_needs_enough_spread(self, smtable):
         cfg = ld.LadderConfig()
         with pytest.raises(CalibrationError):
-            ld.calibrate_c0([1e4, 2e4], cfg, smtable, pi_table)
+            ld.calibrate_c0([1e4, 2e4], cfg, smtable)
         with pytest.raises(CalibrationError):
-            ld.calibrate_c0([3e4, 4e4, 5e4], cfg, smtable, pi_table)
+            ld.calibrate_c0([3e4, 4e4, 5e4], cfg, smtable)
 
     def test_artifact_round_trip(self, tmp_path, ladder_cfg, smtable):
         path = tmp_path / "calibration.txt"

@@ -11,6 +11,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -179,7 +181,7 @@ class TestWidePanels:
         script = ("import sys\n"
                   "from zetaladder.quadrature import (SecondMomentTable,\n"
                   "                                   hl_moment)\n"
-                  "SecondMomentTable().ensure(64.0, workers=1)\n"
+                  "SecondMomentTable().ensure(64.0)\n"
                   "hl_moment(1.0e4, 1.5)\n"
                   "print('numpy.ma' in sys.modules)\n")
         proc = subprocess.run([sys.executable, "-c", script], env=env,
@@ -254,9 +256,9 @@ class TestIntegrateZ:
         parts = _int_z(a, b, qcfg) + _int_z(b, c, qcfg)
         assert abs(whole - parts) <= 2.0 * qcfg.abs_tol
 
-    def test_windowed_mean_square(self, qcfg):
+    def test_windowed_mean_square(self):
         # (int_eta^{eta+2} Z)^2 averages to about 2 pi H over many windows
-        chain = z_chain(1.0e4, 1.0e4 + 302.5, qcfg)
+        chain = z_chain(1.0e4, 1.0e4 + 302.5)
         etas = np.random.default_rng(5).uniform(1.0e4, 1.0e4 + 300.0, 100)
         vals = chain.integral(etas, etas + 2.0) ** 2 / (TWO_PI * 2.0)
         assert 0.5 <= float(np.mean(vals)) <= 1.5
@@ -295,25 +297,25 @@ class TestIntegrateZ2:
 
 
 class TestPanelChain:
-    def test_prefix_endpoints_and_total(self, qcfg):
-        ch = z2_chain(1.0e4, 1.0e4 + 8.0, qcfg)
+    def test_prefix_endpoints_and_total(self):
+        ch = z2_chain(1.0e4, 1.0e4 + 8.0)
         assert float(ch.prefix(ch.a)) == pytest.approx(0.0, abs=1e-10)
         assert float(ch.prefix(ch.b)) == pytest.approx(ch.total, abs=1e-9)
 
     def test_matches_adaptive(self, qcfg):
-        ch = z2_chain(1.0e4, 1.0e4 + 8.0, qcfg)
+        ch = z2_chain(1.0e4, 1.0e4 + 8.0)
         direct = _int_z2(1.0e4 + 1.0, 1.0e4 + 7.0, qcfg)
         assert float(ch.integral(1.0e4 + 1.0, 1.0e4 + 7.0)) \
             == pytest.approx(direct, abs=1e-8)
 
-    def test_slope_is_the_integrand(self, qcfg):
-        ch = z2_chain(1.0e4, 1.0e4 + 8.0, qcfg)
+    def test_slope_is_the_integrand(self):
+        ch = z2_chain(1.0e4, 1.0e4 + 8.0)
         ts = np.linspace(1.0e4 + 0.5, 1.0e4 + 7.5, 400)
         diff = np.abs(ch.slope(ts) - z2_values(ts))
         assert float(diff.max()) <= 1e-8 * (1.0 + float(z2_values(ts).max()))
 
-    def test_prefix_outside_span(self, qcfg):
-        ch = z_chain(1.0e4, 1.0e4 + 4.0, qcfg)
+    def test_prefix_outside_span(self):
+        ch = z_chain(1.0e4, 1.0e4 + 4.0)
         with pytest.raises(RangeError):
             ch.prefix(1.0e4 + 5.0)
 
@@ -380,12 +382,23 @@ class TestPanelBatchInvariance:
 
 
 class TestSecondMomentTable:
-    def test_worker_count_invisible(self, qcfg, rs_cfg):
-        t1 = SecondMomentTable(qcfg, rs_cfg)
-        t1.ensure(320.0, workers=1)
-        t3 = SecondMomentTable(qcfg, rs_cfg)
-        t3.ensure(320.0, workers=3)
-        assert t1.checkpoints == t3.checkpoints
+    def test_concurrent_ensure_matches_serial(self, qcfg, rs_cfg):
+        # the sweep's threads extend one shared table; the lock makes the
+        # second caller wait and then find the checkpoints already there
+        serial = SecondMomentTable(qcfg, rs_cfg)
+        serial.ensure(320.0)
+        shared = SecondMomentTable(qcfg, rs_cfg)
+        start = threading.Barrier(2)
+
+        def extend():
+            start.wait(timeout=30)
+            shared.ensure(320.0)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for fut in [pool.submit(extend) for _ in range(2)]:
+                fut.result()
+        assert shared.checkpoints == serial.checkpoints
+        assert len(serial.checkpoints) == 6
 
     def test_extension_order_invisible(self, qcfg, rs_cfg):
         stepped = SecondMomentTable(qcfg, rs_cfg)
@@ -508,8 +521,8 @@ class TestHlMoment:
         with pytest.raises(DomainError):
             hl_moment(50.0, 1.0)
 
-    def test_report_fields(self, qcfg, rs_cfg):
-        rep = hl_moment(2.0e4, 2.0, qcfg, rs_cfg)
+    def test_report_fields(self, rs_cfg):
+        rep = hl_moment(2.0e4, 2.0, rs_cfg)
         assert isinstance(rep, MomentReport)
         assert rep.U0 == pytest.approx(2.0e4 ** 0.5001, rel=1e-14)
         assert rep.jbar >= 0.0
@@ -518,9 +531,9 @@ class TestHlMoment:
         assert d["schema"] == "moment-v1"
         assert set(d) == {"schema", "T", "H", "U0", "jbar", "ratio"}
 
-    def test_deterministic_across_calls(self, qcfg, rs_cfg):
-        r1 = hl_moment(1.0e4, 1.5, qcfg, rs_cfg)
-        r2 = hl_moment(1.0e4, 1.5, qcfg, rs_cfg)
+    def test_deterministic_across_calls(self, rs_cfg):
+        r1 = hl_moment(1.0e4, 1.5, rs_cfg)
+        r2 = hl_moment(1.0e4, 1.5, rs_cfg)
         assert r1.jbar == r2.jbar and r1.ratio == r2.ratio
 
     @pytest.mark.parametrize("h", [0.3, 0.5])
@@ -598,9 +611,9 @@ class TestHlMoment:
         # the adaptive integral of the squared prefix difference is the
         # reference: the same chain, integrated to its tolerance
         h, u0 = 2.0, T ** 0.5001
-        chain = z_chain(T, T + u0 + h, qcfg, rs_cfg)
+        chain = z_chain(T, T + u0 + h, rs_cfg)
         ref = adaptive_integrate(
             lambda ts, _: chain.integral(ts, ts + h) ** 2, T, T + u0, qcfg)
         got = chain.windowed_sq_integral(T, T + u0, h)
         assert abs(got - ref.value) <= 1e-11 * ref.value
-        assert hl_moment(T, h, qcfg, rs_cfg).jbar == got
+        assert hl_moment(T, h, rs_cfg).jbar == got
