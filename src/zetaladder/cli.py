@@ -44,10 +44,10 @@ from . import ladder as ld
 from . import svgplot
 from .errors import (CalibrationError, DegenerateConfigurationError,
                      DomainError, PrecisionError, TableIntegrityError)
-from .quadrature import (QuadConfig, SecondMomentTable, admissible_h_range,
-                         hl_moment, load_table, save_table, table_key,
-                         write_atomic)
-from .special import RSConfig, em_zeta_half, riemann_siegel_z, z_phase
+from .quadrature import (U0_EXPONENT, QuadConfig, SecondMomentTable,
+                         admissible_h_range, hl_moment, load_table,
+                         save_table, table_key, write_atomic)
+from .special import em_zeta_half, riemann_siegel_z, z_phase
 
 _log = logging.getLogger(__name__)
 
@@ -55,16 +55,15 @@ _DEFAULTS: Dict[str, object] = {
     "abs_tol": 1e-8,
     "rel_tol": 1e-8,
     "max_depth": 24,
-    "correction_order": 1,
-    "u0_exponent": 0.5001,
     "workers": 0,
 }
 
 _TABLE_FILE = "smtable.csv"
 _CALIB_FILE = "calibration.txt"
 
-# rows `eval` writes at most, so a tiny step is refused, not run for hours
-_EVAL_MAX_ROWS = 10 ** 6
+# rows `eval` writes and values a sweep spans at most, so a tiny step or a
+# huge count is refused, not run for hours or allocated
+_MAX_ROWS = 10 ** 6
 
 
 def _write_manifest(command: str, out: Path, params: Dict[str, object],
@@ -122,10 +121,6 @@ def _quad_config(eff: Dict[str, object]) -> QuadConfig:
                       max_depth=int(eff["max_depth"]))
 
 
-def _rs_config(eff: Dict[str, object]) -> RSConfig:
-    return RSConfig(correction_order=int(eff["correction_order"]))
-
-
 def _cache_dir(args: argparse.Namespace) -> Path:
     path = getattr(args, "cache_dir", None) \
         or os.environ.get("ZL_CACHE_DIR") or ".zlcache"
@@ -134,21 +129,20 @@ def _cache_dir(args: argparse.Namespace) -> Path:
     return cache
 
 
-def _load_or_new_table(cache: Path, qcfg: QuadConfig,
-                       rs_cfg: RSConfig) -> SecondMomentTable:
+def _load_or_new_table(cache: Path, qcfg: QuadConfig) -> SecondMomentTable:
     path = cache / _TABLE_FILE
     if path.exists():
         try:
-            return load_table(path, qcfg, rs_cfg)
+            return load_table(path, qcfg)
         except (TableIntegrityError, ValueError) as exc:
             _log.warning("ignoring cached table %s: %s", path, exc)
-    return SecondMomentTable(qcfg, rs_cfg)
+    return SecondMomentTable(qcfg)
 
 
-def _calibrated_context(args, qcfg, rs_cfg):
+def _calibrated_context(args, qcfg):
     """Cache, table and calibrated ladder config shared by ladder stages."""
     cache = _cache_dir(args)
-    table = _load_or_new_table(cache, qcfg, rs_cfg)
+    table = _load_or_new_table(cache, qcfg)
     art = cache / _CALIB_FILE
     cfg = None
     if art.exists():
@@ -163,8 +157,8 @@ def _calibrated_context(args, qcfg, rs_cfg):
             _log.warning("ignoring calibration artifact: %s", exc)
     if cfg is None:
         anchors = ld.CALIBRATION_ANCHORS
-        _log.info("calibrating c0 at %d anchors (first run extends the "
-                  "checkpoint table and takes minutes)", len(anchors))
+        _log.info("calibrating c0 at %d anchors (extends the checkpoint "
+                  "table to the top anchor first)", len(anchors))
         cfg = _calibrate(cache, table, anchors, art)
     return cache, table, cfg
 
@@ -178,11 +172,6 @@ def _calibrate(cache: Path, table: SecondMomentTable,
     ld.save_calibration(out, cfg, table, anchors)
     save_table(table, cache / _TABLE_FILE)
     return cfg
-
-
-def _factor_config(eff, cfg_ladder, qcfg, rs_cfg) -> fz.FactorConfig:
-    return fz.FactorConfig(ladder=cfg_ladder, quad=qcfg, rs=rs_cfg,
-                           u0_exponent=float(eff["u0_exponent"]))
 
 
 def _write_rows(path: Path, header: str, rows: Sequence[str]) -> None:
@@ -202,6 +191,9 @@ def _parse_sweep(text: str) -> List[float]:
             from None
     if not (0 < lo <= hi < math.inf) or n < 1:
         raise DomainError(f"bad sweep range in {text!r}")
+    if n >= _MAX_ROWS:
+        raise DomainError(f"sweep spec {text!r} asks for {n} values; it "
+                          f"must ask for fewer than {_MAX_ROWS}")
     return [float(v) for v in np.geomspace(lo, hi, n)]
 
 
@@ -230,18 +222,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"that advances t at --to, got --from {args.start} --to "
             f"{args.stop} --step {args.step}")
     span = (args.stop - args.start) / args.step + 1e-9
-    if span >= _EVAL_MAX_ROWS:
-        raise DomainError(f"eval would write more than {_EVAL_MAX_ROWS} "
+    if span >= _MAX_ROWS:
+        raise DomainError(f"eval would write more than {_MAX_ROWS} "
                           "rows; raise --step or narrow the range")
     n = int(math.floor(span)) + 1 if args.stop >= args.start else 0
     eff = _effective_config(args)
-    rs_cfg = _rs_config(eff)
     out = Path(args.out)
     header = "t,Z,theta,abs_zeta,oracle_diff"
     rows = []
     for i in range(n):
         t = args.start + i * args.step
-        point = riemann_siegel_z(t, rs_cfg)
+        point = riemann_siegel_z(t)
         zeta = em_zeta_half(t)
         diff = abs(point.z - (z_phase(t) * zeta).real)
         rows.append(",".join([repr(t), repr(point.z), repr(point.theta),
@@ -253,13 +244,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _moment_cache_key(T: float, H: float, eff, qcfg: QuadConfig,
-                      rs_cfg: RSConfig) -> str:
+def _moment_cache_key(T: float, H: float, qcfg: QuadConfig) -> str:
     # outer=gl16 names the outer integral's rule: a memo of the adaptive
     # rule differs in jbar's last digits and is recomputed, not replayed
     blob = "|".join(["moment", repr(float(T)), repr(float(H)),
-                     repr(float(eff["u0_exponent"])),
-                     table_key(qcfg, rs_cfg), "outer=gl16"])
+                     repr(U0_EXPONENT), table_key(qcfg), "outer=gl16"])
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -290,7 +279,6 @@ def _replayable_memo(memo: Path, T: float, H: float) -> Optional[str]:
 
 def cmd_moment(args: argparse.Namespace) -> int:
     eff = _effective_config(args)
-    qcfg, rs_cfg = _quad_config(eff), _rs_config(eff)
     cache = _cache_dir(args)
     out = Path(args.out)
     h_lo, h_hi = admissible_h_range(args.T)
@@ -299,13 +287,13 @@ def cmd_moment(args: argparse.Namespace) -> int:
             f"H = {args.H:g} inadmissible at T = {args.T:g}: needs "
             f"ln ln T / ln T < H < T^(1/ln ln T), i.e. ({h_lo:.6g}, "
             f"{h_hi:.6g})")
-    memo = cache / f"moment-{_moment_cache_key(args.T, args.H, eff, qcfg, rs_cfg)}.json"
+    key = _moment_cache_key(args.T, args.H, _quad_config(eff))
+    memo = cache / f"moment-{key}.json"
     text = None
     if memo.exists() and not args.no_cache:
         text = _replayable_memo(memo, args.T, args.H)
     if text is None:
-        report = hl_moment(args.T, args.H, rs_cfg,
-                           u0_exponent=float(eff["u0_exponent"]))
+        report = hl_moment(args.T, args.H)
         text = json.dumps(report.as_dict(), indent=2) + "\n"
         write_atomic(memo, text)
     write_atomic(out, text)
@@ -322,9 +310,8 @@ def _parse_t_list(text: str) -> List[float]:
 
 def cmd_ladder(args: argparse.Namespace) -> int:
     eff = _effective_config(args)
-    qcfg, rs_cfg = _quad_config(eff), _rs_config(eff)
     ts = _parse_t_list(args.T) if args.T else ld.CALIBRATION_ANCHORS
-    cache, table, cfg = _calibrated_context(args, qcfg, rs_cfg)
+    cache, table, cfg = _calibrated_context(args, _quad_config(eff))
     points = [ld.phi1(t, cfg, table) for t in ts]
     # sized only once phi1 has accepted every T and extended the table to it
     pi_table = ld.PrimePiTable.build(max([2] + [math.floor(t) for t in ts]))
@@ -344,10 +331,8 @@ def cmd_ladder(args: argparse.Namespace) -> int:
 
 def cmd_alphas(args: argparse.Namespace) -> int:
     eff = _effective_config(args)
-    qcfg, rs_cfg = _quad_config(eff), _rs_config(eff)
-    cache, table, cfg = _calibrated_context(args, qcfg, rs_cfg)
-    fcfg = _factor_config(eff, cfg, qcfg, rs_cfg)
-    seq = fz.build_alpha_sequence(args.T, args.H, args.k, fcfg, table)
+    cache, table, cfg = _calibrated_context(args, _quad_config(eff))
+    seq = fz.build_alpha_sequence(args.T, args.H, args.k, cfg, table)
     doc = {"schema": "alphaseq-v1", "T": seq.T, "H": seq.H, "k": seq.k,
            "eta": seq.eta, "beta": seq.beta, "Hk": seq.Hk,
            "alphas": list(seq.alphas)}
@@ -362,14 +347,12 @@ def cmd_alphas(args: argparse.Namespace) -> int:
 
 def cmd_factorize(args: argparse.Namespace) -> int:
     eff = _effective_config(args)
-    qcfg, rs_cfg = _quad_config(eff), _rs_config(eff)
     ts = _parse_sweep(args.sweep) if args.sweep else None
-    cache, table, cfg = _calibrated_context(args, qcfg, rs_cfg)
-    fcfg = _factor_config(eff, cfg, qcfg, rs_cfg)
+    cache, table, cfg = _calibrated_context(args, _quad_config(eff))
     out = Path(args.out)
     if ts is not None:
         def job(t: float) -> str:
-            report = fz.factorize(t, args.H, args.k, fcfg, table)
+            report = fz.factorize(t, args.H, args.k, cfg, table)
             _log.info("factorize sweep: T = %g done", t)
             return report.csv_row()
 
@@ -385,7 +368,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         params = {"sweep": args.sweep, "H": args.H, "k": args.k}
         print(f"factorize: {len(rows)} sweep rows -> {out}")
     else:
-        report = fz.factorize(args.T, args.H, args.k, fcfg, table)
+        report = fz.factorize(args.T, args.H, args.k, cfg, table)
         write_atomic(out, json.dumps(report.as_dict(), indent=2) + "\n")
         params = {"T": args.T, "H": args.H, "k": args.k}
         print(f"factorize: ratio = {report.ratio:.6f} -> {out}")
@@ -407,11 +390,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     eff = _effective_config(args)
-    qcfg, rs_cfg = _quad_config(eff), _rs_config(eff)
     cache = _cache_dir(args)
     anchors = _parse_floats(args.anchors, "--anchors") if args.anchors \
         else ld.CALIBRATION_ANCHORS
-    table = _load_or_new_table(cache, qcfg, rs_cfg)
+    table = _load_or_new_table(cache, _quad_config(eff))
     out = Path(args.out) if args.out else cache / _CALIB_FILE
     c0 = _calibrate(cache, table, anchors, out).c0
     _write_manifest("calibrate", out, {"anchors": anchors}, eff)

@@ -49,17 +49,14 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (DegenerateConfigurationError, DomainError,
-                     PrecisionError, TableIntegrityError)
+from .errors import DegenerateConfigurationError, DomainError, PrecisionError
 from .ladder import LadderConfig, brentq, inverse_levels, invert_profile
-from .quadrature import (QuadConfig, SecondMomentTable, adaptive_integrate,
-                         admissible_h_range, table_key, z2_values, z_chain,
-                         z_values)
+from .quadrature import (U0_EXPONENT, SecondMomentTable, adaptive_integrate,
+                         admissible_h_range, z2_values, z_chain, z_values)
 # no longer called here; kept because the benchmark's layer tracer wraps them
 from .ladder import phi1, phi1_iterates  # noqa: F401
 from .quadrature import cumulative_I, z2_chain  # noqa: F401
-from .special import (RS_MIN, RSConfig, TWO_PI, em_zeta_half,
-                      riemann_siegel_z, tau)
+from .special import RS_MIN, TWO_PI, em_zeta_half, riemann_siegel_z, tau
 
 _SQRT_TWO_PI = math.sqrt(TWO_PI)
 
@@ -68,28 +65,6 @@ _MAX_RETRIES = 8        # mean-value roots tried before a job is degenerate
 _SCAN_STEP = 0.1        # grid step of the eta scan over (T, T+U0)
 
 _log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class FactorConfig:
-    """Settings of the alpha-sequence construction.
-
-    ladder carries the calibrated constants; quad and rs must match the
-    table_key of the checkpoint table in use; U0 = T^u0_exponent is the
-    span of the eta scan.
-    """
-
-    ladder: LadderConfig
-    quad: QuadConfig = QuadConfig()
-    rs: RSConfig = RSConfig()
-    u0_exponent: float = 0.5001
-
-    def __post_init__(self):
-        if not isinstance(self.ladder, LadderConfig):
-            raise DomainError("ladder must be a LadderConfig")
-        if not 0.5 <= self.u0_exponent <= 0.75:
-            raise DomainError(
-                f"u0_exponent outside [0.5, 0.75]: {self.u0_exponent}")
 
 
 @dataclass(frozen=True)
@@ -173,8 +148,9 @@ class SpectrumEntry:
     omega: float
 
 
-def find_eta(T: float, H: float, cfg: FactorConfig) -> float:
-    """Mean-value point of the Z window integral above T."""
+def find_eta(T: float, H: float) -> float:
+    """Mean-value point of the Z window integral above T, scanned over
+    (T, T+U0) with U0 = T^U0_EXPONENT."""
     if T < RS_MIN:
         raise DomainError(f"find_eta needs T >= 8pi, got {T}")
     h_lo, h_hi = admissible_h_range(T)
@@ -182,8 +158,8 @@ def find_eta(T: float, H: float, cfg: FactorConfig) -> float:
         raise DomainError(
             f"H = {H:g} outside the admissible range ({h_lo:.4g}, "
             f"{h_hi:.4g}) at T = {T:g}")
-    u0 = T ** cfg.u0_exponent
-    chain = z_chain(T, T + u0 + H, cfg.rs)
+    u0 = T ** U0_EXPONENT
+    chain = z_chain(T, T + u0 + H)
     target = TWO_PI * H
 
     etas = T + _SCAN_STEP * np.arange(1, int(u0 / _SCAN_STEP))
@@ -221,14 +197,13 @@ class _LevelMaps:
     the same chain and inverts the profile to step back down.
     """
 
-    def __init__(self, H: float, k: int, eta: float, cfg: FactorConfig,
+    def __init__(self, H: float, k: int, eta: float, cfg: LadderConfig,
                  table: SecondMomentTable):
         self.k = k
         self.cfg = cfg
-        self._slope_c = 1.0 + cfg.ladder.euler_c - math.log(TWO_PI)
+        self._slope_c = 1.0 + cfg.euler_c - math.log(TWO_PI)
         # level 0 never maps down
-        self.levels = [None] + inverse_levels([eta, eta + H], k, cfg.ladder,
-                                              table)
+        self.levels = [None] + inverse_levels([eta, eta + H], k, cfg, table)
         self.bounds = [(eta, eta + H)] + [tuple(lv.heights.tolist())
                                           for lv in self.levels[1:]]
         for r, (lo, hi) in enumerate(self.bounds[1:], start=1):
@@ -239,8 +214,7 @@ class _LevelMaps:
                     "the window")
 
     def map_down(self, level: int, xs: np.ndarray) -> np.ndarray:
-        return invert_profile(self.levels[level].cumulative(xs),
-                              self.cfg.ladder)
+        return invert_profile(self.levels[level].cumulative(xs), self.cfg)
 
     def map_up(self, level: int, prev: np.ndarray) -> np.ndarray:
         """Preimages on `level` of heights `prev` one level below."""
@@ -260,9 +234,9 @@ class _LevelMaps:
         cur = np.asarray(xs, dtype=np.float64)
         val = np.ones_like(cur)
         for level in range(self.k, 0, -1):
-            val = val * z2_values(cur, self.cfg.rs) / np.log(cur)
+            val = val * z2_values(cur) / np.log(cur)
             cur = self.map_down(level, cur)
-        return val * z_values(cur, self.cfg.rs)
+        return val * z_values(cur)
 
     def base_integrand(self, us: np.ndarray, dus: np.ndarray) -> np.ndarray:
         """The iterated integrand pulled back to the base window, at the
@@ -281,7 +255,7 @@ class _LevelMaps:
             cur = self.map_up(level, prev)
             w = w * (np.log(prev) + self._slope_c) / np.log(cur)
             prev = cur
-        return z_values(u, self.cfg.rs, dts=dus) * w
+        return z_values(u, dus) * w
 
 
 def _mean_value_roots(maps: _LevelMaps, mean: float,
@@ -296,16 +270,13 @@ def _mean_value_roots(maps: _LevelMaps, mean: float,
     return [(float(grid[i]), float(grid[i + 1])) for i in flips[order]]
 
 
-def _build_job(T: float, H: float, k: int, cfg: FactorConfig,
+def _build_job(T: float, H: float, k: int, cfg: LadderConfig,
                table: SecondMomentTable):
-    """Everything shared by find_beta and the sequence builder."""
+    """Window, level maps, top interval [a, b] and mean-value brackets of
+    one job; quadrature settings come from the table."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    if table_key(cfg.quad, cfg.rs) != table.fingerprint:
-        raise TableIntegrityError(
-            "FactorConfig quad/rs settings do not match the table "
-            "fingerprint")
-    eta = find_eta(T, H, cfg)
+    eta = find_eta(T, H)
     maps = _LevelMaps(H, k, eta, cfg, table)
     a, b = maps.bounds[k]
     hk = b - a
@@ -313,7 +284,7 @@ def _build_job(T: float, H: float, k: int, cfg: FactorConfig,
     # order one; over [A, B] the same integral is 1/hk-scaled and the
     # inversion jitter would swamp any panel budget on contracted levels
     F = adaptive_integrate(maps.base_integrand, eta, eta + H,
-                           cfg.quad).value
+                           table.cfg).value
     size = abs(F) / math.sqrt(TWO_PI * H)
     if not 0.5 <= size <= 1.5:
         # the lemma behind the construction promises ~ sqrt(2 pi H); a miss
@@ -340,15 +311,6 @@ def _refine_beta(maps: _LevelMaps, mean: float, lo: float,
     return float(brentq(h_at, lo, hi, xtol=1e-14, rtol=8.9e-16))
 
 
-def find_beta(T: float, H: float, k: int, cfg: FactorConfig,
-              table: SecondMomentTable) -> Tuple[float, float]:
-    """Mean-value point of the iterated integrand over [A, B], plus Hk."""
-    eta, maps, a, b, hk, F, mean, roots = _build_job(T, H, k, cfg, table)
-    beta = _refine_beta(maps, mean, *roots[0])
-    _check_beta(maps, beta, mean)
-    return beta, hk
-
-
 def _check_beta(maps: _LevelMaps, beta: float, mean: float) -> None:
     got = float(maps.integrand(np.array([beta]))[0])
     if abs(got - mean) > 1e-6 * abs(mean) + 1e-10:
@@ -357,7 +319,7 @@ def _check_beta(maps: _LevelMaps, beta: float, mean: float) -> None:
             estimate=beta, bound=abs(got - mean))
 
 
-def build_alpha_sequence(T: float, H: float, k: int, cfg: FactorConfig,
+def build_alpha_sequence(T: float, H: float, k: int, cfg: LadderConfig,
                          table: SecondMomentTable) -> AlphaSequence:
     """Alpha chain for (T, H, k), retrying past zeta-zero neighborhoods.
 
@@ -395,7 +357,7 @@ def lambda_factor(H: float, Hk: float, k: int, T: float) -> float:
     return _SQRT_TWO_PI * math.sqrt(H) * math.log(T) ** k / Hk
 
 
-def factorize(T: float, H: float, k: int, cfg: FactorConfig,
+def factorize(T: float, H: float, k: int, cfg: LadderConfig,
               table: SecondMomentTable) -> FactorizationReport:
     """Evaluate both sides of the factorization identity at (T, H, k).
 
@@ -410,20 +372,20 @@ def factorize(T: float, H: float, k: int, cfg: FactorConfig,
     lhs = math.sqrt(lam / zeta_abs[0])
     rhs = math.prod(zeta_abs[1:])
     ratio = lhs / rhs
-    z_abs = [abs(riemann_siegel_z(x, cfg.rs).z) for x in seq.alphas]
+    z_abs = [abs(riemann_siegel_z(x).z) for x in seq.alphas]
     ratio_rs = math.sqrt(lam / z_abs[0]) / math.prod(z_abs[1:])
     residual = abs(ratio - ratio_rs) / ratio
     return FactorizationReport(seq=seq, lam=lam, lhs=lhs, rhs=rhs,
                                ratio=ratio, metamorphosis_residual=residual)
 
 
-def multiform_G(xs: Sequence[float], cfg: FactorConfig) -> float:
+def multiform_G(xs: Sequence[float]) -> float:
     """Product of |Z| over the given heights (at least two)."""
     if len(xs) < 2:
         raise DomainError(f"multiform needs >= 2 heights, got {len(xs)}")
     if min(xs) < RS_MIN:
         raise DomainError("all heights must be >= 8pi")
-    return math.prod(abs(riemann_siegel_z(float(x), cfg.rs).z) for x in xs)
+    return math.prod(abs(riemann_siegel_z(float(x)).z) for x in xs)
 
 
 def local_spectrum(x: float) -> List[SpectrumEntry]:

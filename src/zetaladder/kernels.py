@@ -1,7 +1,8 @@
 """The Riemann-Siegel main-sum kernel: Taylor moments at quarter-unit anchors.
 
 The main sum at height t is 2 Re(e^{i theta} S(t)) with
-S(t) = sum_{n <= nv} n^{-1/2} e^{-i t ln n} and nv = floor(sqrt(t / 2pi)).
+S(t) = sum_{n <= nv} n^{-1/2} e^{-i t ln n} and nv = floor(sqrt(t / 2pi));
+Z is the main sum plus the first correction term, `rs_correction`.
 Each t is written as a + delta, with the anchor a = rint(G t) / G (G anchors
 per unit of t), so delta is exact and |delta| <= 1/(2G).  Then
 
@@ -120,17 +121,16 @@ def _moments(a: np.ndarray, nv: int, k: int):
             cs[:, 1 - odd, ks] * _IM_SIGN[ks % 4])
 
 
-def z_main_sum(ts: np.ndarray, thetas: np.ndarray, order: int,
+def z_main_sum(ts: np.ndarray, thetas: np.ndarray,
                dts: np.ndarray = None) -> np.ndarray:
-    """Riemann-Siegel main sum (plus first correction if order == 1) for an
-    array of t >= 0.  thetas must already be reduced mod 2pi; callers
-    validate domain, and t below 2pi contributes an empty sum.
+    """Riemann-Siegel main sum for an array of t >= 0.  thetas must already
+    be reduced mod 2pi; callers validate domain, and t below 2pi
+    contributes an empty sum.
 
     dts, if given, holds exact remainders: the heights are ts + dts, each
     an unevaluated sum like a double-double.  A remainder joins the exact
     offset from the anchor, delta = (t - a) + dt, so the moments see it to
-    ~1e-17; the correction term, which varies by ~1e-14 over a remainder's
-    ~1e-10, reads t alone."""
+    ~1e-17."""
     ts = np.ascontiguousarray(ts, dtype=np.float64)
     thetas = np.ascontiguousarray(thetas, dtype=np.float64)
     if ts.shape != thetas.shape or (dts is not None
@@ -145,8 +145,7 @@ def z_main_sum(ts: np.ndarray, thetas: np.ndarray, order: int,
     if t_top * math.log(n_top + 1) >= 4.0e8:
         raise RangeError(
             f"t = {t_top:.3e} exceeds the exact-phase-reduction range")
-    tau = np.sqrt(ts / TWO_PI)
-    nmax = np.floor(tau).astype(np.int64)
+    nmax = np.floor(np.sqrt(ts / TWO_PI)).astype(np.int64)
 
     # points sorted by t fall in runs of equal (nv, anchor), and the runs
     # of one nv are contiguous
@@ -187,7 +186,15 @@ def z_main_sum(ts: np.ndarray, thetas: np.ndarray, order: int,
                 s_im = (im[g] * dk).sum(axis=1)
                 z[p] = 2.0 * (np.cos(th[p]) * s_re - np.sin(th[p]) * s_im)
     out[perm] = z
-    if order == 1:
-        sign = np.where(nmax % 2 == 1, 1.0, -1.0)
-        out += sign * _psi(tau - nmax) / np.sqrt(np.maximum(tau, 1e-300))
     return out
+
+
+def rs_correction(ts: np.ndarray) -> np.ndarray:
+    """First Riemann-Siegel correction term (-1)^(nv-1) psi(p) tau^(-1/2),
+    with tau = sqrt(t/2pi), nv = floor(tau) and p = tau - nv, for an array
+    of t >= 0.  It reads t alone: over a quadrature remainder of ~1e-10 it
+    varies by ~1e-14."""
+    tau = np.sqrt(np.asarray(ts, dtype=np.float64) / TWO_PI)
+    nmax = np.floor(tau)
+    sign = np.where(nmax % 2 == 1, 1.0, -1.0)
+    return sign * _psi(tau - nmax) / np.sqrt(np.maximum(tau, 1e-300))

@@ -318,7 +318,7 @@ class InverseLevel:
         for step in (100.0 * 2 ** j for j in range(_WIDENINGS)):
             table.ensure(lo)
             t_c, self.i_c = table.value_at(lo)
-            self.chain = z2_chain(t_c, hi, table.rs_cfg)
+            self.chain = z2_chain(t_c, hi)
             seen = xs >= t_c                # heights the chain covers
             bad = xs[seen][self.cumulative(xs[seen]) > targets[seen]]
             if bad.size:

@@ -32,9 +32,9 @@ Two consumers sit on top of the same panel machinery:
   no adaptivity.
 - SecondMomentTable: checkpoints of I(T) = int_0^T Z^2 at a fixed stride,
   extended append-only, one segment after another under a lock, and
-  persisted as `smtable-v2` files keyed by `table_key`: the QuadConfig
-  fingerprint plus the Riemann-Siegel correction order, written whole
-  (`write_atomic`) and refused on load when damaged.
+  persisted as `smtable-v2` files keyed by `table_key`, the QuadConfig
+  fingerprint, written whole (`write_atomic`) and refused on load when
+  damaged.
 
 Below t = 8pi the Riemann-Siegel route is too short to trust, so Z switches
 to the rotated Euler-Maclaurin oracle there; Z^2 is the square of that Z
@@ -58,7 +58,7 @@ from numpy.polynomial import legendre as npleg
 from . import _tables, kernels, special
 from .errors import (DomainError, PrecisionError, RangeError,
                      TableIntegrityError)
-from .special import RS_MIN, RSConfig, TWO_PI
+from .special import RS_MIN, TWO_PI
 
 _GL_X = npleg.leggauss(15)[0]
 # The Gauss-Kronrod 15/31 pair (QUADPACK's qk31; Piessens et al. 1983), to
@@ -152,11 +152,12 @@ class QuadConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def table_key(cfg: QuadConfig, rs_cfg: RSConfig) -> str:
+def table_key(cfg: QuadConfig) -> str:
     """Key of a checkpoint table and of everything fit against it: the
-    quadrature fingerprint plus the correction order of the Z^2 integrand,
-    which together fix every checkpoint value."""
-    return f"{cfg.fingerprint}-rs{rs_cfg.correction_order}"
+    quadrature fingerprint, which fixes every checkpoint value.  The suffix
+    names the Z^2 integrand's Riemann-Siegel form, main sum plus first
+    correction."""
+    return f"{cfg.fingerprint}-rs1"
 
 
 def _panel_freq(t):
@@ -317,23 +318,18 @@ def adaptive_integrate(fvec: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return QuadResult(value, bound, neval)
 
 
-def z_values(ts: np.ndarray, rs_cfg: RSConfig = RSConfig(), *,
-             dts: np.ndarray = None) -> np.ndarray:
+def z_values(ts: np.ndarray, dts: np.ndarray = None) -> np.ndarray:
     """Signed Z on arrays: Riemann-Siegel for t >= 8pi, oracle below.
 
     dts, if given, are exact remainders of the heights (quadrature nodes
-    t + dt); the oracle, whose own error is ~4e-15, ignores them.  rs_cfg
-    is checked, so an integrand passed bare to `adaptive_integrate`, which
-    would bind a remainder to it, fails."""
-    if not isinstance(rs_cfg, RSConfig):
-        raise TypeError(f"rs_cfg must be an RSConfig, got "
-                        f"{type(rs_cfg).__name__}; pass remainders as dts=")
+    t + dt), so z_values is itself an integrand of `adaptive_integrate`;
+    the oracle, whose own error is ~4e-15, ignores them."""
     ts = np.asarray(ts, dtype=np.float64)
     out = np.empty_like(ts)
     hi = ts >= RS_MIN
     if hi.any():
         out[hi] = special.riemann_siegel_z_values(
-            ts[hi], rs_cfg, dts=None if dts is None else np.asarray(dts)[hi])
+            ts[hi], None if dts is None else np.asarray(dts)[hi])
     if not hi.all():
         phase = special.z_phases(ts[~hi])
         zeta = np.array([special.em_zeta_half(t) for t in ts[~hi].tolist()])
@@ -343,10 +339,9 @@ def z_values(ts: np.ndarray, rs_cfg: RSConfig = RSConfig(), *,
     return out
 
 
-def z2_values(ts: np.ndarray, rs_cfg: RSConfig = RSConfig(), *,
-              dts: np.ndarray = None) -> np.ndarray:
+def z2_values(ts: np.ndarray, dts: np.ndarray = None) -> np.ndarray:
     """Z^2 on arrays, the square of `z_values`."""
-    return z_values(ts, rs_cfg, dts=dts) ** 2
+    return z_values(ts, dts) ** 2
 
 
 def _prefix_sums(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -466,30 +461,28 @@ class PanelChain:
         return float(self.cum[-1])
 
 
-def z_chain(a: float, b: float, rs_cfg: RSConfig = RSConfig()) -> PanelChain:
-    return PanelChain.build(a, b, lambda ts: z_values(ts, rs_cfg))
+def z_chain(a: float, b: float) -> PanelChain:
+    return PanelChain.build(a, b, z_values)
 
 
-def z2_chain(a: float, b: float, rs_cfg: RSConfig = RSConfig()) -> PanelChain:
-    return PanelChain.build(a, b, lambda ts: z2_values(ts, rs_cfg))
+def z2_chain(a: float, b: float) -> PanelChain:
+    return PanelChain.build(a, b, z2_values)
 
 
 class SecondMomentTable:
     """Append-only checkpoints of I(T) = int_0^T Z^2 at a fixed stride.
 
-    Checkpoint values depend only on the stride grid and the configs, never
+    Checkpoint values depend only on the stride grid and the config, never
     on which caller triggered the extension, so concurrent callers (the
     sweep's threads) just need the lock around extension.
     """
 
     STRIDE = 64.0
 
-    def __init__(self, cfg: QuadConfig = QuadConfig(),
-                 rs_cfg: RSConfig = RSConfig()):
+    def __init__(self, cfg: QuadConfig = QuadConfig()):
         self.cfg = cfg
-        self.rs_cfg = rs_cfg
         self.tolerance = cfg.abs_tol
-        self.fingerprint = table_key(cfg, rs_cfg)
+        self.fingerprint = table_key(cfg)
         self._ts: List[float] = [0.0]
         self._is: List[float] = [0.0]
         self._lock = threading.Lock()
@@ -513,9 +506,8 @@ class SecondMomentTable:
             n_seg = int((t - self._ts[-1]) // self.STRIDE)
             for _ in range(n_seg):
                 lo = self._ts[-1]
-                v = adaptive_integrate(
-                    lambda t, dt: z2_values(t, self.rs_cfg, dts=dt), lo,
-                    lo + self.STRIDE, self.cfg).value
+                v = adaptive_integrate(z2_values, lo, lo + self.STRIDE,
+                                       self.cfg).value
                 self._ts.append(lo + self.STRIDE)
                 self._is.append(self._is[-1] + v)
 
@@ -527,7 +519,7 @@ class SecondMomentTable:
 
 
 def cumulative_I(T: float, table: SecondMomentTable) -> float:
-    """I(T) = int_0^T Z^2 through the checkpoint table, under its configs."""
+    """I(T) = int_0^T Z^2 through the checkpoint table, under its config."""
     if not 0 <= T < math.inf:
         raise DomainError(f"cumulative_I needs finite T >= 0, got {T}")
     if T == 0.0:
@@ -536,9 +528,7 @@ def cumulative_I(T: float, table: SecondMomentTable) -> float:
     t0, i0 = table.value_at(T)
     if t0 == T:
         return i0
-    part = adaptive_integrate(
-        lambda t, dt: z2_values(t, table.rs_cfg, dts=dt), t0, T, table.cfg)
-    return i0 + part.value
+    return i0 + adaptive_integrate(z2_values, t0, T, table.cfg).value
 
 
 def write_atomic(path, text: str) -> None:
@@ -570,9 +560,8 @@ def save_table(table: SecondMomentTable, path) -> None:
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def load_table(path, cfg: QuadConfig = QuadConfig(),
-               rs_cfg: RSConfig = RSConfig()) -> SecondMomentTable:
-    """The table save_table wrote to path under these configs.
+def load_table(path, cfg: QuadConfig = QuadConfig()) -> SecondMomentTable:
+    """The table save_table wrote to path under this config.
 
     TableIntegrityError unless the file is whole: newline-terminated, with
     the header save_table writes (tag, key, stride, tolerance and the row
@@ -584,7 +573,7 @@ def load_table(path, cfg: QuadConfig = QuadConfig(),
     if not text.endswith("\n"):
         raise TableIntegrityError(f"{path}: cut short (no final newline)")
     header, *rows = text.splitlines()
-    table = SecondMomentTable(cfg, rs_cfg)
+    table = SecondMomentTable(cfg)
     want = _table_header(table, len(rows))
     if header != want:
         raise TableIntegrityError(f"{path}: header {header!r} is not "
@@ -598,6 +587,11 @@ def load_table(path, cfg: QuadConfig = QuadConfig(),
             or any(b < a for a, b in zip(table._is, table._is[1:])):
         raise TableIntegrityError(f"{path}: I must start at 0, never falling")
     return table
+
+
+# Z on [T, T + U0] with U0 = T^U0_EXPONENT: the span of the windowed moment
+# and of the factorization's eta scan
+U0_EXPONENT = 0.5001
 
 
 @dataclass(frozen=True)
@@ -626,11 +620,10 @@ def admissible_h_range(T: float) -> Tuple[float, float]:
     return llt / lt, T ** (1.0 / llt)
 
 
-def hl_moment(T: float, H: float, rs_cfg: RSConfig = RSConfig(),
-              u0_exponent: float = 0.5001) -> MomentReport:
+def hl_moment(T: float, H: float) -> MomentReport:
     """Mean square of the windowed integral int_t^{t+H} Z over [T, T+U0].
 
-    U0 = T^u0_exponent; the expected value of the mean square is 2 pi H, so
+    U0 = T^U0_EXPONENT; the expected value of the mean square is 2 pi H, so
     ratio -> 1 as T grows for admissible H.  Z is evaluated once, on a
     chain over [T, T+U0+H]: the inner window is a difference of its
     prefixes, and the outer integral of the window's square is exact on
@@ -643,8 +636,8 @@ def hl_moment(T: float, H: float, rs_cfg: RSConfig = RSConfig(),
     if not (lo < H < hi):
         raise DomainError(
             f"H={H} not admissible at T={T}: need {lo:.6g} < H < {hi:.6g}")
-    u0 = T ** u0_exponent
-    chain = z_chain(T, T + u0 + H, rs_cfg)
+    u0 = T ** U0_EXPONENT
+    chain = z_chain(T, T + u0 + H)
     jbar = chain.windowed_sq_integral(T, T + u0, H)
     return MomentReport(T=T, H=H, U0=u0, jbar=jbar,
                        ratio=jbar / (TWO_PI * H * u0))

@@ -2,8 +2,8 @@
 
 Two independent evaluation routes live here and are kept independent on
 purpose.  `riemann_siegel_z_values` is the production evaluator: main sum to
-floor(sqrt(t/2pi)) terms plus (optionally) the first correction term, with a
-remainder that decays like t^(-1/4) (t^(-3/4) with the correction).
+floor(sqrt(t/2pi)) terms plus the first correction term, with a remainder
+that decays like t^(-3/4).
 `em_zeta_half` is the oracle: Euler-Maclaurin evaluation of zeta(1/2 + it)
 with an explicit remainder bound, truncated far beyond the asymptotic knee so
 the absolute error stays below 1e-10 up to t = 1e6.  Everything downstream
@@ -71,29 +71,12 @@ _B2K_FACT = tuple(p / (q * math.factorial(2 * k))
 
 
 @dataclass(frozen=True)
-class RSConfig:
-    """Riemann-Siegel evaluation settings.
-
-    correction_order 0 is the bare main sum; 1 adds the standard first
-    correction term.
-    """
-
-    correction_order: int = 1
-
-    def __post_init__(self):
-        if self.correction_order not in (0, 1):
-            raise DomainError(
-                f"correction_order must be 0 or 1, got {self.correction_order}")
-
-
-@dataclass(frozen=True)
 class CriticalPoint:
     """One evaluated point on the critical line."""
 
     t: float
     z: float
     theta: float
-    zeta_abs: float
 
 
 def tau(t: float) -> float:
@@ -217,9 +200,10 @@ def _rs_heights(ts) -> np.ndarray:
     return ts
 
 
-def riemann_siegel_z_values(ts: np.ndarray, cfg: RSConfig = RSConfig(), *,
+def riemann_siegel_z_values(ts: np.ndarray,
                             dts: np.ndarray = None) -> np.ndarray:
-    """Z(t) for an array of finite t >= 2pi by the Riemann-Siegel formula.
+    """Z(t) for an array of finite t >= 2pi by the Riemann-Siegel formula:
+    the main sum plus the first correction term.
 
     Below 2pi the main sum is empty and the oracle is the only supported
     evaluator.  dts, if given, are exact remainders: Z is taken at
@@ -227,23 +211,21 @@ def riemann_siegel_z_values(ts: np.ndarray, cfg: RSConfig = RSConfig(), *,
     points in the call.
     """
     ts = _rs_heights(ts)
-    return kernels.z_main_sum(ts, _theta_reduced(ts, dts),
-                              cfg.correction_order, dts=dts)
+    return (kernels.z_main_sum(ts, _theta_reduced(ts, dts), dts)
+            + kernels.rs_correction(ts))
 
 
-def riemann_siegel_z(t: float, cfg: RSConfig = RSConfig()) -> CriticalPoint:
+def riemann_siegel_z(t: float) -> CriticalPoint:
     """Z(t) at one height: riemann_siegel_z_values on one point, with the
     unreduced phase, bit-equal to theta(t), from the same theta evaluation.
-    |Z| equals |zeta(1/2+it)| up to the formula remainder, so zeta_abs is
-    |z|.
     """
     # the vector path frees the unreduced theta before its kernel call, so
     # large batches hold no extra arrays; one point keeps its hi word here
     ts = _rs_heights(np.array([t]))
     hi, lo = _theta_dd(ts)
-    z = float(kernels.z_main_sum(ts, _mod_2pi(hi, lo),
-                                 cfg.correction_order)[0])
-    return CriticalPoint(t=t, z=z, theta=float(hi[0]), zeta_abs=abs(z))
+    z = float((kernels.z_main_sum(ts, _mod_2pi(hi, lo))
+               + kernels.rs_correction(ts))[0])
+    return CriticalPoint(t=t, z=z, theta=float(hi[0]))
 
 
 def em_zeta_half(t: float, tol: float = 1e-10) -> complex:

@@ -1,8 +1,8 @@
 """Session fixtures shared across the suite.
 
-The checkpoint table takes a couple of minutes to build and the ladder
-calibration depends on it, so both are session-scoped; tests that mutate
-a config make their own copy.  Acceptance tests push one summary line
+The checkpoint table to 1.1e5 is the suite's largest computation and the
+ladder calibration depends on it, so both are session-scoped; tests that
+mutate a config make their own copy.  Acceptance tests push one summary line
 each into a shared list that is echoed after the run.
 """
 
@@ -13,10 +13,8 @@ from typing import List
 import numpy as np
 import pytest
 
-from zetaladder.factorization import FactorConfig
 from zetaladder.ladder import LadderConfig, PrimePiTable, calibrate_c0
 from zetaladder.quadrature import QuadConfig, SecondMomentTable
-from zetaladder.special import RSConfig
 
 TABLE_TOP = 1.1e5
 ANCHORS = tuple(float(a) for a in np.geomspace(1.0e4, 1.0e5, 10))
@@ -30,14 +28,9 @@ def qcfg() -> QuadConfig:
 
 
 @pytest.fixture(scope="session")
-def rs_cfg() -> RSConfig:
-    return RSConfig()
-
-
-@pytest.fixture(scope="session")
-def smtable(qcfg, rs_cfg) -> SecondMomentTable:
+def smtable(qcfg) -> SecondMomentTable:
     """Checkpoint table covering the desk range; built once per session."""
-    table = SecondMomentTable(qcfg, rs_cfg)
+    table = SecondMomentTable(qcfg)
     table.ensure(TABLE_TOP)
     return table
 
@@ -52,12 +45,6 @@ def ladder_cfg(smtable) -> LadderConfig:
     cfg = LadderConfig()
     calibrate_c0(list(ANCHORS), cfg, smtable)
     return cfg
-
-
-@pytest.fixture(scope="session")
-def fconfig(ladder_cfg) -> FactorConfig:
-    # default quad/rs configs match the session table fingerprint
-    return FactorConfig(ladder=ladder_cfg)
 
 
 @pytest.fixture

@@ -48,12 +48,12 @@ def oracle_sample():
 
 
 @pytest.fixture(scope="module")
-def sweep_reports(fconfig, smtable):
+def sweep_reports(ladder_cfg, smtable):
     runs = {}
     for T in SWEEP_TS:
         for H in (1.5, 2.0):
             for k in (1, 2):
-                runs[(T, H, k)] = fz.factorize(T, H, k, fconfig, smtable)
+                runs[(T, H, k)] = fz.factorize(T, H, k, ladder_cfg, smtable)
     return runs
 
 
@@ -106,12 +106,12 @@ def test_criterion_03_first_zero(record_criterion):
                     f", |Z| there {z_here:.2e}")
 
 
-def test_criterion_04_moment_ratio_tightens(rs_cfg, record_criterion):
-    base = hl_moment(1.0e5, 2.0, rs_cfg)
+def test_criterion_04_moment_ratio_tightens(record_criterion):
+    base = hl_moment(1.0e5, 2.0)
     in_band = 0.7 <= base.ratio <= 1.3
 
     def dev(T):
-        offs = [abs(hl_moment(T * (1.0 + 0.003 * j), 2.0, rs_cfg).ratio
+        offs = [abs(hl_moment(T * (1.0 + 0.003 * j), 2.0).ratio
                     - 1.0) for j in range(5)]
         return sum(offs) / len(offs)
 
@@ -158,12 +158,12 @@ def test_criterion_06_complement_tracks_primes(ladder_cfg, smtable,
                     f"complement ratio {r4:.4f} at 1e4, {r5:.4f} at 1e5")
 
 
-def test_criterion_07_alpha_gaps(sweep_reports, fconfig, pi_table,
+def test_criterion_07_alpha_gaps(sweep_reports, ladder_cfg, pi_table,
                                  record_criterion):
     seq = sweep_reports[(1.0e5, 2.0, 2)].seq
     ratios = []
     for r in range(seq.k):
-        unit = (1.0 - fconfig.ladder.euler_c) \
+        unit = (1.0 - ladder_cfg.euler_c) \
             * ld.pi_count(seq.alphas[r], pi_table)
         ratios.append((seq.alphas[r + 1] - seq.alphas[r]) / unit)
     ok = all(0.6 <= g <= 1.4 for g in ratios)
@@ -172,7 +172,7 @@ def test_criterion_07_alpha_gaps(sweep_reports, fconfig, pi_table,
                     + ", ".join(f"{g:.3f}" for g in ratios))
 
 
-def test_criterion_08_chains_strict_everywhere(sweep_reports, fconfig,
+def test_criterion_08_chains_strict_everywhere(sweep_reports, ladder_cfg,
                                                smtable, record_criterion):
     good = 0
     for (T, H, k), rep in sweep_reports.items():
@@ -181,7 +181,7 @@ def test_criterion_08_chains_strict_everywhere(sweep_reports, fconfig,
         strict = all(u < v for u, v in zip(pts, pts[1:])) \
             and seq.eta < seq.alphas[0] < seq.eta + H
         links = all(
-            abs(ld.phi1(seq.alphas[r + 1], fconfig.ladder, smtable).phi1
+            abs(ld.phi1(seq.alphas[r + 1], ladder_cfg, smtable).phi1
                 - seq.alphas[r]) <= 1e-6 * seq.alphas[r]
             for r in range(k))
         clear = all(abs(em_zeta_half(a)) > fz.ZERO_THRESHOLD
@@ -193,9 +193,9 @@ def test_criterion_08_chains_strict_everywhere(sweep_reports, fconfig,
                     "ordered, linked and clear of zeros")
 
 
-def test_criterion_09_ratio_stabilizes(sweep_reports, fconfig, smtable,
+def test_criterion_09_ratio_stabilizes(sweep_reports, ladder_cfg, smtable,
                                        record_criterion):
-    mid = fz.factorize(3.0e4, 2.0, 1, fconfig, smtable)
+    mid = fz.factorize(3.0e4, 2.0, 1, ladder_cfg, smtable)
     ratios = [sweep_reports[(1.0e4, 2.0, 1)].ratio, mid.ratio,
               sweep_reports[(1.0e5, 2.0, 1)].ratio]
     logs = [abs(math.log(r)) for r in ratios]

@@ -426,7 +426,8 @@ class TestConfigPlumbing:
 
     @pytest.mark.parametrize("key", [
         "osc_factor", "zero_threshold", "max_retries", "scan_step",
-        "sieve_limit", "anchor_lo", "anchor_hi", "anchor_count"])
+        "sieve_limit", "anchor_lo", "anchor_hi", "anchor_count",
+        "correction_order", "u0_exponent"])
     def test_deleted_key_is_not_an_option(self, cli_cache, tmp_path, capsys,
                                           key):
         out = tmp_path / "s.csv"
@@ -447,7 +448,11 @@ class TestConfigPlumbing:
         (("ladder", "--T", "1e4,abc"), None, "'abc'"),
         (("calibrate", "--anchors", "1e4,x"), None, "'x'"),
         (("calibrate", "--anchors", "1e4,3e4,inf"), None, "inf is not"),
-    ], ids=["config", "sweep", "ladder", "anchors", "anchors-inf"])
+        # refused before np.geomspace would allocate 8 TB
+        (("factorize", "--sweep", "T=1e4:1e5:1000000000000", "--H", "2",
+          "--k", "1"), None, "'T=1e4:1e5:1000000000000'"),
+    ], ids=["config", "sweep", "ladder", "anchors", "anchors-inf",
+            "sweep-count"])
     def test_malformed_number_exits_2(self, tmp_path, capsys, argv, config,
                                       bad):
         # a fresh cache: the number is refused before any calibration

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -12,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaladder import factorization as fz
-from zetaladder.errors import DomainError, TableIntegrityError
+from zetaladder.errors import DomainError
 from zetaladder.ladder import pi_count, phi1
-from zetaladder.quadrature import adaptive_integrate, z2_values, z_values
-from zetaladder.special import RSConfig, em_zeta_half, riemann_siegel_z, tau
+from zetaladder.quadrature import (U0_EXPONENT, adaptive_integrate,
+                                   z2_values, z_values)
+from zetaladder.special import em_zeta_half, riemann_siegel_z, tau
 
 TWO_PI = 2.0 * math.pi
 EIGHT_PI = 8.0 * math.pi
@@ -23,52 +23,37 @@ SQRT_TWO_PI = math.sqrt(TWO_PI)
 
 
 @pytest.fixture(scope="module")
-def report_small(fconfig, smtable):
-    return fz.factorize(1.0e4, 2.0, 1, fconfig, smtable)
+def report_small(ladder_cfg, smtable):
+    return fz.factorize(1.0e4, 2.0, 1, ladder_cfg, smtable)
 
 
 @pytest.fixture(scope="module")
-def seq_big(fconfig, smtable):
-    return fz.build_alpha_sequence(1.0e5, 2.0, 2, fconfig, smtable)
+def seq_big(ladder_cfg, smtable):
+    return fz.build_alpha_sequence(1.0e5, 2.0, 2, ladder_cfg, smtable)
 
 
 @pytest.fixture(scope="module")
-def job151(fconfig, smtable):
-    return fz._build_job(1.0e5, 2.0, 1, fconfig, smtable)
-
-
-class TestFactorConfig:
-    def test_defaults_accepted(self, ladder_cfg):
-        cfg = fz.FactorConfig(ladder=ladder_cfg)
-        assert cfg.u0_exponent == 0.5001
-
-    @pytest.mark.parametrize("kwargs", [
-        {"u0_exponent": 0.4},
-        {"u0_exponent": 0.8},
-    ])
-    def test_validation(self, ladder_cfg, kwargs):
-        with pytest.raises(DomainError):
-            fz.FactorConfig(ladder=ladder_cfg, **kwargs)
+def job151(ladder_cfg, smtable):
+    return fz._build_job(1.0e5, 2.0, 1, ladder_cfg, smtable)
 
 
 class TestFindEta:
-    def test_mean_value_postcondition(self, fconfig, qcfg):
+    def test_mean_value_postcondition(self, qcfg):
         T, H = 1.0e4, 2.0
-        eta = fz.find_eta(T, H, fconfig)
-        assert T < eta < T + T ** fconfig.u0_exponent
-        w = adaptive_integrate(lambda t, dt: z_values(t, fconfig.rs, dts=dt),
-                               eta, eta + H, qcfg).value
+        eta = fz.find_eta(T, H)
+        assert T < eta < T + T ** U0_EXPONENT
+        w = adaptive_integrate(z_values, eta, eta + H, qcfg).value
         assert 0.9999 <= abs(w) / math.sqrt(TWO_PI * H) <= 1.0001
 
-    def test_below_8pi_rejected(self, fconfig):
+    def test_below_8pi_rejected(self):
         with pytest.raises(DomainError):
-            fz.find_eta(20.0, 2.0, fconfig)
+            fz.find_eta(20.0, 2.0)
 
-    def test_inadmissible_window_rejected(self, fconfig):
+    def test_inadmissible_window_rejected(self):
         with pytest.raises(DomainError):
-            fz.find_eta(1.0e4, 1.0e4, fconfig)
+            fz.find_eta(1.0e4, 1.0e4)
         with pytest.raises(DomainError):
-            fz.find_eta(1.0e4, 1.0e-3, fconfig)
+            fz.find_eta(1.0e4, 1.0e-3)
 
 
 class TestIteratedIntegrand:
@@ -87,21 +72,23 @@ class TestIteratedIntegrand:
         _, _, a, b, _, _, _, _ = job
         return [float(t) for t in np.linspace(a, b, 7)[1:-1]]
 
-    def test_sign_carried_by_deepest_factor(self, job151, fconfig, smtable):
+    def test_sign_carried_by_deepest_factor(self, job151, ladder_cfg,
+                                            smtable):
         maps = job151[1]
         for t in self._heights(job151):
             val = float(maps.integrand(np.array([t]))[0])
-            down = phi1(t, fconfig.ladder, smtable).phi1
-            z_down = riemann_siegel_z(down, fconfig.rs).z
+            down = phi1(t, ladder_cfg, smtable).phi1
+            z_down = riemann_siegel_z(down).z
             assert math.copysign(1.0, val) == math.copysign(1.0, z_down)
 
-    def test_magnitude_is_weighted_product(self, job151, fconfig, smtable):
+    def test_magnitude_is_weighted_product(self, job151, ladder_cfg,
+                                           smtable):
         maps = job151[1]
         for t in self._heights(job151):
             val = float(maps.integrand(np.array([t]))[0])
-            down = phi1(t, fconfig.ladder, smtable).phi1
-            expect = float(z2_values(np.array([t]), fconfig.rs)[0]) \
-                / math.log(t) * riemann_siegel_z(down, fconfig.rs).z
+            down = phi1(t, ladder_cfg, smtable).phi1
+            expect = float(z2_values(np.array([t]))[0]) \
+                / math.log(t) * riemann_siegel_z(down).z
             assert val == pytest.approx(expect, rel=1e-10)
 
 
@@ -116,11 +103,12 @@ class TestFindBeta:
         assert hk == b - a > 0.0
         assert len(roots) >= 1
 
-    def test_mean_value_postcondition(self, job151, fconfig, smtable):
+    def test_mean_value_postcondition(self, job151, ladder_cfg, smtable):
         eta, maps, a, b, hk, F, mean, roots = job151
-        beta, hk_pub = fz.find_beta(1.0e5, 2.0, 1, fconfig, smtable)
+        seq = fz.build_alpha_sequence(1.0e5, 2.0, 1, ladder_cfg, smtable)
+        beta = seq.beta
         assert a <= beta <= b
-        assert hk_pub == pytest.approx(hk, rel=1e-12)
+        assert seq.Hk == pytest.approx(hk, rel=1e-12)
         got = float(maps.integrand(np.array([beta]))[0])
         assert abs(got - mean) <= 1e-6 * abs(mean) + 1e-10
 
@@ -132,33 +120,27 @@ class TestFindBeta:
                           for i in range(us.size)])
         assert np.array_equal(batch, alone)
 
-    def test_bounds_are_map_up_of_the_level_below(self, job151, fconfig,
+    def test_bounds_are_map_up_of_the_level_below(self, job151, ladder_cfg,
                                                   smtable):
         eta = job151[0]
-        maps = fz._LevelMaps(2.0, 2, eta, fconfig, smtable)
+        maps = fz._LevelMaps(2.0, 2, eta, ladder_cfg, smtable)
         for r in (1, 2):
             got = maps.map_up(r, np.array(maps.bounds[r - 1]))
             assert got.tolist() == list(maps.bounds[r])
 
-    def test_map_down_undoes_map_up_across_flat_stretches(self, fconfig,
+    def test_map_down_undoes_map_up_across_flat_stretches(self, ladder_cfg,
                                                           smtable):
         # the window above T = 10400 maps onto zeros of Z on level 1, where
         # a Newton step from a whole panel once stopped far from the root
-        eta = fz.find_eta(1.04e4, 2.0, fconfig)
-        maps = fz._LevelMaps(2.0, 1, eta, fconfig, smtable)
+        eta = fz.find_eta(1.04e4, 2.0)
+        maps = fz._LevelMaps(2.0, 1, eta, ladder_cfg, smtable)
         us = np.linspace(eta, eta + 2.0, 20001)[1:-1]
         back = maps.map_down(1, maps.map_up(1, us))
         assert np.abs(back - us).max() <= 1e-6
 
-    def test_order_zero_rejected(self, fconfig, smtable):
+    def test_order_zero_rejected(self, ladder_cfg, smtable):
         with pytest.raises(DomainError):
-            fz.find_beta(1.0e5, 2.0, 0, fconfig, smtable)
-
-    def test_rs_config_must_match_table(self, fconfig, smtable):
-        assert smtable.rs_cfg.correction_order == 1
-        other = dataclasses.replace(fconfig, rs=RSConfig(correction_order=0))
-        with pytest.raises(TableIntegrityError):
-            fz.find_beta(1.0e4, 2.0, 1, other, smtable)
+            fz.build_alpha_sequence(1.0e5, 2.0, 0, ladder_cfg, smtable)
 
 
 class TestAlphaSequence:
@@ -171,17 +153,17 @@ class TestAlphaSequence:
     def test_last_alpha_is_beta(self, seq_big):
         assert seq_big.alphas[-1] == seq_big.beta
 
-    def test_chain_links_through_phi1(self, seq_big, fconfig, smtable):
+    def test_chain_links_through_phi1(self, seq_big, ladder_cfg, smtable):
         for r in range(seq_big.k):
-            down = phi1(seq_big.alphas[r + 1], fconfig.ladder, smtable).phi1
+            down = phi1(seq_big.alphas[r + 1], ladder_cfg, smtable).phi1
             assert down == pytest.approx(seq_big.alphas[r], rel=1e-6)
 
     def test_factors_clear_the_zero_threshold(self, seq_big):
         for a in seq_big.alphas:
             assert abs(em_zeta_half(a)) > fz.ZERO_THRESHOLD
 
-    def test_gaps_track_prime_count(self, seq_big, fconfig, pi_table):
-        unit = [(1.0 - fconfig.ladder.euler_c) * pi_count(a, pi_table)
+    def test_gaps_track_prime_count(self, seq_big, ladder_cfg, pi_table):
+        unit = [(1.0 - ladder_cfg.euler_c) * pi_count(a, pi_table)
                 for a in seq_big.alphas[:-1]]
         gaps = np.diff(seq_big.alphas)
         for gap, u in zip(gaps, unit):
@@ -241,17 +223,17 @@ class TestLambdaFactor:
 
 
 class TestFactorize:
-    def test_constant_injection_balances_exactly(self, fconfig, smtable,
+    def test_constant_injection_balances_exactly(self, ladder_cfg, smtable,
                                                  monkeypatch):
         # pin every factor to 4 and the normalization to 4^3; the identity
         # then balances in exact float arithmetic regardless of the chain
         monkeypatch.setattr(fz, "em_zeta_half",
                             lambda x: complex(4.0, 0.0))
         monkeypatch.setattr(fz, "riemann_siegel_z",
-                            lambda x, rs: SimpleNamespace(z=4.0))
+                            lambda x: SimpleNamespace(z=4.0))
         monkeypatch.setattr(fz, "lambda_factor",
                             lambda H, Hk, k, T: 64.0)
-        rep = fz.factorize(1.0e4, 2.0, 1, fconfig, smtable)
+        rep = fz.factorize(1.0e4, 2.0, 1, ladder_cfg, smtable)
         assert rep.lhs == 4.0
         assert rep.rhs == 4.0
         assert rep.ratio == 1.0
@@ -291,20 +273,19 @@ class TestFactorize:
 
 
 class TestMultiformG:
-    def test_two_point_permutation_exact(self, fconfig):
+    def test_two_point_permutation_exact(self):
         a, b = 1.0e4 + 11.0, 1.0e4 + 23.0
-        assert fz.multiform_G([a, b], fconfig) \
-            == fz.multiform_G([b, a], fconfig)
+        assert fz.multiform_G([a, b]) == fz.multiform_G([b, a])
 
-    def test_three_point_permutation(self, fconfig):
+    def test_three_point_permutation(self):
         xs = [1.0e4 + 11.0, 1.0e4 + 23.0, 1.0e4 + 36.0]
-        assert fz.multiform_G(xs[::-1], fconfig) \
-            == pytest.approx(fz.multiform_G(xs, fconfig), rel=1e-14)
+        assert fz.multiform_G(xs[::-1]) \
+            == pytest.approx(fz.multiform_G(xs), rel=1e-14)
 
-    def test_vanishes_near_a_zero(self, fconfig):
+    def test_vanishes_near_a_zero(self):
         # bisect the sign change of Z between 30 and 31
         def f(t):
-            return riemann_siegel_z(t, fconfig.rs).z
+            return riemann_siegel_z(t).z
 
         lo, hi = 30.0, 31.0
         assert f(lo) * f(hi) < 0
@@ -314,21 +295,20 @@ class TestMultiformG:
                 hi = mid
             else:
                 lo = mid
-        assert fz.multiform_G([0.5 * (lo + hi), 50.0], fconfig) < 1e-4
+        assert fz.multiform_G([0.5 * (lo + hi), 50.0]) < 1e-4
 
-    def test_matches_zeta_product_up_to_formula_remainder(self, seq_big,
-                                                          fconfig):
-        g = fz.multiform_G(list(seq_big.alphas[1:]), fconfig)
+    def test_matches_zeta_product_up_to_formula_remainder(self, seq_big):
+        g = fz.multiform_G(list(seq_big.alphas[1:]))
         expect = math.prod(abs(em_zeta_half(a)) for a in seq_big.alphas[1:])
         assert g == pytest.approx(expect, rel=1e-3)
 
-    def test_needs_two_heights(self, fconfig):
+    def test_needs_two_heights(self):
         with pytest.raises(DomainError):
-            fz.multiform_G([1.0e4], fconfig)
+            fz.multiform_G([1.0e4])
 
-    def test_needs_heights_above_8pi(self, fconfig):
+    def test_needs_heights_above_8pi(self):
         with pytest.raises(DomainError):
-            fz.multiform_G([20.0, 1.0e4], fconfig)
+            fz.multiform_G([20.0, 1.0e4])
 
 
 class TestLocalSpectrum:

@@ -101,6 +101,12 @@ def _exact(digits: str) -> Fraction:
     return Fraction(Decimal(digits))
 
 
+def _z(ts, thetas, correction, dts=None):
+    """The main sum, plus the first correction term if correction is 1."""
+    out = kernels.z_main_sum(ts, thetas, dts)
+    return out + kernels.rs_correction(ts) if correction else out
+
+
 class TestPhaseTables:
     def test_ln_table_is_double_double(self):
         hi, lo = _tables.ln_dd(np.array([float(n) for n in LN_REF]))
@@ -169,7 +175,7 @@ class TestPhaseTables:
     def test_main_sum_frozen(self):
         ts = np.array([t for t, _ in MAIN_SUM_REF])
         thetas = np.array([th for _, th in MAIN_SUM_REF])
-        got = kernels.z_main_sum(ts, thetas, 0)
+        got = kernels.z_main_sum(ts, thetas)
         for g, digits in zip(got.tolist(), MAIN_SUM_REF.values()):
             assert abs(Fraction(g) - _exact(digits)) <= Fraction(5e-15)
 
@@ -178,20 +184,17 @@ class TestZMainSum:
     def test_order_one_frozen(self):
         ts = np.array([t for t, _ in ORDER1_REF])
         thetas = np.array([th for _, th in ORDER1_REF])
-        got = kernels.z_main_sum(ts, thetas, 1)
+        got = kernels.z_main_sum(ts, thetas) + kernels.rs_correction(ts)
         for g, digits in zip(got.tolist(), ORDER1_REF.values()):
             assert abs(Fraction(g) - _exact(digits)) <= Fraction(5e-15)
 
     @pytest.mark.parametrize("p0", [0.25, 0.75])
     def test_correction_term_at_removable_singularity(self, p0):
-        # order 1 minus order 0 is the correction term alone; psi's 0/0 at
-        # p = p0 must not cost accuracy 1e-4 away from it
+        # psi's 0/0 at p = p0 must not cost accuracy 1e-4 away from it
         ts = np.array([t for t in PSI_REF
                        if abs(math.sqrt(t / TWO_PI) % 1.0 - p0) < 1e-3])
         assert ts.size == 6
-        thetas = np.full(ts.size, 0.7)
-        got = (kernels.z_main_sum(ts, thetas, 1)
-               - kernels.z_main_sum(ts, thetas, 0))
+        got = kernels.rs_correction(ts)
         for t, g in zip(ts.tolist(), got.tolist()):
             err = Fraction(g) - _exact(PSI_REF[t])
             assert abs(err) <= Fraction(1e-14), t
@@ -207,22 +210,21 @@ class TestZMainSum:
             z = riemann_siegel_z_values(t0 + 1e-4 * np.arange(-20, 21))
             assert np.abs(np.diff(z, 3)).max() <= 1e-8, side
 
-    @pytest.mark.parametrize("order", [0, 1])
-    def test_fallback_batch_invariant(self, order):
+    @pytest.mark.parametrize("correction", [0, 1])
+    def test_fallback_batch_invariant(self, correction):
         # six points in each of twelve floor(tau) groups: every point must
         # come out bit for bit as it does when evaluated alone
         rng = np.random.default_rng(11)
         k = np.repeat(np.arange(3.0, 180.0, 16.0), 6)
         ts = TWO_PI * (k + rng.uniform(0.0, 1.0, k.size)) ** 2
         thetas = rng.uniform(0.0, TWO_PI, ts.size)
-        batch = kernels.z_main_sum(ts, thetas, order)
-        alone = np.array([kernels.z_main_sum(ts[i:i + 1], thetas[i:i + 1],
-                                             order)[0]
+        batch = _z(ts, thetas, correction)
+        alone = np.array([_z(ts[i:i + 1], thetas[i:i + 1], correction)[0]
                           for i in range(ts.size)])
         assert np.array_equal(alone, batch)
 
-    @pytest.mark.parametrize("order", [0, 1])
-    def test_batch_invariant_with_remainders(self, order):
+    @pytest.mark.parametrize("correction", [0, 1])
+    def test_batch_invariant_with_remainders(self, correction):
         # exact remainders of half an ulp or less, across twelve floor(tau)
         # groups: each point's bits depend on its own (t, dt, theta) alone
         rng = np.random.default_rng(23)
@@ -230,13 +232,12 @@ class TestZMainSum:
         ts = TWO_PI * (k + rng.uniform(0.0, 1.0, k.size)) ** 2
         dts = rng.uniform(-0.5, 0.5, ts.size) * np.spacing(ts)
         thetas = rng.uniform(0.0, TWO_PI, ts.size)
-        batch = kernels.z_main_sum(ts, thetas, order, dts=dts)
-        alone = np.array([kernels.z_main_sum(ts[i:i + 1], thetas[i:i + 1],
-                                             order, dts=dts[i:i + 1])[0]
+        batch = _z(ts, thetas, correction, dts)
+        alone = np.array([_z(ts[i:i + 1], thetas[i:i + 1], correction,
+                             dts[i:i + 1])[0]
                           for i in range(ts.size)])
         assert np.array_equal(alone, batch)
-        assert not np.array_equal(batch, kernels.z_main_sum(ts, thetas,
-                                                            order))
+        assert not np.array_equal(batch, _z(ts, thetas, correction))
 
     def test_fallback_wide_blocks_match_points_alone(self):
         # 600 points with floor(tau) = 126, over some 6,000 anchors: the
@@ -245,9 +246,8 @@ class TestZMainSum:
         rng = np.random.default_rng(13)
         ts = TWO_PI * (126.0 + rng.uniform(0.0, 1.0, 600)) ** 2
         thetas = rng.uniform(0.0, TWO_PI, ts.size)
-        batch = kernels.z_main_sum(ts, thetas, 0)
-        alone = np.array([kernels.z_main_sum(ts[i:i + 1], thetas[i:i + 1],
-                                             0)[0]
+        batch = kernels.z_main_sum(ts, thetas)
+        alone = np.array([kernels.z_main_sum(ts[i:i + 1], thetas[i:i + 1])[0]
                           for i in range(ts.size)])
         assert np.array_equal(alone, batch)
 
@@ -262,15 +262,14 @@ class TestZMainSum:
             (ref, rng.uniform(12164.125, 12164.375, 9996))))
         assert np.array_equal(kernels.anchors(ts), np.full(ts.size, 12164.25))
         thetas = np.full(ts.size, 2.0)
-        for order in (0, 1):
-            batch = kernels.z_main_sum(ts, thetas, order)
+        for correction in (0, 1):
+            batch = _z(ts, thetas, correction)
             picks = np.concatenate((np.flatnonzero(np.isin(ts, ref)),
                                     np.arange(0, ts.size, 50)))
             for i in picks.tolist():
-                alone = kernels.z_main_sum(ts[i:i + 1], thetas[i:i + 1],
-                                           order)
-                assert alone[0] == batch[i], (order, ts[i])
-            if order == 0:
+                alone = _z(ts[i:i + 1], thetas[i:i + 1], correction)
+                assert alone[0] == batch[i], (correction, ts[i])
+            if correction == 0:
                 got = dict(zip(ts.tolist(), batch.tolist()))
                 for t, digits in CROSSING_REF.items():
                     err = Fraction(got[t]) - _exact(digits)
@@ -292,23 +291,23 @@ class TestZMainSum:
         rng = np.random.default_rng(9)
         ts = rng.uniform(1e3, 1e5, 64)
         thetas = rng.uniform(0.0, TWO_PI, 64)
-        a = kernels.z_main_sum(ts, thetas, 1)
-        b = kernels.z_main_sum(ts, thetas, 1)
+        a = _z(ts, thetas, 1)
+        b = _z(ts, thetas, 1)
         assert np.array_equal(a, b)
 
     def test_empty_input(self):
-        out = kernels.z_main_sum(np.array([]), np.array([]), 1)
+        out = _z(np.array([]), np.array([]), 1)
         assert out.shape == (0,)
 
     def test_tiny_t_gives_empty_sum(self):
-        # below 2pi the truncation length is zero and order 0 returns 0
-        out = kernels.z_main_sum(np.array([1.0]), np.array([0.3]), 0)
+        # below 2pi the truncation length is zero and the main sum is 0
+        out = kernels.z_main_sum(np.array([1.0]), np.array([0.3]))
         assert out[0] == 0.0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            kernels.z_main_sum(np.zeros(3), np.zeros(2), 1)
+            kernels.z_main_sum(np.zeros(3), np.zeros(2))
 
     def test_phase_reduction_range_guard(self):
         with pytest.raises(RangeError):
-            kernels.z_main_sum(np.array([6.0e7]), np.array([0.0]), 1)
+            kernels.z_main_sum(np.array([6.0e7]), np.array([0.0]))

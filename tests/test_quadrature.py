@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetaladder import cli
 from zetaladder.errors import (DomainError, PrecisionError, RangeError,
                                TableIntegrityError)
 from zetaladder.ladder import euler_constant
@@ -35,25 +36,15 @@ from zetaladder.quadrature import (_FIRST_LEVEL_PHASE, _GL_W, _GL_X,
                                    _K31_W, _K31_X, _initial_edges,
                                    _panel_freq, _panel_sums, _panel_values,
                                    _rule_sums)
-from zetaladder.special import RSConfig, TWO_PI
-
-
-def _z(ts, dts):
-    """Z at the exact quadrature nodes ts + dts."""
-    return z_values(ts, dts=dts)
-
-
-def _z2(ts, dts):
-    """Z^2 at the exact quadrature nodes ts + dts."""
-    return z2_values(ts, dts=dts)
+from zetaladder.special import TWO_PI
 
 
 def _int_z(a, b, cfg=QuadConfig()):
-    return adaptive_integrate(_z, a, b, cfg).value
+    return adaptive_integrate(z_values, a, b, cfg).value
 
 
 def _int_z2(a, b, cfg=QuadConfig()):
-    return adaptive_integrate(_z2, a, b, cfg).value
+    return adaptive_integrate(z2_values, a, b, cfg).value
 
 
 class TestQuadConfig:
@@ -70,7 +61,13 @@ class TestQuadConfig:
     def test_default_table_key_is_frozen(self):
         # every cached table, calibration and moment memo is keyed on this;
         # a numeric change updates it on purpose, with its tag bump
-        assert table_key(QuadConfig(), RSConfig()) == "a777cd491d58a7f7-rs1"
+        assert table_key(QuadConfig()) == "a777cd491d58a7f7-rs1"
+
+    def test_default_moment_memo_key_is_frozen(self):
+        # moment memo file names are keyed on (T, H), U0's exponent and the
+        # table key; replaying a memo needs the same name across versions
+        assert cli._moment_cache_key(1e5, 2.0, QuadConfig()) \
+            == "fcdbdd713d0b9625"
 
     @pytest.mark.parametrize("kw", [{"abs_tol": 0.0}, {"rel_tol": -1e-9},
                                     {"abs_tol": math.nan}, {"rel_tol": 0.0},
@@ -120,7 +117,7 @@ class TestAdaptiveIntegrate:
             fine = e[:-1, None] + np.diff(e)[:, None] * (np.arange(9) / 8.0)
             parts.extend(_panel_sums(z2_values, fine[:, :-1].ravel(),
                                      fine[:, 1:].ravel())[1].tolist())
-        res = adaptive_integrate(_z2, a, b, QuadConfig())
+        res = adaptive_integrate(z2_values, a, b, QuadConfig())
         assert abs(res.value - math.fsum(parts)) <= res.error_bound + 1e-10
 
     def test_unreachable_tolerance_reported(self):
@@ -137,7 +134,7 @@ def _split_sums(lo, hi, ways=16):
     """K31 sums of Z^2 over the panels [lo, hi], each the exact sum of its
     ways-way split, all nodes exact."""
     e = lo[:, None] + (hi - lo)[:, None] * (np.arange(ways + 1) / ways)
-    vals, hws = _panel_values(_z2, e[:, :-1].ravel(), e[:, 1:].ravel(),
+    vals, hws = _panel_values(z2_values, e[:, :-1].ravel(), e[:, 1:].ravel(),
                               _K31_X)
     sub = _rule_sums(vals, _K31_W, hws).reshape(lo.size, ways)
     return np.array([math.fsum(r) for r in sub.tolist()])
@@ -152,7 +149,7 @@ class TestWidePanels:
         # a node rounded to the ulp of t (1.2e-10 here) moves Z^2 by ~1e-9
         # relative, which the split does not share with the whole panel
         e = _initial_edges(1.0e6, 1.0e6 + 8.0, _FIRST_LEVEL_PHASE)
-        vals, hws = _panel_values(_z2, e[:-1], e[1:], _K31_X)
+        vals, hws = _panel_values(z2_values, e[:-1], e[1:], _K31_X)
         whole = _rule_sums(vals, _K31_W, hws)
         scale = np.abs(vals).max(axis=1) * np.diff(e)
         assert np.all(np.abs(whole - _split_sums(e[:-1], e[1:]))
@@ -165,7 +162,7 @@ class TestWidePanels:
     def test_stride_within_bound_of_exact_reference(self, a, b):
         # [8576, 8640] crosses tau = 37 at 2 pi 37^2
         e = _initial_edges(a, b, _FIRST_LEVEL_PHASE)
-        res = adaptive_integrate(_z2, a, b, QuadConfig())
+        res = adaptive_integrate(z2_values, a, b, QuadConfig())
         ref = math.fsum(_split_sums(e[:-1], e[1:]).tolist())
         assert abs(res.value - ref) \
             <= res.error_bound + 4.0 * np.spacing(res.value)
@@ -291,7 +288,7 @@ class TestIntegrateZ2:
         # chains land within 1e-11 of the adaptive integral, past its bound
         # (their nodes are rounded to floats: up to 1.1e-12 off at 9.7e4)
         for a in (1.0e4, 3.163e4, 9.7e4):
-            ref = adaptive_integrate(_z2, a, a + 5.0, QuadConfig())
+            ref = adaptive_integrate(z2_values, a, a + 5.0, QuadConfig())
             total = z2_chain(a, a + 5.0).total
             assert abs(total - ref.value) <= ref.error_bound + 1e-11
 
@@ -382,12 +379,12 @@ class TestPanelBatchInvariance:
 
 
 class TestSecondMomentTable:
-    def test_concurrent_ensure_matches_serial(self, qcfg, rs_cfg):
+    def test_concurrent_ensure_matches_serial(self, qcfg):
         # the sweep's threads extend one shared table; the lock makes the
         # second caller wait and then find the checkpoints already there
-        serial = SecondMomentTable(qcfg, rs_cfg)
+        serial = SecondMomentTable(qcfg)
         serial.ensure(320.0)
-        shared = SecondMomentTable(qcfg, rs_cfg)
+        shared = SecondMomentTable(qcfg)
         start = threading.Barrier(2)
 
         def extend():
@@ -400,11 +397,11 @@ class TestSecondMomentTable:
         assert shared.checkpoints == serial.checkpoints
         assert len(serial.checkpoints) == 6
 
-    def test_extension_order_invisible(self, qcfg, rs_cfg):
-        stepped = SecondMomentTable(qcfg, rs_cfg)
+    def test_extension_order_invisible(self, qcfg):
+        stepped = SecondMomentTable(qcfg)
         stepped.ensure(192.0)
         stepped.ensure(320.0)
-        direct = SecondMomentTable(qcfg, rs_cfg)
+        direct = SecondMomentTable(qcfg)
         direct.ensure(320.0)
         assert stepped.checkpoints == direct.checkpoints
 
@@ -413,28 +410,23 @@ class TestSecondMomentTable:
         assert all(a[0] < b[0] and a[1] < b[1]
                    for a, b in zip(pts, pts[1:]))
 
-    def test_save_load_roundtrip(self, tmp_path, qcfg, rs_cfg):
-        table = SecondMomentTable(qcfg, rs_cfg)
+    def test_save_load_roundtrip(self, tmp_path, qcfg):
+        table = SecondMomentTable(qcfg)
         table.ensure(256.0)
         path = tmp_path / "table.csv"
         save_table(table, path)
         text = path.read_text()
         assert text.startswith(f"smtable-v2,{table.fingerprint},")
-        loaded = load_table(path, qcfg, rs_cfg)
+        loaded = load_table(path, qcfg)
         assert loaded.checkpoints == table.checkpoints
 
-    def test_load_rejects_wrong_fingerprint(self, tmp_path, qcfg, rs_cfg):
-        table = SecondMomentTable(qcfg, rs_cfg)
+    def test_load_rejects_wrong_fingerprint(self, tmp_path, qcfg):
+        table = SecondMomentTable(qcfg)
         table.ensure(128.0)
         path = tmp_path / "table.csv"
         save_table(table, path)
         with pytest.raises(TableIntegrityError):
-            load_table(path, QuadConfig(abs_tol=1e-9), rs_cfg)
-        # checkpoints integrated with the first correction term must not
-        # be extended under the bare main sum
-        assert rs_cfg.correction_order == 1
-        with pytest.raises(TableIntegrityError):
-            load_table(path, qcfg, RSConfig(correction_order=0))
+            load_table(path, QuadConfig(abs_tol=1e-9))
 
     def test_load_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "junk.csv"
@@ -442,8 +434,8 @@ class TestSecondMomentTable:
         with pytest.raises(TableIntegrityError):
             load_table(path)
 
-    def test_load_rejects_non_monotone_rows(self, tmp_path, qcfg, rs_cfg):
-        table = SecondMomentTable(qcfg, rs_cfg)
+    def test_load_rejects_non_monotone_rows(self, tmp_path, qcfg):
+        table = SecondMomentTable(qcfg)
         table.ensure(192.0)
         path = tmp_path / "table.csv"
         save_table(table, path)
@@ -451,23 +443,23 @@ class TestSecondMomentTable:
         lines[2], lines[3] = lines[3], lines[2]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TableIntegrityError):
-            load_table(path, qcfg, rs_cfg)
+            load_table(path, qcfg)
 
     @pytest.mark.parametrize("cut", [
         lambda text: text[:-5],                          # inside a number
         lambda text: text[:text.rindex("\n", 0, -1) + 1],  # a whole row
     ], ids=["in-last-number", "last-row"])
-    def test_load_rejects_cut_table(self, tmp_path, qcfg, rs_cfg, cut):
-        table = SecondMomentTable(qcfg, rs_cfg)
+    def test_load_rejects_cut_table(self, tmp_path, qcfg, cut):
+        table = SecondMomentTable(qcfg)
         table.ensure(192.0)
         path = tmp_path / "table.csv"
         save_table(table, path)
         path.write_text(cut(path.read_text()))
         with pytest.raises(TableIntegrityError):
-            load_table(path, qcfg, rs_cfg)
+            load_table(path, qcfg)
 
-    def test_load_rejects_shifted_checkpoint(self, tmp_path, qcfg, rs_cfg):
-        table = SecondMomentTable(qcfg, rs_cfg)
+    def test_load_rejects_shifted_checkpoint(self, tmp_path, qcfg):
+        table = SecondMomentTable(qcfg)
         table.ensure(192.0)
         path = tmp_path / "table.csv"
         save_table(table, path)
@@ -476,7 +468,7 @@ class TestSecondMomentTable:
         lines[3] = f"{130.0!r},{i_str}"      # checkpoint 2 belongs at 128
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TableIntegrityError):
-            load_table(path, qcfg, rs_cfg)
+            load_table(path, qcfg)
 
 
 class TestCumulativeI:
@@ -521,8 +513,8 @@ class TestHlMoment:
         with pytest.raises(DomainError):
             hl_moment(50.0, 1.0)
 
-    def test_report_fields(self, rs_cfg):
-        rep = hl_moment(2.0e4, 2.0, rs_cfg)
+    def test_report_fields(self):
+        rep = hl_moment(2.0e4, 2.0)
         assert isinstance(rep, MomentReport)
         assert rep.U0 == pytest.approx(2.0e4 ** 0.5001, rel=1e-14)
         assert rep.jbar >= 0.0
@@ -531,9 +523,9 @@ class TestHlMoment:
         assert d["schema"] == "moment-v1"
         assert set(d) == {"schema", "T", "H", "U0", "jbar", "ratio"}
 
-    def test_deterministic_across_calls(self, rs_cfg):
-        r1 = hl_moment(1.0e4, 1.5, rs_cfg)
-        r2 = hl_moment(1.0e4, 1.5, rs_cfg)
+    def test_deterministic_across_calls(self):
+        r1 = hl_moment(1.0e4, 1.5)
+        r2 = hl_moment(1.0e4, 1.5)
         assert r1.jbar == r2.jbar and r1.ratio == r2.ratio
 
     @pytest.mark.parametrize("h", [0.3, 0.5])
@@ -606,14 +598,13 @@ class TestHlMoment:
                 chain.windowed_sq_integral(*bad)
 
     @pytest.mark.parametrize("T", [2.0e4, 2.0e5])
-    def test_windowed_square_matches_adaptive_outer_integral(self, T, qcfg,
-                                                              rs_cfg):
+    def test_windowed_square_matches_adaptive_outer_integral(self, T, qcfg):
         # the adaptive integral of the squared prefix difference is the
         # reference: the same chain, integrated to its tolerance
         h, u0 = 2.0, T ** 0.5001
-        chain = z_chain(T, T + u0 + h, rs_cfg)
+        chain = z_chain(T, T + u0 + h)
         ref = adaptive_integrate(
             lambda ts, _: chain.integral(ts, ts + h) ** 2, T, T + u0, qcfg)
         got = chain.windowed_sq_integral(T, T + u0, h)
         assert abs(got - ref.value) <= 1e-11 * ref.value
-        assert hl_moment(T, h, rs_cfg).jbar == got
+        assert hl_moment(T, h).jbar == got

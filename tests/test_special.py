@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zetaladder import special
+from zetaladder import kernels, special
 from zetaladder.errors import DomainError
 from zetaladder.quadrature import (QuadConfig, _panel_freq,
                                    adaptive_integrate, z2_values, z_values)
-from zetaladder.special import (RS_MIN, CriticalPoint, RSConfig, TWO_PI,
+from zetaladder.special import (RS_MIN, CriticalPoint, TWO_PI,
                                 em_zeta_half, riemann_siegel_z,
                                 riemann_siegel_z_values, tau, theta, z_phase)
 
@@ -144,12 +144,6 @@ class TestThetaReduced:
             assert err <= Fraction(1e-14), t
 
 
-class TestRSConfig:
-    def test_bad_correction_order(self):
-        with pytest.raises(DomainError):
-            RSConfig(correction_order=2)
-
-
 class TestRiemannSiegelZ:
     @pytest.mark.parametrize("t", sorted(Z_REF))
     def test_frozen_values(self, t):
@@ -161,14 +155,12 @@ class TestRiemannSiegelZ:
         p = riemann_siegel_z(100.0)
         assert isinstance(p, CriticalPoint)
         assert p.t == 100.0
-        assert p.zeta_abs == abs(p.z)
         assert p.theta == pytest.approx(THETA_REF[100.0], abs=1e-9)
 
     def test_against_oracle_random_sample(self):
-        cfg = RSConfig()
         rng = np.random.default_rng(42)
         for t in rng.uniform(50.0, 5000.0, 200):
-            diff = abs(riemann_siegel_z(float(t), cfg).z - oracle_z(float(t)))
+            diff = abs(riemann_siegel_z(float(t)).z - oracle_z(float(t)))
             assert diff <= RS_BAND_C * t ** -0.25
 
     def test_first_zero_bisection(self):
@@ -223,9 +215,11 @@ class TestRiemannSiegelZ:
                 riemann_siegel_z_values(np.array([100.0, bad]))
 
     def test_order_zero_still_inside_band(self):
-        cfg0 = RSConfig(correction_order=0)
+        # the main sum without the correction term
         for t in (100.0, 1000.0, 10000.0):
-            d = abs(riemann_siegel_z(t, cfg0).z - oracle_z(t))
+            ts = np.array([t])
+            main = kernels.z_main_sum(ts, special._theta_reduced(ts))[0]
+            d = abs(main - oracle_z(t))
             assert d <= RS_BAND_C * t ** -0.25
 
 
@@ -263,12 +257,20 @@ class TestRemainders:
                           for i in range(ts.size)])
         assert np.array_equal(alone, batch)
 
-    def test_bare_evaluator_refused_as_integrand(self):
-        # adaptive_integrate calls fvec(t, dt); bare, dt would bind to
-        # rs_cfg, below 8pi as above it
-        for a in (10.0, 1.0e4):
-            with pytest.raises(TypeError):
-                adaptive_integrate(z2_values, a, a + 1.0, QuadConfig())
+    def test_bare_evaluator_is_an_integrand(self):
+        # adaptive_integrate calls fvec(t, dt), and z2_values takes the
+        # remainders in that place: the integral is the exact-node value,
+        # which differs from one at nodes rounded to floats
+        a = 1.0e6
+        got = adaptive_integrate(z2_values, a, a + 1.0, QuadConfig()).value
+        assert got == 5.442963931600445
+        rounded = adaptive_integrate(lambda t, dt: z2_values(t), a, a + 1.0,
+                                     QuadConfig()).value
+        assert rounded == 5.442963931356884
+        # below 8pi the oracle ignores the remainders
+        assert adaptive_integrate(z2_values, 10.0, 11.0, QuadConfig()).value \
+            == adaptive_integrate(lambda t, dt: z2_values(t), 10.0, 11.0,
+                                  QuadConfig()).value
 
 
 class TestEmZetaHalf:
@@ -279,8 +281,7 @@ class TestEmZetaHalf:
 
     @pytest.mark.parametrize("t", [100.0, 1000.0])
     def test_modulus_matches_z(self, t):
-        cfg = RSConfig()
-        d = abs(abs(em_zeta_half(t)) - abs(riemann_siegel_z(t, cfg).z))
+        d = abs(abs(em_zeta_half(t)) - abs(riemann_siegel_z(t).z))
         assert d <= RS_BAND_C * t ** -0.25
 
     def test_rotation_is_real_at_500(self):
