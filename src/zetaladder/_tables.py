@@ -9,7 +9,9 @@ hi + lo (about 106 bits), the product of `ln_dd`'s double-double ln n
 (Veltkamp's split, Knuth's two-sum and Dekker's two-product; Dekker, Numer.
 Math. 18, 1971), next to float64 1/sqrt(n).  Nothing depends on the
 platform's long double.  `turns` forms t * ln n / 2pi mod 1 against the table
-to ~1e-16 turns; the tables are grown on demand.
+to ~1e-16 turns; the tables are grown on demand.  The kernel's Taylor moments
+read one more table per truncation length n: the powers of ln m - c, centred
+at c = (ln n) / 2.
 """
 
 from __future__ import annotations
@@ -187,25 +189,31 @@ def rsqrt_n(n: int) -> np.ndarray:
     return _tab[2][:n]
 
 
-def _build_powers(k: int, n: int) -> np.ndarray:
-    """(ln m)^j / j! for j < k (rows) and m = 1..n (columns), each entry
-    the product of ln m / i over i = 1..j in ascending i."""
+def _build_centred(k: int, n: int):
+    """The centre c = (ln n) / 2 and (ln m - c)^j / j! for j < k (rows) and
+    m = 1..n (columns), each entry the product of (ln m - c) / i over
+    i = 1..j in ascending i, with ln m the double-double ln m / 2pi times
+    2pi."""
+    ln_hi, ln_lo = dd_mul(*ln_n_turns(n), *TWO_PI_DD)
+    c = 0.5 * float(ln_hi[-1])
     steps = np.empty((k, n))
     steps[0] = 1.0
-    steps[1:] = ln_dd(np.arange(1.0, n + 1.0))[0] / np.arange(1.0, k)[:, None]
-    return np.cumprod(steps, axis=0)
+    steps[1:] = ((ln_hi - c) + ln_lo) / np.arange(1.0, k)[:, None]
+    return c, np.cumprod(steps, axis=0)
 
 
-_pow = _build_powers(1, 1)
+# n -> (c, (k, n) table); one table per n, grown in k on demand
+_centred = {}
 
 
-def ln_powers(k: int, n: int) -> np.ndarray:
-    """(ln m)^j / j! for j < k and m = 1..n, a (k, n) view of a table grown
-    on demand; an entry depends on its j and m alone."""
-    global _pow
-    if k > _pow.shape[0] or n > _pow.shape[1]:
+def centred_powers(k: int, n: int):
+    """The centre c = (ln n) / 2 and a (k, n) view of (ln m - c)^j / j! for
+    j < k and m = 1..n.  An entry depends on its j, m and n alone."""
+    got = _centred.get(n)
+    if got is None or got[1].shape[0] < k:
+        ensure(n)  # before the lock, which ensure takes itself
         with _lock:
-            if k > _pow.shape[0] or n > _pow.shape[1]:
-                _pow = _build_powers(max(k, _pow.shape[0]),
-                                     max(n, 2 * _pow.shape[1]))
-    return _pow[:k, :n]
+            got = _centred.get(n)
+            if got is None or got[1].shape[0] < k:
+                got = _centred[n] = _build_centred(k, n)
+    return got[0], got[1][:k]

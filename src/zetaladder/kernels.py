@@ -1,36 +1,41 @@
-"""The Riemann-Siegel main-sum kernel: Taylor moments at quarter-unit anchors.
+"""The Riemann-Siegel main-sum kernel: centred Taylor moments at unit anchors.
 
 The main sum at height t is 2 Re(e^{i theta} S(t)) with
 S(t) = sum_{n <= nv} n^{-1/2} e^{-i t ln n} and nv = floor(sqrt(t / 2pi));
 Z is the main sum plus the first correction term, `rs_correction`.
-Each t is written as a + delta, with the anchor a = rint(G t) / G (G anchors
-per unit of t), so delta is exact and |delta| <= 1/(2G).  Then
+Each t is written as a + delta, with the anchor a = rint(G t) / G (G = 1
+anchor per unit of t), so delta is exact and |delta| <= 1/(2G).  With the
+centre c = (ln nv) / 2 of the ln n range,
+e^{-i delta ln n} = e^{-i delta c} e^{-i delta (ln n - c)}, and
 
-    S(a + delta) = sum_{k < K} M_k (-i delta)^k,
-    M_k = sum_n n^{-1/2} e^{-i a ln n} (ln n)^k / k!,
+    S(a + delta) = e^{-i delta c} sum_{k < K} M_k (-i delta)^k,
+    M_k = sum_n n^{-1/2} e^{-i a ln n} (ln n - c)^k / k!,
 
 the local expansion of Odlyzko and Schoenhage ("Fast algorithms for multiple
-evaluations of the Riemann zeta function", Trans. AMS 309, 1988).  The
-moments cost one pass over n per (nv, anchor) group, shared by every point
-of the group; a point then costs K terms instead of nv.  K(nv) is the
-smallest order whose first omitted term, bounded by
-(ln nv / 2G)^K / K! * 2 sqrt(nv), is below 1e-17.
+evaluations of the Riemann zeta function", Trans. AMS 309, 1988), centred
+in ln n.  The moments cost one pass over n per (nv, anchor) group,
+shared by every point of the group; a point then costs K terms instead of
+nv.  Since |ln n - c| <= c, K(nv) is the smallest order whose first omitted
+term, bounded by (ln nv / 4G)^K / K! * 2 sqrt(nv), is below 1e-17.  The
+factor e^{-i delta c} costs no rotation: it joins the phase as
+theta' = theta - delta c before the cos and sin each point takes.
 
 The phase a ln n / 2pi is formed by Dekker's two-product against the
 double-double ln n / 2pi table and reduced mod 1 (`_tables.turns`), so each
 cos and sin argument carries ~1e-15 rad of error at any t the kernel accepts;
-the main sum lands within ~3e-15 of a 200-bit evaluation at t = 1.2e4, 1e5
-and 1e6.  Thetas arrive reduced mod 2pi.  A height may also arrive as a
-float t plus an exact remainder dt, the form a quadrature node takes when
-it must not be rounded to the ulp of t; dt then joins delta.
+the main sum lands within ~5e-15 of a 200-bit evaluation at t = 1.2e4, 1e5
+and 1e6, at the cell edges |delta| = 1/2 included.  Thetas arrive reduced
+mod 2pi.  A height may also arrive as a float t plus an exact remainder dt,
+the form a quadrature node takes when it must not be rounded to the ulp of
+t; dt then joins delta.
 
-Anchors and orders come from t alone.  The moments are summed along the
-contiguous n axis and the Taylor terms along the contiguous k axis, both in
-an order fixed by the row length, and the scratch arrays are cut into blocks
-of about `_CHUNK_FLOATS` floats.  So a point's value depends only on its own
-t, remainder and theta, never on the other points in its call, and scalar
-and batched evaluation agree bit for bit.  No BLAS product is used: its
-summation order depends on the shape of the call.
+Anchors, orders and centres come from t alone.  The moments are summed along
+the contiguous n axis and the Taylor terms along the contiguous k axis, both
+in an order fixed by the row length, and the scratch arrays are cut into
+blocks of about `_CHUNK_FLOATS` floats.  So a point's value depends only on
+its own t, remainder and theta, never on the other points in its call, and
+scalar and batched evaluation agree bit for bit.  No BLAS product is used:
+its summation order depends on the shape of the call.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .errors import RangeError
 
 TWO_PI = 6.283185307179586476925286766559
 
-ANCHORS_PER_UNIT = 4.0
+ANCHORS_PER_UNIT = 1.0
 _TRUNCATION = 1e-17
 _CHUNK_FLOATS = 1 << 16
 _RE_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
@@ -59,7 +64,8 @@ def backend_name() -> str:
 
 def anchors(ts: np.ndarray) -> np.ndarray:
     """The anchor rint(G t) / G of each t.  G is a power of two, so the
-    anchor is exact and t - anchor, at most 1/(2G) in size, is too."""
+    anchor is exact and t - anchor, at most 1/(2G) in size, is too; a t
+    on a cell edge goes to the even multiple of 1/G."""
     return np.rint(ANCHORS_PER_UNIT * ts) / ANCHORS_PER_UNIT
 
 
@@ -74,10 +80,10 @@ def run_starts(*keys: np.ndarray) -> np.ndarray:
 
 
 def _taylor_order(nv: int) -> int:
-    """Smallest K with (ln nv / 2G)^K / K! * 2 sqrt(nv) below 1e-17: the
-    bound on the first omitted term, since |delta ln n| <= ln nv / 2G and
-    sum_n n^{-1/2} <= 2 sqrt(nv)."""
-    x = math.log(nv) / (2.0 * ANCHORS_PER_UNIT)
+    """Smallest K with (ln nv / 4G)^K / K! * 2 sqrt(nv) below 1e-17: the
+    bound on the first omitted term, since |delta (ln n - c)| <= ln nv / 4G
+    and sum_n n^{-1/2} <= 2 sqrt(nv)."""
+    x = math.log(nv) / (4.0 * ANCHORS_PER_UNIT)
     term, k = 2.0 * math.sqrt(nv), 0
     while term >= _TRUNCATION:
         k += 1
@@ -102,9 +108,11 @@ def _psi(p: np.ndarray) -> np.ndarray:
     return np.where(zero, 0.5, num / np.where(zero, 1.0, den))
 
 
-def _moments(a: np.ndarray, nv: int, k: int):
+def _moments(a: np.ndarray, powers: np.ndarray):
     """Real and imaginary parts (m, K) of (-i)^k M_k at the m anchors a,
-    with M_k = sum_{n <= nv} n^{-1/2} e^{-i a ln n} (ln n)^k / k!."""
+    with M_k = sum_{n <= nv} n^{-1/2} e^{-i a ln n} (ln n - c)^k / k!, from
+    the (K, nv) table `powers` of (ln n - c)^k / k!."""
+    k, nv = powers.shape
     lt_hi, lt_lo = _tables.ln_n_turns(nv)
     ang = TWO_PI * _tables.turns(a[:, None], lt_hi, lt_lo)
     c = np.empty((a.size, 2, 1, nv))
@@ -112,7 +120,7 @@ def _moments(a: np.ndarray, nv: int, k: int):
     np.multiply(np.cos(ang), rsqrt, out=c[:, 0, 0])
     np.multiply(np.sin(ang), rsqrt, out=c[:, 1, 0])
     # C_k and S_k (m, 2, K), each summed along the contiguous n axis
-    cs = np.multiply(c, _tables.ln_powers(k, nv)).sum(axis=-1)
+    cs = np.multiply(c, powers).sum(axis=-1)
     # M_k = C_k - i S_k, and (-i)^k cycles through 1, -i, -1, i, so
     # (-i)^k M_k = (C, -S), (-S, -C), (-C, S), (S, C) by k mod 4
     ks = np.arange(k)
@@ -168,12 +176,13 @@ def z_main_sum(ts: np.ndarray, thetas: np.ndarray,
         nv = int(g_nv[b0])
         if nv == 0:
             continue
-        k = _taylor_order(nv)
+        centre, powers = _tables.centred_powers(_taylor_order(nv), nv)
+        k = powers.shape[0]
         per = max(1, _CHUNK_FLOATS // (2 * k * nv))
         rows = max(1, _CHUNK_FLOATS // (2 * k))
         for c0 in range(b0, b1, per):
             c1 = min(b1, c0 + per)
-            re, im = _moments(a_s[starts[c0:c1]], nv, k)
+            re, im = _moments(a_s[starts[c0:c1]], powers)
             for p0 in range(bounds[c0], bounds[c1], rows):
                 p = slice(p0, min(bounds[c1], p0 + rows))
                 g = group[p] - c0
@@ -184,7 +193,9 @@ def z_main_sum(ts: np.ndarray, thetas: np.ndarray,
                 np.cumprod(dk, axis=1, out=dk)
                 s_re = (re[g] * dk).sum(axis=1)
                 s_im = (im[g] * dk).sum(axis=1)
-                z[p] = 2.0 * (np.cos(th[p]) * s_re - np.sin(th[p]) * s_im)
+                # theta' = theta - delta c carries the factor e^{-i delta c}
+                ph = th[p] - centre * delta[p]
+                z[p] = 2.0 * (np.cos(ph) * s_re - np.sin(ph) * s_im)
     out[perm] = z
     return out
 

@@ -147,7 +147,7 @@ class QuadConfig:
         """Short stable hash identifying results produced under this config
         (panel rule version and chain width included so cached tables
         invalidate on change)."""
-        blob = (f"panelgk31-v7|abs={self.abs_tol!r}|rel={self.rel_tol!r}"
+        blob = (f"panelgk31-v8|abs={self.abs_tol!r}|rel={self.rel_tol!r}"
                 f"|depth={self.max_depth}|osc={_CHAIN_PHASE!r}")
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

@@ -21,8 +21,8 @@ reality identity Z(t) = e^{i theta(t)} zeta(1/2+it) is tested at the 1e-8
 level.  Phase products are formed in double-double float64 from the `_tables`
 ln n / 2pi table and reduced mod 1 turn.  theta for t >= 8pi comes from its
 asymptotic series: the leading (t/2)(ln(t/2pi) - 1) is formed in
-double-double once per quarter-unit anchor a (`kernels.anchors`, the anchors
-of the main-sum moments), and each t = a + delta adds the exact increment of
+double-double once per unit anchor a (`kernels.anchors`, the anchors of the
+main-sum moments), and each t = a + delta adds the exact increment of
 that term from a to t, about theta'(a) delta, in float64; a height given
 as t plus an exact remainder dt (a quadrature node) has delta = (t - a) + dt
 here and in the kernel.  The sum is reduced mod 2pi.  theta mod 2pi is then
@@ -123,8 +123,8 @@ def _theta_dd(ts: np.ndarray, dts: np.ndarray = None):
 
     From 8pi on, the double-double leading term is taken once per anchor a
     (`kernels.anchors`), and t = a + delta adds its exact increment
-    (t/2) ln(1 + delta/a) + (delta/2)(ln(a/2pi) - 1), within ~1e-16 rad
-    since |delta| <= 1/8, and the series sum_k c_k t^(1-2k) at t itself.
+    (t/2) ln(1 + delta/a) + (delta/2)(ln(a/2pi) - 1), within ~5e-16 rad
+    since |delta| <= 1/2, and the series sum_k c_k t^(1-2k) at t itself.
     At t = a this is the direct evaluation, bit for bit.  An exact
     remainder dt of each t joins delta as (t - a) + dt, as in the kernel;
     below 8pi it is ignored."""

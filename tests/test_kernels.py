@@ -14,6 +14,7 @@ import pytest
 
 from zetaladder import _tables, kernels
 from zetaladder.errors import RangeError
+from zetaladder.quadrature import QuadConfig, adaptive_integrate, z2_values
 from zetaladder.special import riemann_siegel_z_values
 
 TWO_PI = kernels.TWO_PI
@@ -44,7 +45,8 @@ LN_REF = {
     500000: "13.12236337740432879469071660664800867753",
 }
 # 2 sum_{n <= floor(tau)} n^{-1/2} cos(theta - t ln n) at (t, theta); the
-# last six sit on anchor-cell edges, 1/8 above or below their anchor
+# last twelve sit 1/8, 3/8 and (on the anchor-cell edges, the largest
+# offset) 1/2 from their anchors
 MAIN_SUM_REF = {
     (12000.0, 0.5): "-0.324473965892499305145198522405",
     (12345.678, 3.0): "-0.985497144061877623498144188918",
@@ -58,8 +60,14 @@ MAIN_SUM_REF = {
     (100000.375, 4.0): "-5.3771740659292067899039647796",
     (1000000.125, 0.25): "3.47783652931093864316954106466",
     (1000000.375, 0.25): "2.84980520685343951452611503137",
+    (12000.5, 1.5): "-4.00478307471058767691495470553",
+    (12001.5, 1.5): "3.28714576816833756543105191054",
+    (100000.5, 4.0): "-5.21950071025673863875544318317",
+    (100001.5, 4.0): "-2.94586377457780580320801993964",
+    (1000000.5, 0.25): "1.64517352233847535964805568115",
+    (1000001.5, 0.25): "0.213787178369877354273374079062",
 }
-# the main sum at theta = 2 in the anchor cell [12164.125, 12164.375] that
+# the main sum at theta = 2 in the anchor cell [12163.5, 12164.5] that
 # holds tau = 44 (t = 12164.2467546...): floor(tau) is 43 for the first two
 # points and 44 for the last two
 CROSSING_REF = {
@@ -101,6 +109,12 @@ def _exact(digits: str) -> Fraction:
     return Fraction(Decimal(digits))
 
 
+def _centred_equal(got, ref, k):
+    """A centred-power table read equals the first k rows of a reference
+    build, centre included."""
+    return got[0] == ref[0] and np.array_equal(got[1], ref[1][:k])
+
+
 def _z(ts, thetas, correction, dts=None):
     """The main sum, plus the first correction term if correction is 1."""
     out = kernels.z_main_sum(ts, thetas, dts)
@@ -132,30 +146,48 @@ class TestPhaseTables:
             assert np.array_equal(grown, built)
         # doubling: one entry past the end grows the table to twice its size
         assert _tables._extend(tab, 70001)[0].shape == (140000,)
-        # (ln m)^j / j!: an entry does not depend on the table's extent
-        assert np.array_equal(_tables._build_powers(20, 3000)[:7, :100],
-                              _tables._build_powers(7, 100))
+        # (ln m - c)^j / j!: an entry does not depend on the table's order
+        c, powers = _tables._build_centred(20, 3000)
+        assert np.array_equal(powers[:7], _tables._build_centred(7, 3000)[1])
+        assert _tables._build_centred(7, 3000)[0] == c
+
+    def test_centred_powers_match_exact(self):
+        # c = (ln 1000) / 2, and (ln m - c)^j / j! within the roundoff of
+        # x = ln m - c (1e-15) carried through x^j / j!, plus j roundings
+        c, powers = _tables.centred_powers(24, 1000)
+        want_c = _exact(LN_REF[1000]) / 2
+        assert abs(Fraction(c) - want_c) <= want_c / 2 ** 52
+        for m in (n for n in LN_REF if n <= 1000):
+            x = _exact(LN_REF[m]) - Fraction(c)
+            for j in range(1, 24):
+                want = x ** j / math.factorial(j)
+                err = abs(Fraction(float(powers[j, m - 1])) - want)
+                slope = abs(x) ** (j - 1) / math.factorial(j - 1)
+                assert err <= Fraction(1e-15) * slope \
+                    + j * abs(want) / 2 ** 52, (m, j)
 
     def test_concurrent_growth_reads_whole_tables(self, monkeypatch):
         # the sweep's pool threads grow and read the shared tables at once
         ref = _tables._build(0, 40000)
-        ref_pow = _tables._build_powers(24, 3000)
+        ms = (1, 2, 43, 178, 399, 1023, 1025, 1500, 2047, 2049, 2500, 3000)
+        ref_pow = {m: _tables._build_centred(24, m) for m in ms}
         monkeypatch.setattr(_tables, "_tab", _tables._build(0, 1024))
-        monkeypatch.setattr(_tables, "_pow", _tables._build_powers(1, 1))
+        monkeypatch.setattr(_tables, "_centred", {})
         bad = []
 
         def reader(seed):
             rng = np.random.default_rng(seed)
             for n, k, m in zip(rng.integers(1, 40000, 30),
                                rng.integers(1, 25, 30),
-                               rng.integers(1, 3000, 30)):
+                               rng.choice(ms, 30)):
                 hi, lo = _tables.ln_n_turns(int(n))
                 if not (np.array_equal(hi, ref[0][:n])
                         and np.array_equal(lo, ref[1][:n])
                         and np.array_equal(_tables.rsqrt_n(int(n)),
                                            ref[2][:n])
-                        and np.array_equal(_tables.ln_powers(int(k), int(m)),
-                                           ref_pow[:k, :m])):
+                        and _centred_equal(_tables.centred_powers(int(k),
+                                                                  int(m)),
+                                           ref_pow[m], k)):
                     bad.append(int(n))
 
         old = sys.getswitchinterval()
@@ -259,8 +291,8 @@ class TestZMainSum:
         rng = np.random.default_rng(17)
         ref = np.array(list(CROSSING_REF))
         ts = rng.permutation(np.concatenate(
-            (ref, rng.uniform(12164.125, 12164.375, 9996))))
-        assert np.array_equal(kernels.anchors(ts), np.full(ts.size, 12164.25))
+            (ref, rng.uniform(12163.5, 12164.5, 9996))))
+        assert np.array_equal(kernels.anchors(ts), np.full(ts.size, 12164.0))
         thetas = np.full(ts.size, 2.0)
         for correction in (0, 1):
             batch = _z(ts, thetas, correction)
@@ -277,15 +309,31 @@ class TestZMainSum:
 
     @pytest.mark.parametrize("height", [12000.0, 100000.0, 1000000.0])
     def test_z_continuous_across_anchor_edges(self, height):
-        # grids of step 1e-4 across the cell edges 1/8 and 3/8 above height,
+        # grids of step 1e-4 across the cell edges 1/2 and 3/2 above height,
         # where the anchor of the moments changes: smooth Z has third
         # differences up to ~3e-9 there, and a step in Z would show at its
         # size
-        for edge in (0.125, 0.375):
+        for edge in (0.5, 1.5):
             ts = height + edge + 1e-4 * np.arange(-20, 21)
             assert np.unique(kernels.anchors(ts)).size == 2
             z = riemann_siegel_z_values(ts)
             assert np.abs(np.diff(z, 3)).max() <= 1e-8, edge
+
+    def test_one_moment_row_per_unit_of_t(self, monkeypatch):
+        # a 64-unit table segment at 1.2e4 forms its moments once per
+        # integer anchor in [a, a + 64]: 65 rows (quarter-unit anchors made
+        # 257), whatever the number of kernel calls
+        rows = []
+        moments = kernels._moments
+
+        def counting(a, powers):
+            rows.append(a.size)
+            return moments(a, powers)
+
+        monkeypatch.setattr(kernels, "_moments", counting)
+        a = 64.0 * 188
+        adaptive_integrate(z2_values, a, a + 64.0, QuadConfig())
+        assert 0 < sum(rows) <= 65
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)

@@ -61,13 +61,13 @@ class TestQuadConfig:
     def test_default_table_key_is_frozen(self):
         # every cached table, calibration and moment memo is keyed on this;
         # a numeric change updates it on purpose, with its tag bump
-        assert table_key(QuadConfig()) == "a777cd491d58a7f7-rs1"
+        assert table_key(QuadConfig()) == "e0628b52e7bb2520-rs1"
 
     def test_default_moment_memo_key_is_frozen(self):
         # moment memo file names are keyed on (T, H), U0's exponent and the
         # table key; replaying a memo needs the same name across versions
         assert cli._moment_cache_key(1e5, 2.0, QuadConfig()) \
-            == "fcdbdd713d0b9625"
+            == "7b0ea6a9d6c9cb24"
 
     @pytest.mark.parametrize("kw", [{"abs_tol": 0.0}, {"rel_tol": -1e-9},
                                     {"abs_tol": math.nan}, {"rel_tol": 0.0},

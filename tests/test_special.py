@@ -37,7 +37,8 @@ Z_REF = {
     10000.0: -0.34139472423120854,
 }
 # theta(t) mod 2pi at 200 bits (mpmath siegeltheta), to 30 digits; the
-# heights ending in .125 and .375 sit 1/8 from their anchors
+# heights ending in .125, .375 and .5 sit 1/8, 3/8 and (on the anchor-cell
+# edges, the largest offset) 1/2 from their anchors
 THETA_MOD_REF = {
     1.0: "4.51563735436729608862307026729",
     5.5: "2.7781768238338607887536704163",
@@ -57,6 +58,12 @@ THETA_MOD_REF = {
     100000.375: "0.426805261500032435612047518115",
     1000000.125: "2.34651701485549251840058711738",
     1000000.375: "3.84372123254984915586824957422",
+    12000.5: "3.74834060591076082032507666053",
+    12001.5: "1.24258939455291864983349657143",
+    100000.5: "1.03149605984672499299560761695",
+    100001.5: "5.86902525909800004459098571475",
+    1000000.5: "4.59232335311577356835443065468",
+    1000001.5: "4.29795529171335973528612158868",
 }
 TWO_PI_EXACT = Fraction(Decimal("6.283185307179586476925286766559005768394"))
 # Z by the first-order Riemann-Siegel formula (main sum plus the first
@@ -263,10 +270,10 @@ class TestRemainders:
         # which differs from one at nodes rounded to floats
         a = 1.0e6
         got = adaptive_integrate(z2_values, a, a + 1.0, QuadConfig()).value
-        assert got == 5.442963931600445
+        assert got == 5.442963931600442
         rounded = adaptive_integrate(lambda t, dt: z2_values(t), a, a + 1.0,
                                      QuadConfig()).value
-        assert rounded == 5.442963931356884
+        assert rounded == 5.44296393135688
         # below 8pi the oracle ignores the remainders
         assert adaptive_integrate(z2_values, 10.0, 11.0, QuadConfig()).value \
             == adaptive_integrate(lambda t, dt: z2_values(t), 10.0, 11.0,
