@@ -12,10 +12,10 @@ from .kernels import backend_name
 from .ladder import (IterateDirection, LadderConfig, LadderPoint,
                      PrimePiTable, calibrate_c0, euler_constant, phi1,
                      phi1_inverse, phi1_iterates, pi_count)
-from .quadrature import (MomentReport, PanelChain, QuadConfig,
-                         SecondMomentTable, adaptive_integrate,
-                         admissible_h_range, cumulative_I, hl_moment,
-                         load_table, save_table, z2_chain, z_chain)
+from .quadrature import (MomentReport, PanelChain, SecondMomentTable,
+                         adaptive_integrate, admissible_h_range,
+                         cumulative_I, hl_moment, load_table, save_table,
+                         z2_chain, z_chain)
 from .special import (CriticalPoint, em_zeta_half, riemann_siegel_z, tau,
                       theta, z_phase)
 

@@ -10,12 +10,13 @@ hi + lo (about 106 bits), the product of `ln_dd`'s double-double ln n
 Math. 18, 1971), next to float64 1/sqrt(n).  Nothing depends on the
 platform's long double.  `turns` forms t * ln n / 2pi mod 1 against the table
 to ~1e-16 turns; the tables are grown on demand.  The kernel's Taylor moments
-read one more table per truncation length n: the powers of ln m - c, centred
-at c = (ln n) / 2.
+read one more table per truncation length n, the powers of ln m - c centred
+at c = (ln n) / 2, from a small cache.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
@@ -189,31 +190,19 @@ def rsqrt_n(n: int) -> np.ndarray:
     return _tab[2][:n]
 
 
-def _build_centred(k: int, n: int):
-    """The centre c = (ln n) / 2 and (ln m - c)^j / j! for j < k (rows) and
-    m = 1..n (columns), each entry the product of (ln m - c) / i over
-    i = 1..j in ascending i, with ln m the double-double ln m / 2pi times
-    2pi."""
+@functools.lru_cache(maxsize=16)
+def centred_powers(k: int, n: int):
+    """The centre c = (ln n) / 2 and a read-only (k, n) table of
+    (ln m - c)^j / j! for j < k and m = 1..n, each entry the product of
+    (ln m - c) / i over i = 1..j in ascending i, with ln m the double-double
+    ln m / 2pi times 2pi.  An entry depends on its j, m and n alone, so the
+    cache may drop and rebuild a table without changing a bit; it keeps the
+    last 16, the truncation lengths a batch of nearby heights visits."""
     ln_hi, ln_lo = dd_mul(*ln_n_turns(n), *TWO_PI_DD)
     c = 0.5 * float(ln_hi[-1])
     steps = np.empty((k, n))
     steps[0] = 1.0
     steps[1:] = ((ln_hi - c) + ln_lo) / np.arange(1.0, k)[:, None]
-    return c, np.cumprod(steps, axis=0)
-
-
-# n -> (c, (k, n) table); one table per n, grown in k on demand
-_centred = {}
-
-
-def centred_powers(k: int, n: int):
-    """The centre c = (ln n) / 2 and a (k, n) view of (ln m - c)^j / j! for
-    j < k and m = 1..n.  An entry depends on its j, m and n alone."""
-    got = _centred.get(n)
-    if got is None or got[1].shape[0] < k:
-        ensure(n)  # before the lock, which ensure takes itself
-        with _lock:
-            got = _centred.get(n)
-            if got is None or got[1].shape[0] < k:
-                got = _centred[n] = _build_centred(k, n)
-    return got[0], got[1][:k]
+    powers = np.cumprod(steps, axis=0)
+    powers.flags.writeable = False
+    return c, powers

@@ -8,17 +8,18 @@ the oracle cross-check), `moment` (windowed second moment), `ladder`
 any emitted CSV).
 
 Every command writes a JSON run manifest next to its primary output
-recording the command, its parameters, the effective config and the files
-produced.  Primary outputs are deterministic: numbers are emitted in
+recording the command, its parameters, the quadrature fingerprint and the
+files produced.  Primary outputs are deterministic: numbers are emitted in
 round-trip decimal form, sweep rows are buffered and written in input
 order no matter how many workers computed them, and cache hits replay the
 exact bytes that were first written.  The manifest carries the only
 timestamp.  Every file is written whole (`write_atomic`), so a failed or
 killed run leaves the old file or the whole new one.
 
-Configuration precedence is flags over config file over defaults; the
-checkpoint table, calibration artifact and moment memos live in the cache
-directory (`./.zlcache`, or `ZL_CACHE_DIR`, or `--cache-dir`).
+The tolerances are the constants of `quadrature` and no flag changes
+them; `factorize --workers` sets the sweep's thread count, the one setting.
+The checkpoint table, calibration artifact and moment memos live in the
+cache directory (`./.zlcache`, or `ZL_CACHE_DIR`, or `--cache-dir`).
 """
 
 from __future__ import annotations
@@ -44,19 +45,12 @@ from . import ladder as ld
 from . import svgplot
 from .errors import (CalibrationError, DegenerateConfigurationError,
                      DomainError, PrecisionError, TableIntegrityError)
-from .quadrature import (U0_EXPONENT, QuadConfig, SecondMomentTable,
-                         admissible_h_range, hl_moment, load_table,
-                         save_table, table_key, write_atomic)
+from .quadrature import (FINGERPRINT, TABLE_KEY, U0_EXPONENT,
+                         SecondMomentTable, admissible_h_range, hl_moment,
+                         load_table, save_table, write_atomic)
 from .special import em_zeta_half, riemann_siegel_z, z_phase
 
 _log = logging.getLogger(__name__)
-
-_DEFAULTS: Dict[str, object] = {
-    "abs_tol": 1e-8,
-    "rel_tol": 1e-8,
-    "max_depth": 24,
-    "workers": 0,
-}
 
 _TABLE_FILE = "smtable.csv"
 _CALIB_FILE = "calibration.txt"
@@ -67,58 +61,17 @@ _MAX_ROWS = 10 ** 6
 
 
 def _write_manifest(command: str, out: Path, params: Dict[str, object],
-                    eff: Dict[str, object], *extra: Path) -> None:
+                    *extra: Path) -> None:
     """Write the provenance record of a run beside its primary output
-    `out`: command, parameters with the effective config, the config
-    fingerprint, a UTC timestamp and the files produced (`out`, then
-    `extra`)."""
-    doc = {"command": command, "parameters": {**params, "config": eff},
-           "config_fingerprint": _quad_config(eff).fingerprint,
+    `out`: command, parameters, the quadrature fingerprint, a UTC
+    timestamp and the files produced (`out`, then `extra`)."""
+    doc = {"command": command, "parameters": params,
+           "config_fingerprint": FINGERPRINT,
            "timestamp": datetime.now(timezone.utc).isoformat(
                timespec="seconds"),
            "outputs": [str(p) for p in (out,) + extra]}
     write_atomic(out.with_suffix(out.suffix + ".manifest.json"),
                  json.dumps(doc, indent=2) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# configuration plumbing
-
-
-def _read_config_file(path: str) -> Dict[str, object]:
-    out: Dict[str, object] = {}
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if not sep or key not in _DEFAULTS:
-                raise DomainError(
-                    f"{path}:{ln}: unknown config key {key!r}")
-            try:
-                out[key] = type(_DEFAULTS[key])(val)
-            except ValueError as exc:
-                raise DomainError(f"{path}:{ln}: {key}: {exc}") from None
-    return out
-
-
-def _effective_config(args: argparse.Namespace) -> Dict[str, object]:
-    eff = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        eff.update(_read_config_file(args.config))
-    for key in _DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            eff[key] = flag
-    return eff
-
-
-def _quad_config(eff: Dict[str, object]) -> QuadConfig:
-    return QuadConfig(abs_tol=float(eff["abs_tol"]),
-                      rel_tol=float(eff["rel_tol"]),
-                      max_depth=int(eff["max_depth"]))
 
 
 def _cache_dir(args: argparse.Namespace) -> Path:
@@ -129,20 +82,20 @@ def _cache_dir(args: argparse.Namespace) -> Path:
     return cache
 
 
-def _load_or_new_table(cache: Path, qcfg: QuadConfig) -> SecondMomentTable:
+def _load_or_new_table(cache: Path) -> SecondMomentTable:
     path = cache / _TABLE_FILE
     if path.exists():
         try:
-            return load_table(path, qcfg)
+            return load_table(path)
         except (TableIntegrityError, ValueError) as exc:
             _log.warning("ignoring cached table %s: %s", path, exc)
-    return SecondMomentTable(qcfg)
+    return SecondMomentTable()
 
 
-def _calibrated_context(args, qcfg):
+def _calibrated_context(args):
     """Cache, table and calibrated ladder config shared by ladder stages."""
     cache = _cache_dir(args)
-    table = _load_or_new_table(cache, qcfg)
+    table = _load_or_new_table(cache)
     art = cache / _CALIB_FILE
     cfg = None
     if art.exists():
@@ -151,8 +104,8 @@ def _calibrated_context(args, qcfg):
             if fingerprint == table.fingerprint:
                 cfg = loaded
             else:
-                _log.warning("calibration %s was fit against a different "
-                             "table config; refitting", art)
+                _log.warning("calibration %s was fit against a table with "
+                             "another key; refitting", art)
         except TableIntegrityError as exc:
             _log.warning("ignoring calibration artifact: %s", exc)
     if cfg is None:
@@ -226,7 +179,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise DomainError(f"eval would write more than {_MAX_ROWS} "
                           "rows; raise --step or narrow the range")
     n = int(math.floor(span)) + 1 if args.stop >= args.start else 0
-    eff = _effective_config(args)
     out = Path(args.out)
     header = "t,Z,theta,abs_zeta,oracle_diff"
     rows = []
@@ -239,16 +191,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
                               repr(abs(zeta)), repr(diff)]))
     _write_rows(out, header, rows)
     _write_manifest("eval", out, {"from": args.start, "to": args.stop,
-                                  "step": args.step}, eff)
+                                  "step": args.step})
     print(f"eval: {len(rows)} rows -> {out}")
     return 0
 
 
-def _moment_cache_key(T: float, H: float, qcfg: QuadConfig) -> str:
+def _moment_cache_key(T: float, H: float) -> str:
     # outer=gl16 names the outer integral's rule: a memo of the adaptive
     # rule differs in jbar's last digits and is recomputed, not replayed
     blob = "|".join(["moment", repr(float(T)), repr(float(H)),
-                     repr(U0_EXPONENT), table_key(qcfg), "outer=gl16"])
+                     repr(U0_EXPONENT), TABLE_KEY, "outer=gl16"])
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -278,7 +230,6 @@ def _replayable_memo(memo: Path, T: float, H: float) -> Optional[str]:
 
 
 def cmd_moment(args: argparse.Namespace) -> int:
-    eff = _effective_config(args)
     cache = _cache_dir(args)
     out = Path(args.out)
     h_lo, h_hi = admissible_h_range(args.T)
@@ -287,7 +238,7 @@ def cmd_moment(args: argparse.Namespace) -> int:
             f"H = {args.H:g} inadmissible at T = {args.T:g}: needs "
             f"ln ln T / ln T < H < T^(1/ln ln T), i.e. ({h_lo:.6g}, "
             f"{h_hi:.6g})")
-    key = _moment_cache_key(args.T, args.H, _quad_config(eff))
+    key = _moment_cache_key(args.T, args.H)
     memo = cache / f"moment-{key}.json"
     text = None
     if memo.exists() and not args.no_cache:
@@ -297,7 +248,7 @@ def cmd_moment(args: argparse.Namespace) -> int:
         text = json.dumps(report.as_dict(), indent=2) + "\n"
         write_atomic(memo, text)
     write_atomic(out, text)
-    _write_manifest("moment", out, {"T": args.T, "H": args.H}, eff, memo)
+    _write_manifest("moment", out, {"T": args.T, "H": args.H}, memo)
     print(f"moment: T={args.T:g} H={args.H:g} -> {out}")
     return 0
 
@@ -309,13 +260,12 @@ def _parse_t_list(text: str) -> List[float]:
 
 
 def cmd_ladder(args: argparse.Namespace) -> int:
-    eff = _effective_config(args)
     ts = _parse_t_list(args.T) if args.T else ld.CALIBRATION_ANCHORS
-    cache, table, cfg = _calibrated_context(args, _quad_config(eff))
+    cache, table, cfg = _calibrated_context(args)
     points = [ld.phi1(t, cfg, table) for t in ts]
     # sized only once phi1 has accepted every T and extended the table to it
     pi_table = ld.PrimePiTable.build(max([2] + [math.floor(t) for t in ts]))
-    one_minus_c = 1.0 - cfg.euler_c
+    one_minus_c = 1.0 - ld.EULER_C
     rows = []
     for t, point in zip(ts, points):
         ratio = (t - point.phi1) / (one_minus_c * ld.pi_count(t, pi_table))
@@ -324,14 +274,13 @@ def cmd_ladder(args: argparse.Namespace) -> int:
     out = Path(args.out)
     _write_rows(out, "T,phi1,residual,complement_ratio", rows)
     save_table(table, cache / _TABLE_FILE)
-    _write_manifest("ladder", out, {"T": ts}, eff)
+    _write_manifest("ladder", out, {"T": ts})
     print(f"ladder: {len(rows)} rows -> {out}")
     return 0
 
 
 def cmd_alphas(args: argparse.Namespace) -> int:
-    eff = _effective_config(args)
-    cache, table, cfg = _calibrated_context(args, _quad_config(eff))
+    cache, table, cfg = _calibrated_context(args)
     seq = fz.build_alpha_sequence(args.T, args.H, args.k, cfg, table)
     doc = {"schema": "alphaseq-v1", "T": seq.T, "H": seq.H, "k": seq.k,
            "eta": seq.eta, "beta": seq.beta, "Hk": seq.Hk,
@@ -339,16 +288,14 @@ def cmd_alphas(args: argparse.Namespace) -> int:
     out = Path(args.out)
     write_atomic(out, json.dumps(doc, indent=2) + "\n")
     save_table(table, cache / _TABLE_FILE)
-    _write_manifest("alphas", out, {"T": args.T, "H": args.H, "k": args.k},
-                    eff)
+    _write_manifest("alphas", out, {"T": args.T, "H": args.H, "k": args.k})
     print(f"alphas: k={args.k} chain at T={args.T:g} -> {out}")
     return 0
 
 
 def cmd_factorize(args: argparse.Namespace) -> int:
-    eff = _effective_config(args)
     ts = _parse_sweep(args.sweep) if args.sweep else None
-    cache, table, cfg = _calibrated_context(args, _quad_config(eff))
+    cache, table, cfg = _calibrated_context(args)
     out = Path(args.out)
     if ts is not None:
         def job(t: float) -> str:
@@ -356,7 +303,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
             _log.info("factorize sweep: T = %g done", t)
             return report.csv_row()
 
-        workers = int(eff["workers"])
+        workers = args.workers
         if workers <= 0:
             workers = min(8, os.cpu_count() or 1)
         if workers > 1 and len(ts) > 1:
@@ -365,7 +312,8 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         else:
             rows = [job(t) for t in ts]
         _write_rows(out, fz.FactorizationReport.csv_header(args.k), rows)
-        params = {"sweep": args.sweep, "H": args.H, "k": args.k}
+        params = {"sweep": args.sweep, "H": args.H, "k": args.k,
+                  "workers": workers}
         print(f"factorize: {len(rows)} sweep rows -> {out}")
     else:
         report = fz.factorize(args.T, args.H, args.k, cfg, table)
@@ -373,36 +321,33 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         params = {"T": args.T, "H": args.H, "k": args.k}
         print(f"factorize: ratio = {report.ratio:.6f} -> {out}")
     save_table(table, cache / _TABLE_FILE)
-    _write_manifest("factorize", out, params, eff)
+    _write_manifest("factorize", out, params)
     return 0
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    eff = _effective_config(args)
     entries = fz.local_spectrum(args.x)
     rows = [",".join([str(e.n), repr(e.omega)]) for e in entries]
     out = Path(args.out)
     _write_rows(out, "n,omega", rows)
-    _write_manifest("spectrum", out, {"x": args.x}, eff)
+    _write_manifest("spectrum", out, {"x": args.x})
     print(f"spectrum: {len(rows)} frequencies -> {out}")
     return 0
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    eff = _effective_config(args)
     cache = _cache_dir(args)
     anchors = _parse_floats(args.anchors, "--anchors") if args.anchors \
         else ld.CALIBRATION_ANCHORS
-    table = _load_or_new_table(cache, _quad_config(eff))
+    table = _load_or_new_table(cache)
     out = Path(args.out) if args.out else cache / _CALIB_FILE
     c0 = _calibrate(cache, table, anchors, out).c0
-    _write_manifest("calibrate", out, {"anchors": anchors}, eff)
+    _write_manifest("calibrate", out, {"anchors": anchors})
     print(f"calibrate: c0 = {c0!r} -> {out}")
     return 0
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    eff = _effective_config(args)
     with open(args.input) as fh:
         reader = csv.DictReader(fh)
         table_rows = list(reader)
@@ -433,7 +378,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     out = Path(args.out)
     write_atomic(out, svgplot.render(spec))
     _write_manifest("plot", out, {"input": args.input, "x": args.x,
-                                  "y": y_cols, "kind": args.kind}, eff)
+                                  "y": y_cols, "kind": args.kind})
     print(f"plot: {len(series)} series -> {out}")
     return 0
 
@@ -442,19 +387,12 @@ def cmd_plot(args: argparse.Namespace) -> int:
 # parser scaffolding
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    group = sub.add_argument_group("configuration")
-    group.add_argument("--config", help="key=value config file")
-    group.add_argument("--cache-dir", dest="cache_dir",
-                       help="cache directory (default ./.zlcache or "
-                            "ZL_CACHE_DIR)")
-    group.add_argument("--verbose", action="store_true",
-                       help="line-based progress log on stderr")
-    for key, default in _DEFAULTS.items():
-        flag = "--" + key.replace("_", "-")
-        kind = int if isinstance(default, int) else float
-        group.add_argument(flag, dest=key, type=kind, default=None,
-                           help=f"default {default}")
+def _add_common_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--cache-dir", dest="cache_dir",
+                     help="cache directory (default ./.zlcache or "
+                          "ZL_CACHE_DIR)")
+    sub.add_argument("--verbose", action="store_true",
+                     help="line-based progress log on stderr")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--step", type=float, default=1.0)
     p.add_argument("--out", default="eval.csv")
-    _add_config_flags(p)
+    _add_common_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("moment", help="windowed second moment report")
@@ -477,14 +415,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--no-cache", dest="no_cache", action="store_true")
     p.add_argument("--out", default="moment.json")
-    _add_config_flags(p)
+    _add_common_flags(p)
     p.set_defaults(func=cmd_moment)
 
     p = subs.add_parser("ladder", help="heights and complement ratios")
     p.add_argument("--T", help="comma list or T=a:b:n log sweep "
                                "(default: the calibration anchors)")
     p.add_argument("--out", default="ladder.csv")
-    _add_config_flags(p)
+    _add_common_flags(p)
     p.set_defaults(func=cmd_ladder)
 
     p = subs.add_parser("alphas", help="control-point chain for (T, H, k)")
@@ -492,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", default="alphas.json")
-    _add_config_flags(p)
+    _add_common_flags(p)
     p.set_defaults(func=cmd_alphas)
 
     p = subs.add_parser("factorize", help="factorization report or sweep")
@@ -500,20 +438,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--sweep", help="T=a:b:n for a log-spaced sweep CSV")
+    p.add_argument("--workers", type=int, default=0,
+                   help="sweep threads (default 0: min(8, CPUs))")
     p.add_argument("--out", default="facrep.json")
-    _add_config_flags(p)
+    _add_common_flags(p)
     p.set_defaults(func=cmd_factorize)
 
     p = subs.add_parser("spectrum", help="main-sum frequencies at height x")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--out", default="spectrum.csv")
-    _add_config_flags(p)
+    _add_common_flags(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = subs.add_parser("calibrate", help="fit c0 and write the artifact")
     p.add_argument("--anchors", help="comma-separated anchor heights")
     p.add_argument("--out", help="artifact path (default: cache dir)")
-    _add_config_flags(p)
+    _add_common_flags(p)
     p.set_defaults(func=cmd_calibrate)
 
     p = subs.add_parser("plot", help="SVG chart from an emitted CSV")
@@ -525,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xlabel")
     p.add_argument("--ylabel")
     p.add_argument("--out", default="plot.svg")
-    _add_config_flags(p)
+    _add_common_flags(p)
     p.set_defaults(func=cmd_plot)
 
     return ap

@@ -50,7 +50,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateConfigurationError, DomainError, PrecisionError
-from .ladder import LadderConfig, brentq, inverse_levels, invert_profile
+from .ladder import (EULER_C, LadderConfig, brentq, inverse_levels,
+                     invert_profile)
 from .quadrature import (U0_EXPONENT, SecondMomentTable, adaptive_integrate,
                          admissible_h_range, z2_values, z_chain, z_values)
 # no longer called here; kept because the benchmark's layer tracer wraps them
@@ -201,7 +202,7 @@ class _LevelMaps:
                  table: SecondMomentTable):
         self.k = k
         self.cfg = cfg
-        self._slope_c = 1.0 + cfg.euler_c - math.log(TWO_PI)
+        self._slope_c = 1.0 + EULER_C - math.log(TWO_PI)
         # level 0 never maps down
         self.levels = [None] + inverse_levels([eta, eta + H], k, cfg, table)
         self.bounds = [(eta, eta + H)] + [tuple(lv.heights.tolist())
@@ -273,7 +274,7 @@ def _mean_value_roots(maps: _LevelMaps, mean: float,
 def _build_job(T: float, H: float, k: int, cfg: LadderConfig,
                table: SecondMomentTable):
     """Window, level maps, top interval [a, b] and mean-value brackets of
-    one job; quadrature settings come from the table."""
+    one job."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     eta = find_eta(T, H)
@@ -283,8 +284,7 @@ def _build_job(T: float, H: float, k: int, cfg: LadderConfig,
     # integrate in the base window, where the pulled-back integrand stays
     # order one; over [A, B] the same integral is 1/hk-scaled and the
     # inversion jitter would swamp any panel budget on contracted levels
-    F = adaptive_integrate(maps.base_integrand, eta, eta + H,
-                           table.cfg).value
+    F = adaptive_integrate(maps.base_integrand, eta, eta + H).value
     size = abs(F) / math.sqrt(TWO_PI * H)
     if not 0.5 <= size <= 1.5:
         # the lemma behind the construction promises ~ sqrt(2 pi H); a miss

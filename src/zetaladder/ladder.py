@@ -19,14 +19,15 @@ The inverse map is solved directly on I: phi1(y) = x means I(y) equals the
 profile at x.  `InverseLevel` is the one solver: for all heights of one
 ladder level at once it reads I as a table checkpoint plus one Z^2 panel
 chain, brackets each root by the chain's panel-edge values, bisects and
-finishes with the Newton loop `newton_to_plateau`.  `phi1_inverse` is its one-point call,
-`inverse_levels` stacks it level by level for the inverse iterates and the
-factorization's level maps, and phi1 inverts the profile through
-`invert_profile`, which shares the same Newton loop.  LadderConfig holds
-only the constants euler_c and c0: the weight dividing Z^2 is always
-ln t.  Everything here treats the SecondMomentTable as an immutable
-snapshot apart from its own append-only extension; calibration mutates the
-LadderConfig and must happen before dependent calls.
+finishes with the Newton loop `newton_to_plateau`.  `phi1_inverse` is its
+one-point call, `inverse_levels` stacks it level by level for the inverse
+iterates and the factorization's level maps, and phi1 inverts the profile
+through `invert_profile`, which shares the same Newton loop.  LadderConfig
+holds only the calibrated c0; Euler's constant is `EULER_C` and the weight
+dividing Z^2 is always ln t.  Everything here treats the SecondMomentTable
+as an immutable snapshot apart from its own append-only extension;
+calibration mutates the LadderConfig and must happen before dependent
+calls.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import logging
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from math import fsum
 from typing import Callable, List, Sequence, Tuple
@@ -80,6 +81,11 @@ def euler_constant(n: int = 100) -> float:
     return h - math.log(n) + tail
 
 
+# Euler's constant from its defining limit.  numpy's euler_gamma lies one
+# ulp away, which would move every calibrated c0.
+EULER_C = euler_constant()
+
+
 class IterateDirection(Enum):
     FORWARD = "forward"
     INVERSE = "inverse"
@@ -87,19 +93,14 @@ class IterateDirection(Enum):
 
 @dataclass
 class LadderConfig:
-    """Ladder constants.  Mutable on purpose: calibration writes c0.
-
-    euler_c is recomputed from its defining limit at construction rather
-    than hard-coded; c0 starts at 0 and is meaningless until calibrate_c0
-    (or a loaded calibration artifact) sets it.
+    """The ladder's calibration constant.  Mutable on purpose: calibration
+    writes c0, which starts at 0 and is meaningless until calibrate_c0 (or
+    a loaded calibration artifact) sets it.
     """
 
-    euler_c: float = field(default_factory=euler_constant)
     c0: float = 0.0
 
     def __post_init__(self):
-        if not (0.57 < self.euler_c < 0.58):
-            raise DomainError(f"euler_c outside (0.57, 0.58): {self.euler_c}")
         if not math.isfinite(self.c0):
             raise DomainError(f"c0 must be finite, got {self.c0}")
 
@@ -122,18 +123,18 @@ def moment_profile(y: float, cfg: LadderConfig) -> float:
     """Predicted cumulative second moment at ladder height y."""
     if y <= 0.0:
         raise DomainError(f"moment_profile needs y > 0, got {y}")
-    return y * math.log(y) + (cfg.euler_c - _LN_TWO_PI) * y + cfg.c0
+    return y * math.log(y) + (EULER_C - _LN_TWO_PI) * y + cfg.c0
 
 
 def moment_profile_slope(y: float, cfg: LadderConfig) -> float:
     """d/dy of moment_profile; positive on the inversion branch."""
-    return math.log(y) + 1.0 + cfg.euler_c - _LN_TWO_PI
+    return math.log(y) + 1.0 + EULER_C - _LN_TWO_PI
 
 
 def profile_values(ys: np.ndarray, cfg: LadderConfig) -> np.ndarray:
     """Vectorized moment_profile without the scalar domain guard."""
     y = np.asarray(ys, dtype=np.float64)
-    return y * np.log(y) + (cfg.euler_c - _LN_TWO_PI) * y + cfg.c0
+    return y * np.log(y) + (EULER_C - _LN_TWO_PI) * y + cfg.c0
 
 
 def newton_to_plateau(x: np.ndarray,
@@ -252,7 +253,7 @@ def invert_profile(targets: np.ndarray, cfg: LadderConfig) -> np.ndarray:
     up as integrand noise.
     """
     tgt = np.asarray(targets, dtype=np.float64)
-    slope_c = 1.0 + cfg.euler_c - _LN_TWO_PI
+    slope_c = 1.0 + EULER_C - _LN_TWO_PI
     y = np.maximum(tgt / np.maximum(np.log(np.maximum(tgt, 2.0)), 1.0), 2.0)
     return newton_to_plateau(
         y, lambda y: profile_values(y, cfg), tgt,
@@ -274,7 +275,7 @@ def phi1(T: float, cfg: LadderConfig,
         raise DomainError(f"phi1 needs T > 1, got {T}")
     target = cumulative_I(T, table)
     # the increasing branch of the profile starts at its stationary point
-    lo = TWO_PI / math.exp(1.0 + cfg.euler_c)
+    lo = TWO_PI / math.exp(1.0 + EULER_C)
     if T <= lo or moment_profile(lo, cfg) >= target \
             or moment_profile(T, cfg) <= target:
         raise CalibrationError(
@@ -309,7 +310,7 @@ class InverseLevel:
         self.cfg = cfg
         targets = profile_values(xs, cfg)
         # invert the smoothed law I(y) ~ y (ln y + 2c - 1 - ln 2pi)
-        two_c, y0 = 2.0 * cfg.euler_c, xs
+        two_c, y0 = 2.0 * EULER_C, xs
         for _ in range(4):
             smooth = y0 * (np.log(y0) + two_c - 1.0 - _LN_TWO_PI)
             y0 = y0 - (smooth - targets) / (np.log(y0) + two_c - _LN_TWO_PI)
@@ -458,10 +459,9 @@ def pi_count(x: float, table: PrimePiTable) -> int:
     return int(table.counts[xi])
 
 
-def complement_height(T: float, cfg: LadderConfig,
-                      pi_table: PrimePiTable) -> float:
+def complement_height(T: float, pi_table: PrimePiTable) -> float:
     """The complement-relation height T - (1 - c) pi(T)."""
-    return T - (1.0 - cfg.euler_c) * pi_count(T, pi_table)
+    return T - (1.0 - EULER_C) * pi_count(T, pi_table)
 
 
 def calibration_offsets(anchors: Sequence[float], cfg: LadderConfig,
@@ -474,7 +474,7 @@ def calibration_offsets(anchors: Sequence[float], cfg: LadderConfig,
     """
     out = []
     for T in anchors:
-        y = complement_height(float(T), cfg, pi_table)
+        y = complement_height(float(T), pi_table)
         base = moment_profile(y, cfg) - cfg.c0
         out.append(cumulative_I(float(T), table) - base)
     return out
@@ -519,9 +519,10 @@ def calibrate_c0(anchors: Sequence[float], cfg: LadderConfig,
 
 def save_calibration(path, cfg: LadderConfig, table: SecondMomentTable,
                      anchors: Sequence[float]) -> None:
-    """Write the calibration artifact as plain key=value lines."""
+    """Write the calibration artifact as plain key=value lines.  It names
+    `EULER_C`, which the fit used, so a reader can check it."""
     lines = [
-        f"euler_c={cfg.euler_c!r}",
+        f"euler_c={EULER_C!r}",
         f"c0={cfg.c0!r}",
         f"smtable_fingerprint={table.fingerprint}",
         "calibrated_at_anchors=" + ",".join(repr(float(a)) for a in anchors),
@@ -532,9 +533,9 @@ def save_calibration(path, cfg: LadderConfig, table: SecondMomentTable,
 def load_calibration(path) -> Tuple[LadderConfig, str, List[float]]:
     """Read a calibration artifact; returns (config, fingerprint, anchors).
 
-    A file cut short (no final newline) is refused.  The caller is
-    responsible for refusing a fingerprint that does not match the table
-    it plans to use.
+    A file cut short (no final newline), or fit with another Euler
+    constant than `EULER_C`, is refused.  The caller is responsible for
+    refusing a fingerprint that does not match the table it plans to use.
     """
     with open(path) as fh:
         text = fh.read()
@@ -549,8 +550,10 @@ def load_calibration(path) -> Tuple[LadderConfig, str, List[float]]:
         key, _, val = line.partition("=")
         fields[key.strip()] = val.strip()
     try:
-        cfg = LadderConfig(euler_c=float(fields["euler_c"]),
-                           c0=float(fields["c0"]))
+        if float(fields["euler_c"]) != EULER_C:
+            raise DomainError(f"euler_c={fields['euler_c']} is not "
+                              f"{EULER_C!r}")
+        cfg = LadderConfig(c0=float(fields["c0"]))
         fingerprint = fields["smtable_fingerprint"]
         anchors = [float(a) for a in
                    fields["calibrated_at_anchors"].split(",") if a]

@@ -32,9 +32,9 @@ Two consumers sit on top of the same panel machinery:
   no adaptivity.
 - SecondMomentTable: checkpoints of I(T) = int_0^T Z^2 at a fixed stride,
   extended append-only, one segment after another under a lock, and
-  persisted as `smtable-v2` files keyed by `table_key`, the QuadConfig
-  fingerprint, written whole (`write_atomic`) and refused on load when
-  damaged.
+  persisted as `smtable-v2` files keyed by `TABLE_KEY`, the fingerprint
+  of the fixed tolerances, written whole (`write_atomic`) and refused on
+  load when damaged.
 
 Below t = 8pi the Riemann-Siegel route is too short to trust, so Z switches
 to the rotated Euler-Maclaurin oracle there; Z^2 is the square of that Z
@@ -124,40 +124,21 @@ _FIRST_LEVEL_PHASE = 6.0
 _CHAIN_PHASE = 0.5
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances of `adaptive_integrate`.
-
-    abs_tol splits over the interval in per-panel budgets; rel_tol only
-    relaxes the final achievability check; max_depth caps bisection.
-    """
-
-    abs_tol: float = 1e-8
-    rel_tol: float = 1e-8
-    max_depth: int = 24
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("tolerances must be positive")
-        if not (4 <= self.max_depth <= 60):
-            raise DomainError("max_depth must lie in [4, 60]")
-
-    @property
-    def fingerprint(self) -> str:
-        """Short stable hash identifying results produced under this config
-        (panel rule version and chain width included so cached tables
-        invalidate on change)."""
-        blob = (f"panelgk31-v8|abs={self.abs_tol!r}|rel={self.rel_tol!r}"
-                f"|depth={self.max_depth}|osc={_CHAIN_PHASE!r}")
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def table_key(cfg: QuadConfig) -> str:
-    """Key of a checkpoint table and of everything fit against it: the
-    quadrature fingerprint, which fixes every checkpoint value.  The suffix
-    names the Z^2 integrand's Riemann-Siegel form, main sum plus first
-    correction."""
-    return f"{cfg.fingerprint}-rs1"
+# Tolerances of `adaptive_integrate`: ABS_TOL splits over the interval in
+# per-panel budgets, REL_TOL only relaxes the final achievability check and
+# MAX_DEPTH caps bisection
+ABS_TOL = 1e-8
+REL_TOL = 1e-8
+MAX_DEPTH = 24
+# Short stable hash of the tolerances, the panel rule's version and the
+# chain width, so cached tables invalidate when any of them changes
+FINGERPRINT = hashlib.sha256(
+    (f"panelgk31-v8|abs={ABS_TOL!r}|rel={REL_TOL!r}|depth={MAX_DEPTH}"
+     f"|osc={_CHAIN_PHASE!r}").encode()).hexdigest()[:16]
+# Key of a checkpoint table and of everything fit against it: the
+# fingerprint, which fixes every checkpoint value, and the Z^2 integrand's
+# Riemann-Siegel form, main sum plus first correction
+TABLE_KEY = f"{FINGERPRINT}-rs1"
 
 
 def _panel_freq(t):
@@ -262,7 +243,7 @@ def _panel_sums(fvec, lo: np.ndarray,
 
 
 def adaptive_integrate(fvec: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                       a: float, b: float, cfg: QuadConfig) -> QuadResult:
+                       a: float, b: float) -> QuadResult:
     """Deterministic adaptive integration of a vectorized integrand.
 
     fvec(t, dt) takes each node as a float t plus its exact remainder dt;
@@ -273,7 +254,7 @@ def adaptive_integrate(fvec: Callable[[np.ndarray, np.ndarray], np.ndarray],
     vectorized call; a panel's value is its K31 sum and its estimate
     |K31 - G15|, from the 15 Gauss nodes among the 31.  A panel is accepted
     when the estimate meets its width-proportional budget or the panel
-    sits at max_depth; the halves of the others are the next level.  The
+    sits at MAX_DEPTH; the halves of the others are the next level.  The
     common case ends after one pass.  Value and bound are exact sums, so
     the order in which panels are accepted does not matter.
     """
@@ -293,12 +274,12 @@ def adaptive_integrate(fvec: Callable[[np.ndarray, np.ndarray], np.ndarray],
         est = np.abs(kronrod - _rule_sums(vals[:, 1::2], _GL_W, hws))
         if depth == 0:
             s0 = fsum(kronrod.tolist())
-        # panel budgets come from abs_tol alone: additivity contracts
-        # compare decompositions in abs_tol units, so the looser rel_tol
-        # allowance must not leak into per-panel acceptance.  rel_tol only
+        # panel budgets come from ABS_TOL alone: additivity contracts
+        # compare decompositions in ABS_TOL units, so the looser REL_TOL
+        # allowance must not leak into per-panel acceptance.  REL_TOL only
         # relaxes the final achievability check below.
-        budgets = cfg.abs_tol * (hi - lo) * inv_total
-        done = (est <= budgets) | (depth >= cfg.max_depth)
+        budgets = ABS_TOL * (hi - lo) * inv_total
+        done = (est <= budgets) | (depth >= MAX_DEPTH)
         parts.extend(kronrod[done].tolist())
         errs.extend(est[done].tolist())
         keep = ~done
@@ -309,11 +290,11 @@ def adaptive_integrate(fvec: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
     value = fsum(parts)
     bound = fsum(errs)
-    target = max(cfg.abs_tol, cfg.rel_tol * abs(s0))
+    target = max(ABS_TOL, REL_TOL * abs(s0))
     if bound > target * (1.0 + 1e-9):
         raise PrecisionError(
             f"tolerance {target:.3e} not reachable (error bound {bound:.3e}"
-            f" at max_depth={cfg.max_depth})",
+            f" at max_depth={MAX_DEPTH})",
             estimate=value, bound=bound)
     return QuadResult(value, bound, neval)
 
@@ -472,17 +453,15 @@ def z2_chain(a: float, b: float) -> PanelChain:
 class SecondMomentTable:
     """Append-only checkpoints of I(T) = int_0^T Z^2 at a fixed stride.
 
-    Checkpoint values depend only on the stride grid and the config, never
-    on which caller triggered the extension, so concurrent callers (the
+    Checkpoint values depend only on the stride grid and the tolerances,
+    never on which caller triggered the extension, so concurrent callers (the
     sweep's threads) just need the lock around extension.
     """
 
     STRIDE = 64.0
+    fingerprint = TABLE_KEY
 
-    def __init__(self, cfg: QuadConfig = QuadConfig()):
-        self.cfg = cfg
-        self.tolerance = cfg.abs_tol
-        self.fingerprint = table_key(cfg)
+    def __init__(self):
         self._ts: List[float] = [0.0]
         self._is: List[float] = [0.0]
         self._lock = threading.Lock()
@@ -506,8 +485,7 @@ class SecondMomentTable:
             n_seg = int((t - self._ts[-1]) // self.STRIDE)
             for _ in range(n_seg):
                 lo = self._ts[-1]
-                v = adaptive_integrate(z2_values, lo, lo + self.STRIDE,
-                                       self.cfg).value
+                v = adaptive_integrate(z2_values, lo, lo + self.STRIDE).value
                 self._ts.append(lo + self.STRIDE)
                 self._is.append(self._is[-1] + v)
 
@@ -519,7 +497,7 @@ class SecondMomentTable:
 
 
 def cumulative_I(T: float, table: SecondMomentTable) -> float:
-    """I(T) = int_0^T Z^2 through the checkpoint table, under its config."""
+    """I(T) = int_0^T Z^2 through the checkpoint table."""
     if not 0 <= T < math.inf:
         raise DomainError(f"cumulative_I needs finite T >= 0, got {T}")
     if T == 0.0:
@@ -528,7 +506,7 @@ def cumulative_I(T: float, table: SecondMomentTable) -> float:
     t0, i0 = table.value_at(T)
     if t0 == T:
         return i0
-    return i0 + adaptive_integrate(z2_values, t0, T, table.cfg).value
+    return i0 + adaptive_integrate(z2_values, t0, T).value
 
 
 def write_atomic(path, text: str) -> None:
@@ -548,20 +526,20 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
-def _table_header(table: SecondMomentTable, rows: int) -> str:
-    return (f"smtable-v2,{table.fingerprint},stride={table.STRIDE!r},"
-            f"tolerance={table.tolerance!r},rows={rows}")
+def _table_header(rows: int) -> str:
+    return (f"smtable-v2,{TABLE_KEY},stride={SecondMomentTable.STRIDE!r},"
+            f"tolerance={ABS_TOL!r},rows={rows}")
 
 
 def save_table(table: SecondMomentTable, path) -> None:
-    lines = [_table_header(table, len(table._ts))]
+    lines = [_table_header(len(table._ts))]
     for t, i in zip(table._ts, table._is):
         lines.append(f"{t!r},{i!r}")
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def load_table(path, cfg: QuadConfig = QuadConfig()) -> SecondMomentTable:
-    """The table save_table wrote to path under this config.
+def load_table(path) -> SecondMomentTable:
+    """The table save_table wrote to path under `TABLE_KEY`.
 
     TableIntegrityError unless the file is whole: newline-terminated, with
     the header save_table writes (tag, key, stride, tolerance and the row
@@ -573,12 +551,12 @@ def load_table(path, cfg: QuadConfig = QuadConfig()) -> SecondMomentTable:
     if not text.endswith("\n"):
         raise TableIntegrityError(f"{path}: cut short (no final newline)")
     header, *rows = text.splitlines()
-    table = SecondMomentTable(cfg)
-    want = _table_header(table, len(rows))
+    want = _table_header(len(rows))
     if header != want:
         raise TableIntegrityError(f"{path}: header {header!r} is not "
                                   f"{want!r}")
     pts = [tuple(map(float, ln.split(","))) for ln in rows]
+    table = SecondMomentTable()
     table._ts = [t for t, _ in pts]
     table._is = [i for _, i in pts]
     if table._ts != [k * table.STRIDE for k in range(len(pts))]:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from zetaladder.ladder import LadderConfig, PrimePiTable, calibrate_c0
-from zetaladder.quadrature import QuadConfig, SecondMomentTable
+from zetaladder.quadrature import SecondMomentTable
 
 TABLE_TOP = 1.1e5
 ANCHORS = tuple(float(a) for a in np.geomspace(1.0e4, 1.0e5, 10))
@@ -23,14 +23,9 @@ _summary_lines: List[str] = []
 
 
 @pytest.fixture(scope="session")
-def qcfg() -> QuadConfig:
-    return QuadConfig()
-
-
-@pytest.fixture(scope="session")
-def smtable(qcfg) -> SecondMomentTable:
+def smtable() -> SecondMomentTable:
     """Checkpoint table covering the desk range; built once per session."""
-    table = SecondMomentTable(qcfg)
+    table = SecondMomentTable()
     table.ensure(TABLE_TOP)
     return table
 

@@ -123,7 +123,7 @@ def test_criterion_04_moment_ratio_tightens(record_criterion):
                     f"{d4:.4f} at 1e4 vs {d6:.4f} at 1e6")
 
 
-def test_criterion_05_ladder_derivative(ladder_cfg, smtable, qcfg,
+def test_criterion_05_ladder_derivative(ladder_cfg, smtable,
                                         record_criterion):
     rng = np.random.default_rng(17)
     worst_raw = worst_comp = 0.0
@@ -133,7 +133,7 @@ def test_criterion_05_ladder_derivative(ladder_cfg, smtable, qcfg,
             - ld.phi1(t - 0.5, ladder_cfg, smtable).phi1
         wavg = adaptive_integrate(
             lambda u, du: z2_values(u, dts=du) / np.log(u), t - 0.5,
-            t + 0.5, qcfg).value
+            t + 0.5).value
         pred = math.log(t) / ld.moment_profile_slope(
             ld.phi1(t, ladder_cfg, smtable).phi1, ladder_cfg)
         worst_raw = max(worst_raw, abs(fd / wavg - 1.0))
@@ -148,7 +148,7 @@ def test_criterion_06_complement_tracks_primes(ladder_cfg, smtable,
                                                pi_table, record_criterion):
     def ratio(T):
         pt = ld.phi1(T, ladder_cfg, smtable)
-        return (T - pt.phi1) / ((1.0 - ladder_cfg.euler_c)
+        return (T - pt.phi1) / ((1.0 - ld.EULER_C)
                                 * ld.pi_count(T, pi_table))
 
     r4, r5 = ratio(1.0e4), ratio(1.0e5)
@@ -163,7 +163,7 @@ def test_criterion_07_alpha_gaps(sweep_reports, ladder_cfg, pi_table,
     seq = sweep_reports[(1.0e5, 2.0, 2)].seq
     ratios = []
     for r in range(seq.k):
-        unit = (1.0 - ladder_cfg.euler_c) \
+        unit = (1.0 - ld.EULER_C) \
             * ld.pi_count(seq.alphas[r], pi_table)
         ratios.append((seq.alphas[r + 1] - seq.alphas[r]) / unit)
     ok = all(0.6 <= g <= 1.4 for g in ratios)

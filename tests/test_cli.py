@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetaladder import cli, kernels, svgplot
+from zetaladder import cli, kernels, quadrature, svgplot
 from zetaladder import ladder as ld
 from zetaladder.ladder import save_calibration
 from zetaladder.quadrature import PanelChain, save_table
@@ -402,75 +402,63 @@ class TestImportPath:
 
 
 class TestConfigPlumbing:
-    def test_file_then_flag_precedence(self, cli_cache, tmp_path):
-        cfg = tmp_path / "zl.cfg"
-        cfg.write_text("abs_tol = 1e-7\nmax_depth = 30\n")
-        out = tmp_path / "s.csv"
-        run(cli_cache, "spectrum", "--x", "100", "--out", str(out),
-            "--config", str(cfg))
-        eff = manifest_of(out)["parameters"]["config"]
-        assert eff["abs_tol"] == 1e-7
-        assert eff["max_depth"] == 30
-        run(cli_cache, "spectrum", "--x", "100", "--out", str(out),
-            "--config", str(cfg), "--abs-tol", "1e-6")
-        eff = manifest_of(out)["parameters"]["config"]
-        assert eff["abs_tol"] == 1e-6
-
-    def test_unknown_config_key_exits_2(self, cli_cache, tmp_path, capsys):
-        cfg = tmp_path / "zl.cfg"
-        cfg.write_text("frobnicate = 3\n")
-        out = tmp_path / "s.csv"
-        assert run(cli_cache, "spectrum", "--x", "100", "--out", str(out),
-                   "--config", str(cfg)) == 2
-        assert "unknown config key" in capsys.readouterr().err
-
     @pytest.mark.parametrize("key", [
         "osc_factor", "zero_threshold", "max_retries", "scan_step",
         "sieve_limit", "anchor_lo", "anchor_hi", "anchor_count",
-        "correction_order", "u0_exponent"])
-    def test_deleted_key_is_not_an_option(self, cli_cache, tmp_path, capsys,
-                                          key):
+        "correction_order", "u0_exponent", "abs_tol", "rel_tol",
+        "max_depth", "config"])
+    def test_deleted_key_is_not_an_option(self, cli_cache, tmp_path, key):
         out = tmp_path / "s.csv"
         with pytest.raises(SystemExit) as exc:
             run(cli_cache, "spectrum", "--x", "100", "--out", str(out),
                 "--" + key.replace("_", "-"), "1")
         assert exc.value.code == 2
-        cfg = tmp_path / "zl.cfg"
-        cfg.write_text(f"{key} = 1\n")
-        assert run(cli_cache, "spectrum", "--x", "100", "--out", str(out),
-                   "--config", str(cfg)) == 2
-        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, config, bad", [
-        (("spectrum", "--x", "100"), "max_depth = 2.5\n", "'2.5'"),
+    def test_workers_is_a_flag_of_factorize_alone(self, cli_cache, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(cli_cache, "spectrum", "--x", "100", "--out",
+                str(tmp_path / "s.csv"), "--workers", "2")
+        assert exc.value.code == 2
+
+    def test_manifests_name_the_fixed_fingerprint(self, cli_cache,
+                                                  tmp_path):
+        spectrum, sweep = tmp_path / "s.csv", tmp_path / "sweep.csv"
+        assert run(cli_cache, "spectrum", "--x", "100", "--out",
+                   str(spectrum)) == 0
+        assert run(cli_cache, "factorize", "--sweep", "T=10000:10000:1",
+                   "--H", "2", "--k", "1", "--workers", "3", "--out",
+                   str(sweep)) == 0
+        docs = [manifest_of(spectrum), manifest_of(sweep)]
+        assert docs[1]["parameters"]["workers"] == 3
+        for doc in docs:
+            assert doc["config_fingerprint"] == quadrature.FINGERPRINT
+            assert "config" not in doc and "config" not in doc["parameters"]
+
+    @pytest.mark.parametrize("argv, bad", [
         (("factorize", "--sweep", "T=1e4:2e4:x", "--H", "2", "--k", "1"),
-         None, "'x'"),
-        (("ladder", "--T", "1e4,abc"), None, "'abc'"),
-        (("calibrate", "--anchors", "1e4,x"), None, "'x'"),
-        (("calibrate", "--anchors", "1e4,3e4,inf"), None, "inf is not"),
+         "'x'"),
+        (("ladder", "--T", "1e4,abc"), "'abc'"),
+        (("calibrate", "--anchors", "1e4,x"), "'x'"),
+        (("calibrate", "--anchors", "1e4,3e4,inf"), "inf is not"),
         # refused before np.geomspace would allocate 8 TB
         (("factorize", "--sweep", "T=1e4:1e5:1000000000000", "--H", "2",
-          "--k", "1"), None, "'T=1e4:1e5:1000000000000'"),
-    ], ids=["config", "sweep", "ladder", "anchors", "anchors-inf",
-            "sweep-count"])
-    def test_malformed_number_exits_2(self, tmp_path, capsys, argv, config,
-                                      bad):
+          "--k", "1"), "'T=1e4:1e5:1000000000000'"),
+    ], ids=["sweep", "ladder", "anchors", "anchors-inf", "sweep-count"])
+    def test_malformed_number_exits_2(self, tmp_path, capsys, argv, bad):
         # a fresh cache: the number is refused before any calibration
         cache = tmp_path / "fresh"
-        if config is not None:
-            (tmp_path / "zl.cfg").write_text(config)
-            argv += ("--config", str(tmp_path / "zl.cfg"))
         assert run(cache, *argv, "--out", str(tmp_path / "out")) == 2
         assert bad in capsys.readouterr().err
         assert not (cache / "smtable.csv").exists()
 
     def test_readme_lists_every_config_key(self):
+        # the README states the fixed tolerances in one sentence
         readme = Path(__file__).resolve().parents[1] / "README.md"
-        rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", readme.read_text(),
-                          re.M)
-        assert [k for k, _ in rows] == list(cli._DEFAULTS)
-        assert [type(cli._DEFAULTS[k])(v.strip()) for k, v in rows] \
-            == list(cli._DEFAULTS.values())
+        got = re.search(r"abs_tol = ([^,]+),\s+rel_tol = (\S+)\s+and\s+"
+                        r"max_depth = (\d+)", readme.read_text())
+        assert got is not None
+        assert (float(got[1]), float(got[2]), int(got[3])) \
+            == (quadrature.ABS_TOL, quadrature.REL_TOL, quadrature.MAX_DEPTH)
 
 
 class TestWholeOutputs:

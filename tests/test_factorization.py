@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from zetaladder import factorization as fz
 from zetaladder.errors import DomainError
-from zetaladder.ladder import pi_count, phi1
+from zetaladder.ladder import EULER_C, pi_count, phi1
 from zetaladder.quadrature import (U0_EXPONENT, adaptive_integrate,
                                    z2_values, z_values)
 from zetaladder.special import em_zeta_half, riemann_siegel_z, tau
@@ -38,11 +38,11 @@ def job151(ladder_cfg, smtable):
 
 
 class TestFindEta:
-    def test_mean_value_postcondition(self, qcfg):
+    def test_mean_value_postcondition(self):
         T, H = 1.0e4, 2.0
         eta = fz.find_eta(T, H)
         assert T < eta < T + T ** U0_EXPONENT
-        w = adaptive_integrate(z_values, eta, eta + H, qcfg).value
+        w = adaptive_integrate(z_values, eta, eta + H).value
         assert 0.9999 <= abs(w) / math.sqrt(TWO_PI * H) <= 1.0001
 
     def test_below_8pi_rejected(self):
@@ -163,7 +163,7 @@ class TestAlphaSequence:
             assert abs(em_zeta_half(a)) > fz.ZERO_THRESHOLD
 
     def test_gaps_track_prime_count(self, seq_big, ladder_cfg, pi_table):
-        unit = [(1.0 - ladder_cfg.euler_c) * pi_count(a, pi_table)
+        unit = [(1.0 - EULER_C) * pi_count(a, pi_table)
                 for a in seq_big.alphas[:-1]]
         gaps = np.diff(seq_big.alphas)
         for gap, u in zip(gaps, unit):

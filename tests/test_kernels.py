@@ -14,7 +14,7 @@ import pytest
 
 from zetaladder import _tables, kernels
 from zetaladder.errors import RangeError
-from zetaladder.quadrature import QuadConfig, adaptive_integrate, z2_values
+from zetaladder.quadrature import adaptive_integrate, z2_values
 from zetaladder.special import riemann_siegel_z_values
 
 TWO_PI = kernels.TWO_PI
@@ -147,9 +147,10 @@ class TestPhaseTables:
         # doubling: one entry past the end grows the table to twice its size
         assert _tables._extend(tab, 70001)[0].shape == (140000,)
         # (ln m - c)^j / j!: an entry does not depend on the table's order
-        c, powers = _tables._build_centred(20, 3000)
-        assert np.array_equal(powers[:7], _tables._build_centred(7, 3000)[1])
-        assert _tables._build_centred(7, 3000)[0] == c
+        build = _tables.centred_powers.__wrapped__
+        c, powers = build(20, 3000)
+        assert np.array_equal(powers[:7], build(7, 3000)[1])
+        assert build(7, 3000)[0] == c
 
     def test_centred_powers_match_exact(self):
         # c = (ln 1000) / 2, and (ln m - c)^j / j! within the roundoff of
@@ -170,9 +171,9 @@ class TestPhaseTables:
         # the sweep's pool threads grow and read the shared tables at once
         ref = _tables._build(0, 40000)
         ms = (1, 2, 43, 178, 399, 1023, 1025, 1500, 2047, 2049, 2500, 3000)
-        ref_pow = {m: _tables._build_centred(24, m) for m in ms}
+        ref_pow = {m: _tables.centred_powers.__wrapped__(24, m) for m in ms}
         monkeypatch.setattr(_tables, "_tab", _tables._build(0, 1024))
-        monkeypatch.setattr(_tables, "_centred", {})
+        _tables.centred_powers.cache_clear()
         bad = []
 
         def reader(seed):
@@ -203,6 +204,13 @@ class TestPhaseTables:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in threads)
         assert bad == []
+
+    def test_centred_cache_is_bounded_and_read_only(self):
+        # a table build to 1e6 visits every nv up to 399 in one process
+        for nv in range(1, 400):
+            _, powers = _tables.centred_powers(kernels._taylor_order(nv), nv)
+        assert _tables.centred_powers.cache_info().currsize <= 16
+        assert not powers.flags.writeable
 
     def test_main_sum_frozen(self):
         ts = np.array([t for t, _ in MAIN_SUM_REF])
@@ -332,7 +340,7 @@ class TestZMainSum:
 
         monkeypatch.setattr(kernels, "_moments", counting)
         a = 64.0 * 188
-        adaptive_integrate(z2_values, a, a + 64.0, QuadConfig())
+        adaptive_integrate(z2_values, a, a + 64.0)
         assert 0 < sum(rows) <= 65
 
     def test_deterministic(self):

@@ -41,8 +41,6 @@ class TestConstants:
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
-            ld.LadderConfig(euler_c=0.5)
-        with pytest.raises(DomainError):
             ld.LadderConfig(c0=math.inf)
 
     def test_point_exposes_doubled_value(self):
@@ -64,10 +62,10 @@ class TestZtildeSq:
         assert float((z2_values(grid) / np.log(grid)).min()) < 1e-4
 
     def test_window_integral_matches_ladder_increment(self, ladder_cfg,
-                                                      smtable, qcfg):
+                                                      smtable):
         lhs = adaptive_integrate(
             lambda ts, dts: z2_values(ts, dts=dts) / np.log(ts), 1.0e4,
-            1.0e4 + 100.0, qcfg).value
+            1.0e4 + 100.0).value
         rhs = ld.phi1(1.0e4 + 100.0, ladder_cfg, smtable).phi1 \
             - ld.phi1(1.0e4, ladder_cfg, smtable).phi1
         # the leading-log weight undercounts by a few percent at this height
@@ -160,7 +158,7 @@ class TestPhi1:
     def test_complement_ratio_at_1e5(self, ladder_cfg, smtable, pi_table):
         T = 1.0e5
         pt = ld.phi1(T, ladder_cfg, smtable)
-        ratio = (T - pt.phi1) / ((1.0 - ladder_cfg.euler_c)
+        ratio = (T - pt.phi1) / ((1.0 - ld.EULER_C)
                                  * ld.pi_count(T, pi_table))
         assert 0.7 <= ratio <= 1.3
 
@@ -177,8 +175,7 @@ class TestPhi1:
         with pytest.raises(DomainError):
             ld.phi1(0.5, ladder_cfg, smtable)
 
-    def test_derivative_by_finite_differences(self, ladder_cfg, smtable,
-                                              qcfg):
+    def test_derivative_by_finite_differences(self, ladder_cfg, smtable):
         # FD of phi1 equals the window average of Z^2 / ln up to the
         # leading-log weight truncation; compensating by the profile slope
         # pins the match to the solver tolerance
@@ -189,7 +186,7 @@ class TestPhi1:
                 - ld.phi1(t - 0.5, ladder_cfg, smtable).phi1
             wavg = adaptive_integrate(
                 lambda u, du: z2_values(u, dts=du) / np.log(u), t - 0.5,
-                t + 0.5, qcfg).value
+                t + 0.5).value
             pred = math.log(t) / ld.moment_profile_slope(
                 ld.phi1(t, ladder_cfg, smtable).phi1, ladder_cfg)
             assert fd / wavg == pytest.approx(pred, abs=1e-3)
@@ -208,7 +205,7 @@ class TestPhi1Inverse:
     def test_gap_tracks_prime_count(self, ladder_cfg, smtable, pi_table):
         x = 1.0e5
         y = ld.phi1_inverse(x, ladder_cfg, smtable)
-        gap = (y - x) / ((1.0 - ladder_cfg.euler_c)
+        gap = (y - x) / ((1.0 - ld.EULER_C)
                          * ld.pi_count(x, pi_table))
         assert 0.7 <= gap <= 1.3
 
@@ -257,7 +254,7 @@ class TestPhi1Iterates:
         t = 1.0e5
         chain = ld.phi1_iterates(t, 2, ld.IterateDirection.INVERSE,
                                  ladder_cfg, smtable)
-        unit = (1.0 - ladder_cfg.euler_c) * ld.pi_count(t, pi_table)
+        unit = (1.0 - ld.EULER_C) * ld.pi_count(t, pi_table)
         for gap in np.diff(chain):
             assert 0.7 <= gap / unit <= 1.3
 
@@ -342,11 +339,10 @@ class TestCalibration:
 
     def test_offset_c0_breaks_complement_ratio(self, ladder_cfg, smtable,
                                                pi_table):
-        cfg_off = ld.LadderConfig(euler_c=ladder_cfg.euler_c,
-                                  c0=ladder_cfg.c0 + 1e3)
+        cfg_off = ld.LadderConfig(c0=ladder_cfg.c0 + 1e3)
         T = 1.0e4
         pt = ld.phi1(T, cfg_off, smtable)
-        ratio = (T - pt.phi1) / ((1.0 - cfg_off.euler_c)
+        ratio = (T - pt.phi1) / ((1.0 - ld.EULER_C)
                                  * ld.pi_count(T, pi_table))
         assert not 0.7 <= ratio <= 1.3
 
@@ -371,7 +367,7 @@ class TestCalibration:
             and "smtable_fingerprint=" in text
         loaded, fingerprint, got_anchors = ld.load_calibration(path)
         assert loaded.c0 == ladder_cfg.c0
-        assert loaded.euler_c == ladder_cfg.euler_c
+        assert text.startswith(f"euler_c={ld.EULER_C!r}\n")
         assert fingerprint == smtable.fingerprint
         assert got_anchors == anchors
 
@@ -381,6 +377,18 @@ class TestCalibration:
         ld.save_calibration(path, ladder_cfg, smtable, [1.0e4, 3.0e4, 1.0e5])
         path.write_text(path.read_text()[:-3])
         with pytest.raises(TableIntegrityError):
+            ld.load_calibration(path)
+
+    def test_artifact_rejects_foreign_euler_c(self, tmp_path, ladder_cfg,
+                                              smtable):
+        # numpy's euler_gamma, one ulp from EULER_C: a fit under it moves c0
+        path = tmp_path / "calibration.txt"
+        ld.save_calibration(path, ladder_cfg, smtable, [1.0e4, 3.0e4, 1.0e5])
+        text = path.read_text()
+        assert np.euler_gamma != ld.EULER_C
+        path.write_text(text.replace(f"euler_c={ld.EULER_C!r}",
+                                     f"euler_c={np.euler_gamma!r}"))
+        with pytest.raises(TableIntegrityError, match="euler_c"):
             ld.load_calibration(path)
 
     def test_artifact_rejects_garbage(self, tmp_path):

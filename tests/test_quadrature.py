@@ -26,12 +26,12 @@ from zetaladder import cli
 from zetaladder.errors import (DomainError, PrecisionError, RangeError,
                                TableIntegrityError)
 from zetaladder.ladder import euler_constant
-from zetaladder.quadrature import (MomentReport, PanelChain, QuadConfig,
+from zetaladder.quadrature import (ABS_TOL, MAX_DEPTH, TABLE_KEY,
+                                   MomentReport, PanelChain,
                                    SecondMomentTable, adaptive_integrate,
                                    admissible_h_range, cumulative_I,
                                    hl_moment, load_table, save_table,
-                                   table_key, z2_chain, z2_values, z_chain,
-                                   z_values)
+                                   z2_chain, z2_values, z_chain, z_values)
 from zetaladder.quadrature import (_FIRST_LEVEL_PHASE, _GL_W, _GL_X,
                                    _K31_W, _K31_X, _initial_edges,
                                    _panel_freq, _panel_sums, _panel_values,
@@ -39,51 +39,35 @@ from zetaladder.quadrature import (_FIRST_LEVEL_PHASE, _GL_W, _GL_X,
 from zetaladder.special import TWO_PI
 
 
-def _int_z(a, b, cfg=QuadConfig()):
-    return adaptive_integrate(z_values, a, b, cfg).value
+def _int_z(a, b):
+    return adaptive_integrate(z_values, a, b).value
 
 
-def _int_z2(a, b, cfg=QuadConfig()):
-    return adaptive_integrate(z2_values, a, b, cfg).value
+def _int_z2(a, b):
+    return adaptive_integrate(z2_values, a, b).value
 
 
 class TestQuadConfig:
-    def test_defaults_valid(self):
-        cfg = QuadConfig()
-        assert cfg.abs_tol == 1e-8 and cfg.rel_tol == 1e-8
-        assert cfg.max_depth == 24
-
-    def test_fingerprint_tracks_settings(self):
-        assert QuadConfig().fingerprint \
-            != QuadConfig(abs_tol=1e-9).fingerprint
-        assert QuadConfig().fingerprint == QuadConfig().fingerprint
+    """The keys derived from the fixed quadrature settings."""
 
     def test_default_table_key_is_frozen(self):
         # every cached table, calibration and moment memo is keyed on this;
         # a numeric change updates it on purpose, with its tag bump
-        assert table_key(QuadConfig()) == "e0628b52e7bb2520-rs1"
+        assert TABLE_KEY == "e0628b52e7bb2520-rs1"
 
     def test_default_moment_memo_key_is_frozen(self):
         # moment memo file names are keyed on (T, H), U0's exponent and the
         # table key; replaying a memo needs the same name across versions
-        assert cli._moment_cache_key(1e5, 2.0, QuadConfig()) \
-            == "7b0ea6a9d6c9cb24"
-
-    @pytest.mark.parametrize("kw", [{"abs_tol": 0.0}, {"rel_tol": -1e-9},
-                                    {"abs_tol": math.nan}, {"rel_tol": 0.0},
-                                    {"max_depth": 3}, {"max_depth": 61}])
-    def test_invalid_rejected(self, kw):
-        with pytest.raises(DomainError):
-            QuadConfig(**kw)
+        assert cli._moment_cache_key(1e5, 2.0) == "7b0ea6a9d6c9cb24"
 
 
 class TestAdaptiveIntegrate:
     def test_polynomial_exact(self):
-        res = adaptive_integrate(lambda x, _: x ** 3, 0.0, 1.0, QuadConfig())
+        res = adaptive_integrate(lambda x, _: x ** 3, 0.0, 1.0)
         assert res.value == pytest.approx(0.25, abs=1e-13)
 
     def test_empty_range(self):
-        res = adaptive_integrate(lambda x, _: x, 5.0, 5.0, QuadConfig())
+        res = adaptive_integrate(lambda x, _: x, 5.0, 5.0)
         assert res.value == 0.0 and res.neval == 0
 
     def test_refines_a_kink(self):
@@ -91,7 +75,7 @@ class TestAdaptiveIntegrate:
         # edge meets it and acceptance needs several bisection levels
         c = 1.0 / math.pi
         res = adaptive_integrate(lambda x, _: np.sqrt(np.abs(x - c)), 0.0,
-                                 1.0, QuadConfig())
+                                 1.0)
         exact = (2.0 / 3.0) * (c ** 1.5 + (1.0 - c) ** 1.5)
         assert abs(res.value - exact) <= res.error_bound
         assert (res.value, res.error_bound, res.neval) \
@@ -99,7 +83,7 @@ class TestAdaptiveIntegrate:
 
     def test_smooth_integrand_takes_one_pass(self):
         # every first-level panel of a cubic is accepted at 31 nodes
-        res = adaptive_integrate(lambda x, _: x ** 3, 0.0, 3.0, QuadConfig())
+        res = adaptive_integrate(lambda x, _: x ** 3, 0.0, 3.0)
         panels = _initial_edges(0.0, 3.0, _FIRST_LEVEL_PHASE).size - 1
         assert res.neval == 31 * panels
 
@@ -117,17 +101,21 @@ class TestAdaptiveIntegrate:
             fine = e[:-1, None] + np.diff(e)[:, None] * (np.arange(9) / 8.0)
             parts.extend(_panel_sums(z2_values, fine[:, :-1].ravel(),
                                      fine[:, 1:].ravel())[1].tolist())
-        res = adaptive_integrate(z2_values, a, b, QuadConfig())
+        res = adaptive_integrate(z2_values, a, b)
         assert abs(res.value - math.fsum(parts)) <= res.error_bound + 1e-10
 
     def test_unreachable_tolerance_reported(self):
-        # kink at an irrational point, far too little depth for 1e-14
-        cfg = QuadConfig(abs_tol=1e-14, rel_tol=1e-14, max_depth=4)
+        # an integrable 1/sqrt singularity at an irrational point: halving
+        # the panel next to it only halves that panel's error, so MAX_DEPTH
+        # levels leave the bound far above the target (a sqrt kink or a
+        # jump converges within them)
         with pytest.raises(PrecisionError) as err:
             adaptive_integrate(
-                lambda x, _: np.sqrt(np.abs(x - 1 / math.pi)), 0.0, 1.0, cfg)
+                lambda x, _: 1.0 / np.sqrt(np.abs(x - 1 / math.pi)), 0.0,
+                1.0)
         assert err.value.estimate is not None
-        assert err.value.bound > 1e-14
+        assert err.value.bound > 100.0 * ABS_TOL
+        assert f"max_depth={MAX_DEPTH}" in str(err.value)
 
 
 def _split_sums(lo, hi, ways=16):
@@ -162,7 +150,7 @@ class TestWidePanels:
     def test_stride_within_bound_of_exact_reference(self, a, b):
         # [8576, 8640] crosses tau = 37 at 2 pi 37^2
         e = _initial_edges(a, b, _FIRST_LEVEL_PHASE)
-        res = adaptive_integrate(z2_values, a, b, QuadConfig())
+        res = adaptive_integrate(z2_values, a, b)
         ref = math.fsum(_split_sums(e[:-1], e[1:]).tolist())
         assert abs(res.value - ref) \
             <= res.error_bound + 4.0 * np.spacing(res.value)
@@ -247,11 +235,11 @@ class TestIntegrateZ:
     def test_zero_width(self):
         assert _int_z(500.0, 500.0) == 0.0
 
-    def test_additivity(self, qcfg):
+    def test_additivity(self):
         a, b, c = 1.0e4, 1.0e4 + 37.3, 1.0e4 + 64.0
-        whole = _int_z(a, c, qcfg)
-        parts = _int_z(a, b, qcfg) + _int_z(b, c, qcfg)
-        assert abs(whole - parts) <= 2.0 * qcfg.abs_tol
+        whole = _int_z(a, c)
+        parts = _int_z(a, b) + _int_z(b, c)
+        assert abs(whole - parts) <= 2.0 * ABS_TOL
 
     def test_windowed_mean_square(self):
         # (int_eta^{eta+2} Z)^2 averages to about 2 pi H over many windows
@@ -265,15 +253,15 @@ class TestIntegrateZ2:
     def test_zero_width(self):
         assert _int_z2(0.0, 0.0) == 0.0
 
-    def test_additivity(self, qcfg):
+    def test_additivity(self):
         a, b, c = 1.0e4, 1.0e4 + 37.3, 1.0e4 + 64.0
-        whole = _int_z2(a, c, qcfg)
-        parts = _int_z2(a, b, qcfg) + _int_z2(b, c, qcfg)
-        assert abs(whole - parts) <= 2.0 * qcfg.abs_tol
+        whole = _int_z2(a, c)
+        parts = _int_z2(a, b) + _int_z2(b, c)
+        assert abs(whole - parts) <= 2.0 * ABS_TOL
 
-    def test_classical_mean_value(self, qcfg):
+    def test_classical_mean_value(self):
         # I(T) ~ T (ln T + 2c - 1 - ln 2pi); one slow full integral from 0
-        val = _int_z2(0.0, 1.0e4, qcfg)
+        val = _int_z2(0.0, 1.0e4)
         c = euler_constant()
         pred = 1.0e4 * (math.log(1.0e4) + 2.0 * c - 1.0 - math.log(TWO_PI))
         assert val / pred == pytest.approx(1.0, abs=0.02)
@@ -288,7 +276,7 @@ class TestIntegrateZ2:
         # chains land within 1e-11 of the adaptive integral, past its bound
         # (their nodes are rounded to floats: up to 1.1e-12 off at 9.7e4)
         for a in (1.0e4, 3.163e4, 9.7e4):
-            ref = adaptive_integrate(z2_values, a, a + 5.0, QuadConfig())
+            ref = adaptive_integrate(z2_values, a, a + 5.0)
             total = z2_chain(a, a + 5.0).total
             assert abs(total - ref.value) <= ref.error_bound + 1e-11
 
@@ -299,9 +287,9 @@ class TestPanelChain:
         assert float(ch.prefix(ch.a)) == pytest.approx(0.0, abs=1e-10)
         assert float(ch.prefix(ch.b)) == pytest.approx(ch.total, abs=1e-9)
 
-    def test_matches_adaptive(self, qcfg):
+    def test_matches_adaptive(self):
         ch = z2_chain(1.0e4, 1.0e4 + 8.0)
-        direct = _int_z2(1.0e4 + 1.0, 1.0e4 + 7.0, qcfg)
+        direct = _int_z2(1.0e4 + 1.0, 1.0e4 + 7.0)
         assert float(ch.integral(1.0e4 + 1.0, 1.0e4 + 7.0)) \
             == pytest.approx(direct, abs=1e-8)
 
@@ -379,12 +367,12 @@ class TestPanelBatchInvariance:
 
 
 class TestSecondMomentTable:
-    def test_concurrent_ensure_matches_serial(self, qcfg):
+    def test_concurrent_ensure_matches_serial(self):
         # the sweep's threads extend one shared table; the lock makes the
         # second caller wait and then find the checkpoints already there
-        serial = SecondMomentTable(qcfg)
+        serial = SecondMomentTable()
         serial.ensure(320.0)
-        shared = SecondMomentTable(qcfg)
+        shared = SecondMomentTable()
         start = threading.Barrier(2)
 
         def extend():
@@ -397,11 +385,11 @@ class TestSecondMomentTable:
         assert shared.checkpoints == serial.checkpoints
         assert len(serial.checkpoints) == 6
 
-    def test_extension_order_invisible(self, qcfg):
-        stepped = SecondMomentTable(qcfg)
+    def test_extension_order_invisible(self):
+        stepped = SecondMomentTable()
         stepped.ensure(192.0)
         stepped.ensure(320.0)
-        direct = SecondMomentTable(qcfg)
+        direct = SecondMomentTable()
         direct.ensure(320.0)
         assert stepped.checkpoints == direct.checkpoints
 
@@ -410,23 +398,27 @@ class TestSecondMomentTable:
         assert all(a[0] < b[0] and a[1] < b[1]
                    for a, b in zip(pts, pts[1:]))
 
-    def test_save_load_roundtrip(self, tmp_path, qcfg):
-        table = SecondMomentTable(qcfg)
+    def test_save_load_roundtrip(self, tmp_path):
+        table = SecondMomentTable()
         table.ensure(256.0)
         path = tmp_path / "table.csv"
         save_table(table, path)
         text = path.read_text()
         assert text.startswith(f"smtable-v2,{table.fingerprint},")
-        loaded = load_table(path, qcfg)
+        loaded = load_table(path)
         assert loaded.checkpoints == table.checkpoints
 
-    def test_load_rejects_wrong_fingerprint(self, tmp_path, qcfg):
-        table = SecondMomentTable(qcfg)
+    def test_load_rejects_wrong_fingerprint(self, tmp_path):
+        table = SecondMomentTable()
         table.ensure(128.0)
         path = tmp_path / "table.csv"
         save_table(table, path)
-        with pytest.raises(TableIntegrityError):
-            load_table(path, QuadConfig(abs_tol=1e-9))
+        header, rest = path.read_text().split("\n", 1)
+        assert TABLE_KEY in header
+        path.write_text(header.replace(TABLE_KEY, "0123456789abcdef-rs1")
+                        + "\n" + rest)
+        with pytest.raises(TableIntegrityError, match="0123456789abcdef"):
+            load_table(path)
 
     def test_load_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "junk.csv"
@@ -434,8 +426,8 @@ class TestSecondMomentTable:
         with pytest.raises(TableIntegrityError):
             load_table(path)
 
-    def test_load_rejects_non_monotone_rows(self, tmp_path, qcfg):
-        table = SecondMomentTable(qcfg)
+    def test_load_rejects_non_monotone_rows(self, tmp_path):
+        table = SecondMomentTable()
         table.ensure(192.0)
         path = tmp_path / "table.csv"
         save_table(table, path)
@@ -443,23 +435,23 @@ class TestSecondMomentTable:
         lines[2], lines[3] = lines[3], lines[2]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TableIntegrityError):
-            load_table(path, qcfg)
+            load_table(path)
 
     @pytest.mark.parametrize("cut", [
         lambda text: text[:-5],                          # inside a number
         lambda text: text[:text.rindex("\n", 0, -1) + 1],  # a whole row
     ], ids=["in-last-number", "last-row"])
-    def test_load_rejects_cut_table(self, tmp_path, qcfg, cut):
-        table = SecondMomentTable(qcfg)
+    def test_load_rejects_cut_table(self, tmp_path, cut):
+        table = SecondMomentTable()
         table.ensure(192.0)
         path = tmp_path / "table.csv"
         save_table(table, path)
         path.write_text(cut(path.read_text()))
         with pytest.raises(TableIntegrityError):
-            load_table(path, qcfg)
+            load_table(path)
 
-    def test_load_rejects_shifted_checkpoint(self, tmp_path, qcfg):
-        table = SecondMomentTable(qcfg)
+    def test_load_rejects_shifted_checkpoint(self, tmp_path):
+        table = SecondMomentTable()
         table.ensure(192.0)
         path = tmp_path / "table.csv"
         save_table(table, path)
@@ -468,7 +460,7 @@ class TestSecondMomentTable:
         lines[3] = f"{130.0!r},{i_str}"      # checkpoint 2 belongs at 128
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TableIntegrityError):
-            load_table(path, qcfg)
+            load_table(path)
 
 
 class TestCumulativeI:
@@ -480,11 +472,11 @@ class TestCumulativeI:
             with pytest.raises(DomainError):
                 cumulative_I(T, smtable)
 
-    def test_difference_matches_direct_integral(self, smtable, qcfg):
+    def test_difference_matches_direct_integral(self, smtable):
         t1, t2 = 1.0e4 + 3.0, 1.0e4 + 41.5
         diff = cumulative_I(t2, smtable) - cumulative_I(t1, smtable)
-        direct = _int_z2(t1, t2, qcfg)
-        assert abs(diff - direct) <= 2.0 * qcfg.abs_tol
+        direct = _int_z2(t1, t2)
+        assert abs(diff - direct) <= 2.0 * ABS_TOL
 
     def test_monotone_in_t(self, smtable):
         vals = [cumulative_I(t, smtable)
@@ -598,13 +590,13 @@ class TestHlMoment:
                 chain.windowed_sq_integral(*bad)
 
     @pytest.mark.parametrize("T", [2.0e4, 2.0e5])
-    def test_windowed_square_matches_adaptive_outer_integral(self, T, qcfg):
+    def test_windowed_square_matches_adaptive_outer_integral(self, T):
         # the adaptive integral of the squared prefix difference is the
         # reference: the same chain, integrated to its tolerance
         h, u0 = 2.0, T ** 0.5001
         chain = z_chain(T, T + u0 + h)
         ref = adaptive_integrate(
-            lambda ts, _: chain.integral(ts, ts + h) ** 2, T, T + u0, qcfg)
+            lambda ts, _: chain.integral(ts, ts + h) ** 2, T, T + u0)
         got = chain.windowed_sq_integral(T, T + u0, h)
         assert abs(got - ref.value) <= 1e-11 * ref.value
         assert hl_moment(T, h).jbar == got

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from zetaladder import kernels, special
 from zetaladder.errors import DomainError
-from zetaladder.quadrature import (QuadConfig, _panel_freq,
-                                   adaptive_integrate, z2_values, z_values)
+from zetaladder.quadrature import (_panel_freq, adaptive_integrate,
+                                   z2_values, z_values)
 from zetaladder.special import (RS_MIN, CriticalPoint, TWO_PI,
                                 em_zeta_half, riemann_siegel_z,
                                 riemann_siegel_z_values, tau, theta, z_phase)
@@ -269,15 +269,15 @@ class TestRemainders:
         # remainders in that place: the integral is the exact-node value,
         # which differs from one at nodes rounded to floats
         a = 1.0e6
-        got = adaptive_integrate(z2_values, a, a + 1.0, QuadConfig()).value
+        got = adaptive_integrate(z2_values, a, a + 1.0).value
         assert got == 5.442963931600442
-        rounded = adaptive_integrate(lambda t, dt: z2_values(t), a, a + 1.0,
-                                     QuadConfig()).value
+        rounded = adaptive_integrate(lambda t, dt: z2_values(t), a,
+                                     a + 1.0).value
         assert rounded == 5.44296393135688
         # below 8pi the oracle ignores the remainders
-        assert adaptive_integrate(z2_values, 10.0, 11.0, QuadConfig()).value \
-            == adaptive_integrate(lambda t, dt: z2_values(t), 10.0, 11.0,
-                                  QuadConfig()).value
+        assert adaptive_integrate(z2_values, 10.0, 11.0).value \
+            == adaptive_integrate(lambda t, dt: z2_values(t), 10.0,
+                                  11.0).value
 
 
 class TestEmZetaHalf:
