@@ -17,7 +17,8 @@ timestamp.  Every file is written whole (`write_atomic`), so a failed or
 killed run leaves the old file or the whole new one.
 
 The tolerances are the constants of `quadrature` and no flag changes
-them; `factorize --workers` sets the sweep's thread count, the one setting.
+them; `factorize --workers` sets the sweep's thread count, the one setting,
+at most `_MAX_WORKERS`; the pool has no more threads than the sweep has jobs.
 The checkpoint table, calibration artifact and moment memos live in the
 cache directory (`./.zlcache`, or `ZL_CACHE_DIR`, or `--cache-dir`).
 """
@@ -58,6 +59,9 @@ _CALIB_FILE = "calibration.txt"
 # rows `eval` writes and values a sweep spans at most, so a tiny step or a
 # huge count is refused, not run for hours or allocated
 _MAX_ROWS = 10 ** 6
+# sweep threads `factorize --workers` may ask for; the pool starts a thread
+# per pending job up to its size, so a larger request is refused
+_MAX_WORKERS = 64
 
 
 def _write_manifest(command: str, out: Path, params: Dict[str, object],
@@ -294,6 +298,9 @@ def cmd_alphas(args: argparse.Namespace) -> int:
 
 
 def cmd_factorize(args: argparse.Namespace) -> int:
+    if args.workers > _MAX_WORKERS:
+        raise DomainError(f"--workers {args.workers} is above the ceiling "
+                          f"of {_MAX_WORKERS} sweep threads")
     ts = _parse_sweep(args.sweep) if args.sweep else None
     cache, table, cfg = _calibrated_context(args)
     out = Path(args.out)
@@ -306,7 +313,8 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         workers = args.workers
         if workers <= 0:
             workers = min(8, os.cpu_count() or 1)
-        if workers > 1 and len(ts) > 1:
+        workers = min(workers, len(ts))
+        if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(job, ts))     # input order preserved
         else:
@@ -439,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--sweep", help="T=a:b:n for a log-spaced sweep CSV")
     p.add_argument("--workers", type=int, default=0,
-                   help="sweep threads (default 0: min(8, CPUs))")
+                   help="sweep threads, at most 64 (default 0: min(8, "
+                   "CPUs))")
     p.add_argument("--out", default="facrep.json")
     _add_common_flags(p)
     p.set_defaults(func=cmd_factorize)

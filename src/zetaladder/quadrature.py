@@ -18,7 +18,9 @@ the ulp of t (1.2e-10 at 1e6) would change Z^2 by ~1e-9 relative, an error
 that the shared nodes hide from |K31 - G15| on wide panels.  Accepted
 contributions are summed exactly.  Which panels are accepted depends only
 on the inputs and a panel's sums only on its own nodes, so results never
-depend on batch shape or scheduling.
+depend on batch shape or scheduling.  `adaptive_integrate_many` runs many
+intervals through one such loop, each with its own budgets, bound and
+achievability check; `adaptive_integrate` is its one-interval case.
 
 Two consumers sit on top of the same panel machinery:
 
@@ -31,10 +33,12 @@ Two consumers sit on top of the same panel machinery:
   (`PanelChain.windowed_sq_integral`), with no further Z evaluations and
   no adaptivity.
 - SecondMomentTable: checkpoints of I(T) = int_0^T Z^2 at a fixed stride,
-  extended append-only, one segment after another under a lock, and
-  persisted as `smtable-v2` files keyed by `TABLE_KEY`, the fingerprint
-  of the fixed tolerances, written whole (`write_atomic`) and refused on
-  load when damaged.
+  extended append-only under a lock, four strides per pass of
+  `adaptive_integrate_many` and in ascending order, and persisted as
+  `smtable-v2` files keyed by `TABLE_KEY`, the fingerprint of the fixed
+  tolerances, written whole (`write_atomic`) and refused on load when
+  damaged.  Each stride integrates as it would alone, so the table's bytes
+  do not depend on the pass size.
 
 Below t = 8pi the Riemann-Siegel route is too short to trust, so Z switches
 to the rotated Euler-Maclaurin oracle there; Z^2 is the square of that Z
@@ -242,61 +246,93 @@ def _panel_sums(fvec, lo: np.ndarray,
     return vals, _rule_sums(vals, _GL_W, hws)
 
 
-def adaptive_integrate(fvec: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                       a: float, b: float) -> QuadResult:
-    """Deterministic adaptive integration of a vectorized integrand.
+def _owner_fsums(xs: np.ndarray, owner: np.ndarray, n: int) -> List[float]:
+    """Exact sums of xs grouped by owner index 0 .. n-1."""
+    order = np.argsort(owner, kind="stable")
+    groups = np.split(xs[order], np.cumsum(np.bincount(owner, minlength=n)))
+    return [fsum(g.tolist()) for g in groups[:n]]
+
+
+def adaptive_integrate_many(
+        fvec: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        cuts) -> List[QuadResult]:
+    """Deterministic adaptive integrals over [cuts[i], cuts[i + 1]] in one
+    loop, each interval with its own budgets, bound and achievability check
+    (QUADPACK's qagp; Piessens et al. 1983).  An interval with b <= a
+    integrates to zero.
 
     fvec(t, dt) takes each node as a float t plus its exact remainder dt;
-    an integrand that cannot use the remainder ignores it.  Bisects level
-    by level, starting from panels across which Z advances its phase by
-    `_FIRST_LEVEL_PHASE` radians (`_CHAIN_PHASE` sizes chains).  Each
-    pass evaluates every pending panel at its 31 Kronrod nodes in one
-    vectorized call; a panel's value is its K31 sum and its estimate
-    |K31 - G15|, from the 15 Gauss nodes among the 31.  A panel is accepted
-    when the estimate meets its width-proportional budget or the panel
-    sits at MAX_DEPTH; the halves of the others are the next level.  The
-    common case ends after one pass.  Value and bound are exact sums, so
-    the order in which panels are accepted does not matter.
+    an integrand that cannot use the remainder ignores it.  Each interval
+    starts from its own panels, across which Z advances its phase by
+    `_FIRST_LEVEL_PHASE` radians, and the panels of all intervals are
+    bisected level by level together.  Each level evaluates every pending
+    panel at its 31 Kronrod nodes in one vectorized call; a panel's value
+    is its K31 sum and its estimate |K31 - G15|, from the 15 Gauss nodes
+    among the 31.  A panel is accepted when the estimate meets its
+    width-proportional share of its interval's budget or the panel sits at
+    MAX_DEPTH; the halves of the others are the next level.  The common
+    case ends after one level.  Values and bounds are exact sums of an
+    interval's own panels, so each result is bit for bit the interval's
+    result alone, whatever the order of acceptance.
     """
-    if b <= a:
-        return QuadResult(0.0, 0.0, 0)
-    edges = _initial_edges(a, b, _FIRST_LEVEL_PHASE)
-    lo, hi = edges[:-1], edges[1:]
-    neval = 0
-    inv_total = 1.0 / (b - a)
-    parts: List[float] = []
-    errs: List[float] = []
+    spans = list(zip(map(float, cuts[:-1]), map(float, cuts[1:])))
+    n = len(spans)
+    results = [QuadResult(0.0, 0.0, 0)] * n
+    live = [i for i, (a, b) in enumerate(spans) if not b <= a]
+    if not live:
+        return results
+    per = [_initial_edges(*spans[i], _FIRST_LEVEL_PHASE) for i in live]
+    lo = np.concatenate([e[:-1] for e in per])
+    hi = np.concatenate([e[1:] for e in per])
+    owner = np.repeat(live, [e.size - 1 for e in per])
+    inv_total = np.zeros(n)
+    inv_total[live] = [1.0 / (spans[i][1] - spans[i][0]) for i in live]
+    neval = np.zeros(n, dtype=np.int64)
+    parts, errs, owners = [], [], []
     depth = 0
     while lo.size:
         vals, hws = _panel_values(fvec, lo, hi, _K31_X)
-        neval += vals.size
+        neval += _K31_X.size * np.bincount(owner, minlength=n)
         kronrod = _rule_sums(vals, _K31_W, hws)
         est = np.abs(kronrod - _rule_sums(vals[:, 1::2], _GL_W, hws))
         if depth == 0:
-            s0 = fsum(kronrod.tolist())
+            s0 = _owner_fsums(kronrod, owner, n)
         # panel budgets come from ABS_TOL alone: additivity contracts
         # compare decompositions in ABS_TOL units, so the looser REL_TOL
         # allowance must not leak into per-panel acceptance.  REL_TOL only
         # relaxes the final achievability check below.
-        budgets = ABS_TOL * (hi - lo) * inv_total
+        budgets = ABS_TOL * (hi - lo) * inv_total[owner]
         done = (est <= budgets) | (depth >= MAX_DEPTH)
-        parts.extend(kronrod[done].tolist())
-        errs.extend(est[done].tolist())
+        parts.append(kronrod[done])
+        errs.append(est[done])
+        owners.append(owner[done])
         keep = ~done
         mid = 0.5 * (lo[keep] + hi[keep])
         lo, hi = (np.column_stack((lo[keep], mid)).ravel(),
                   np.column_stack((mid, hi[keep])).ravel())
+        owner = np.repeat(owner[keep], 2)
         depth += 1
 
-    value = fsum(parts)
-    bound = fsum(errs)
-    target = max(ABS_TOL, REL_TOL * abs(s0))
-    if bound > target * (1.0 + 1e-9):
-        raise PrecisionError(
-            f"tolerance {target:.3e} not reachable (error bound {bound:.3e}"
-            f" at max_depth={MAX_DEPTH})",
-            estimate=value, bound=bound)
-    return QuadResult(value, bound, neval)
+    owner = np.concatenate(owners)
+    values = _owner_fsums(np.concatenate(parts), owner, n)
+    bounds = _owner_fsums(np.concatenate(errs), owner, n)
+    for i in live:
+        target = max(ABS_TOL, REL_TOL * abs(s0[i]))
+        if bounds[i] > target * (1.0 + 1e-9):
+            raise PrecisionError(
+                f"tolerance {target:.3e} not reachable on "
+                f"[{spans[i][0]!r}, {spans[i][1]!r}] "
+                f"(error bound {bounds[i]:.3e} at max_depth={MAX_DEPTH})",
+                estimate=values[i], bound=bounds[i])
+        results[i] = QuadResult(values[i], bounds[i], int(neval[i]))
+    return results
+
+
+def adaptive_integrate(fvec: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                       a: float, b: float) -> QuadResult:
+    """Deterministic adaptive integral of fvec over [a, b]: the
+    one-interval case of `adaptive_integrate_many`."""
+    return adaptive_integrate_many(fvec, (a, b))[0]
 
 
 def z_values(ts: np.ndarray, dts: np.ndarray = None) -> np.ndarray:
@@ -450,12 +486,19 @@ def z2_chain(a: float, b: float) -> PanelChain:
     return PanelChain.build(a, b, z2_values)
 
 
+# Strides of the checkpoint table integrated in one pass: a pass shares the
+# per-call set-up of theta and the kernel, and its pending nodes raise peak
+# memory; nearly all of the gain is there at 4.
+_STRIDES_PER_PASS = 4
+
+
 class SecondMomentTable:
     """Append-only checkpoints of I(T) = int_0^T Z^2 at a fixed stride.
 
     Checkpoint values depend only on the stride grid and the tolerances,
-    never on which caller triggered the extension, so concurrent callers (the
-    sweep's threads) just need the lock around extension.
+    never on which caller triggered the extension or on how its strides
+    were grouped into passes, so concurrent callers (the sweep's threads)
+    just need the lock around extension.
     """
 
     STRIDE = 64.0
@@ -477,17 +520,22 @@ class SecondMomentTable:
     def ensure(self, t: float) -> None:
         """Extend checkpoints so the last one is within one stride below t.
 
-        Segments are integrated in ascending order and folded into the
-        running total as they come, under the lock, so a thread that finds
-        the table short waits for the one extending it.
+        Strides are integrated `_STRIDES_PER_PASS` per call of
+        `adaptive_integrate_many`, each to the value it has alone, and each
+        pass is folded into the running total in ascending order under the
+        lock, so a thread that finds the table short waits for the one
+        extending it.  A pass that raises appends nothing.
         """
         with self._lock:
             n_seg = int((t - self._ts[-1]) // self.STRIDE)
-            for _ in range(n_seg):
-                lo = self._ts[-1]
-                v = adaptive_integrate(z2_values, lo, lo + self.STRIDE).value
-                self._ts.append(lo + self.STRIDE)
-                self._is.append(self._is[-1] + v)
+            for left in range(n_seg, 0, -_STRIDES_PER_PASS):
+                cuts = [self._ts[-1]]
+                for _ in range(min(left, _STRIDES_PER_PASS)):
+                    cuts.append(cuts[-1] + self.STRIDE)
+                results = adaptive_integrate_many(z2_values, cuts)
+                for top, res in zip(cuts[1:], results):
+                    self._ts.append(top)
+                    self._is.append(self._is[-1] + res.value)
 
     def value_at(self, t: float) -> Tuple[float, float]:
         """Largest checkpoint (t_i, I_i) with t_i <= t."""

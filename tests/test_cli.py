@@ -254,6 +254,37 @@ class TestFactorize:
         ts = [float(ln.split(",")[0]) for ln in lines[1:]]
         assert ts == sorted(ts)
 
+    def test_pool_has_no_more_threads_than_jobs(self, cli_cache, tmp_path,
+                                                monkeypatch):
+        sizes = []
+
+        class Recording(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+        out = tmp_path / "sweep.csv"
+        assert run(cli_cache, "factorize", "--sweep", "T=10000:15000:2",
+                   "--H", "2", "--k", "1", "--workers", "64", "--out",
+                   str(out)) == 0
+        assert sizes == [2]
+        assert manifest_of(out)["parameters"]["workers"] == 2
+
+    def test_workers_above_the_ceiling_exit_2_before_any_work(
+            self, cli_cache, tmp_path, monkeypatch, capsys):
+        started = []
+        monkeypatch.setattr(cli, "ThreadPoolExecutor",
+                            lambda *a, **k: started.append(k))
+        monkeypatch.setattr(cli, "_calibrated_context",
+                            lambda *a: started.append(a))
+        out = tmp_path / "sweep.csv"
+        assert run(cli_cache, "factorize", "--sweep", "T=10000:15000:2",
+                   "--H", "2", "--k", "1", "--workers", "65", "--out",
+                   str(out)) == 2
+        assert "ceiling of 64" in capsys.readouterr().err
+        assert started == [] and not out.exists()
+
     def test_needs_target_or_sweep(self, cli_cache, capsys):
         assert run(cli_cache, "factorize", "--H", "2", "--k", "1") == 2
         assert "--T or --sweep" in capsys.readouterr().err
@@ -429,7 +460,8 @@ class TestConfigPlumbing:
                    "--H", "2", "--k", "1", "--workers", "3", "--out",
                    str(sweep)) == 0
         docs = [manifest_of(spectrum), manifest_of(sweep)]
-        assert docs[1]["parameters"]["workers"] == 3
+        # the pool size used: a one-job sweep runs on one thread
+        assert docs[1]["parameters"]["workers"] == 1
         for doc in docs:
             assert doc["config_fingerprint"] == quadrature.FINGERPRINT
             assert "config" not in doc and "config" not in doc["parameters"]

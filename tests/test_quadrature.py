@@ -7,6 +7,7 @@ if both quadrature and integrand are right.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import subprocess
@@ -22,13 +23,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaladder import cli
+from zetaladder import cli, quadrature
 from zetaladder.errors import (DomainError, PrecisionError, RangeError,
                                TableIntegrityError)
 from zetaladder.ladder import euler_constant
 from zetaladder.quadrature import (ABS_TOL, MAX_DEPTH, TABLE_KEY,
-                                   MomentReport, PanelChain,
+                                   MomentReport, PanelChain, QuadResult,
                                    SecondMomentTable, adaptive_integrate,
+                                   adaptive_integrate_many,
                                    admissible_h_range, cumulative_I,
                                    hl_moment, load_table, save_table,
                                    z2_chain, z2_values, z_chain, z_values)
@@ -116,6 +118,68 @@ class TestAdaptiveIntegrate:
         assert err.value.estimate is not None
         assert err.value.bound > 100.0 * ABS_TOL
         assert f"max_depth={MAX_DEPTH}" in str(err.value)
+
+
+def _kink(x, _):
+    # a kink at the irrational 1/pi, which no panel edge meets
+    return np.sqrt(np.abs(x - 1.0 / math.pi))
+
+
+def _singular(x, _):
+    # an integrable 1/sqrt singularity at 1/pi, past MAX_DEPTH's reach
+    return 1.0 / np.sqrt(np.abs(x - 1.0 / math.pi))
+
+
+class TestAdaptiveIntegrateMany:
+    """Many intervals in one adaptive loop, each integrated bit for bit as
+    on its own."""
+
+    @pytest.mark.parametrize("fvec, cuts", [
+        # strides across RS_MIN = 8pi and the tau-integer edges 2 pi k^2
+        (z2_values, [64.0 * k for k in range(11)]),
+        # unequal widths, so the per-panel budgets differ between intervals
+        (z2_values, [1e4, 1e4 + 3.0, 1e4 + 64.0, 1e4 + 200.0]),
+        # bisection in the middle interval alone
+        (_kink, [0.0, 0.25, 0.5, 1.0]),
+    ])
+    def test_each_interval_as_alone(self, fvec, cuts):
+        many = adaptive_integrate_many(fvec, cuts)
+        alone = [adaptive_integrate(fvec, a, b)
+                 for a, b in zip(cuts, cuts[1:])]
+        assert len(many) == len(cuts) - 1
+        for got, want in zip(many, alone):
+            assert (got.value, got.error_bound, got.neval) \
+                == (want.value, want.error_bound, want.neval)
+
+    def test_kink_refines_its_own_interval_alone(self):
+        cuts = [0.0, 0.25, 0.5, 1.0]
+        res = adaptive_integrate_many(_kink, cuts)
+        first = [(_initial_edges(a, b, _FIRST_LEVEL_PHASE).size - 1) * 31
+                 for a, b in zip(cuts, cuts[1:])]
+        assert [r.neval == n for r, n in zip(res, first)] \
+            == [True, False, True]
+
+    def test_empty_intervals_integrate_to_zero(self):
+        res = adaptive_integrate_many(lambda x, _: x, [0.0, 1.0, 1.0, 2.0])
+        assert res[1] == QuadResult(0.0, 0.0, 0)
+        assert res[0].value == pytest.approx(0.5, abs=1e-15)
+        assert res[2].value == pytest.approx(1.5, abs=1e-15)
+        assert adaptive_integrate_many(lambda x, _: x, [3.0]) == []
+
+    def test_unreachable_tolerance_names_its_interval(self):
+        # the last interval is worth 1e9, so a REL_TOL check against the
+        # sum of all intervals would excuse the singular one
+        def fvec(x, dx):
+            return _singular(x, dx) + np.where(x > 1.0, 1e9, 0.0)
+
+        with pytest.raises(PrecisionError) as alone:
+            adaptive_integrate(fvec, 0.25, 0.5)
+        with pytest.raises(PrecisionError) as err:
+            adaptive_integrate_many(fvec, [0.0, 0.25, 0.5, 1.0, 2.0])
+        assert "[0.25, 0.5]" in str(err.value)
+        assert (err.value.estimate, err.value.bound) \
+            == (alone.value.estimate, alone.value.bound)
+        assert err.value.bound > 100.0 * ABS_TOL
 
 
 def _split_sums(lo, hi, ways=16):
@@ -386,12 +450,38 @@ class TestSecondMomentTable:
         assert len(serial.checkpoints) == 6
 
     def test_extension_order_invisible(self):
+        # steps of 3, 2, 2 and 3 strides, which split and shift the passes
+        # of the direct build's four strides each
         stepped = SecondMomentTable()
-        stepped.ensure(192.0)
-        stepped.ensure(320.0)
+        for t in (192.0, 320.0, 448.0, 640.0):
+            stepped.ensure(t)
         direct = SecondMomentTable()
-        direct.ensure(320.0)
+        direct.ensure(640.0)
         assert stepped.checkpoints == direct.checkpoints
+        assert len(direct.checkpoints) == 11
+
+    def test_saved_bytes_are_frozen(self, tmp_path):
+        # the table integrated one stride per call wrote these bytes; passes
+        # of several strides must not move a bit of any checkpoint
+        table = SecondMomentTable()
+        table.ensure(1024.0)
+        save_table(table, tmp_path / "t.csv")
+        digest = hashlib.sha256((tmp_path / "t.csv").read_bytes())
+        assert digest.hexdigest() == ("9e34cc1acfff7265b3f43741575d0b27"
+                                      "92a4b7fdec431ccfe139b3e7584ac69e")
+
+    def test_failed_pass_appends_nothing(self, monkeypatch):
+        table = SecondMomentTable()
+        table.ensure(128.0)
+        before = table.checkpoints
+
+        def fail(*_):
+            raise PrecisionError("refused")
+
+        monkeypatch.setattr(quadrature, "adaptive_integrate_many", fail)
+        with pytest.raises(PrecisionError):
+            table.ensure(640.0)
+        assert table.checkpoints == before
 
     def test_checkpoints_strictly_increasing(self, smtable):
         pts = smtable.checkpoints
