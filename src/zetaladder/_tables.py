@@ -120,10 +120,9 @@ def ln_dd(x):
     return dd_add(p, pe + e * _LN2_LO, hi, lo)
 
 
-def turns(t, hi, lo, out=None, tmp=None):
+def turns(t, hi, lo):
     """t * (hi + lo) mod 1, in about [-1/2, 1/2], for float64 t and a
-    double-double multiplier.  The arguments broadcast; out and tmp, if
-    given, are written over (out holds the result).
+    double-double multiplier; the arguments broadcast to an array.
 
     With t = th + tl and hi = bh + bl split to 26 bits, th * bh is exact and
     loses only whole turns.  The rest, th * (bl + lo) + tl * hi, is below
@@ -131,8 +130,8 @@ def turns(t, hi, lo, out=None, tmp=None):
     t * hi < 2^26 the result is within ~1e-16 turns."""
     th, tl = split(t)
     bh, bl = split(hi)
-    r = np.multiply(th, bh, out=out)
-    tmp = np.rint(r, out=tmp)
+    r = th * bh
+    tmp = np.rint(r)
     r -= tmp
     r += np.multiply(th, bl + lo, out=tmp)
     r += np.multiply(tl, hi, out=tmp)

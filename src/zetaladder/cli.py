@@ -49,7 +49,7 @@ from .errors import (CalibrationError, DegenerateConfigurationError,
 from .quadrature import (FINGERPRINT, TABLE_KEY, U0_EXPONENT,
                          SecondMomentTable, admissible_h_range, hl_moment,
                          load_table, save_table, write_atomic)
-from .special import em_zeta_half, riemann_siegel_z, z_phase
+from .special import em_zeta_half, riemann_siegel_z, z_phases
 
 _log = logging.getLogger(__name__)
 
@@ -185,14 +185,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     n = int(math.floor(span)) + 1 if args.stop >= args.start else 0
     out = Path(args.out)
     header = "t,Z,theta,abs_zeta,oracle_diff"
-    rows = []
-    for i in range(n):
-        t = args.start + i * args.step
-        point = riemann_siegel_z(t)
-        zeta = em_zeta_half(t)
-        diff = abs(point.z - (z_phase(t) * zeta).real)
-        rows.append(",".join([repr(t), repr(point.z), repr(point.theta),
-                              repr(abs(zeta)), repr(diff)]))
+    ts = args.start + args.step * np.arange(n)
+    point, zeta, phase = riemann_siegel_z(ts), em_zeta_half(ts), z_phases(ts)
+    # Re(phase * zeta) and |zeta| (hypot) rounded as Python's complex ops
+    diff = np.abs(point.z - (phase.real * zeta.real - phase.imag * zeta.imag))
+    cols = ts, point.z, point.theta, np.hypot(zeta.real, zeta.imag), diff
+    rows = [",".join(map(repr, r)) for r in zip(*(c.tolist() for c in cols))]
     _write_rows(out, header, rows)
     _write_manifest("eval", out, {"from": args.start, "to": args.stop,
                                   "step": args.step})
@@ -334,6 +332,9 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    if args.x / math.tau >= _MAX_ROWS ** 2:   # floor(sqrt(x / 2pi)) rows
+        raise DomainError(f"spectrum at x = {args.x!r} would write more "
+                          f"than {_MAX_ROWS} rows")
     entries = fz.local_spectrum(args.x)
     rows = [",".join([str(e.n), repr(e.omega)]) for e in entries]
     out = Path(args.out)

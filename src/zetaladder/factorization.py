@@ -79,6 +79,7 @@ class AlphaSequence:
     beta: float
     alphas: Tuple[float, ...]
     Hk: float
+    zeta_abs: Tuple[float, ...] = ()  # the oracle's |zeta| at the alphas
 
     def __post_init__(self):
         if self.k < 1:
@@ -335,12 +336,14 @@ def build_alpha_sequence(T: float, H: float, k: int, cfg: LadderConfig,
         _check_beta(maps, beta, mean)
         descend = maps.descend(beta)          # beta = alpha_k ... alpha_0
         alphas = tuple(reversed(descend))
-        smallest = min(abs(em_zeta_half(x)) for x in alphas)
-        if smallest > ZERO_THRESHOLD:
+        zeta = em_zeta_half(np.array(alphas))
+        zeta_abs = tuple(np.hypot(zeta.real, zeta.imag).tolist())
+        if min(zeta_abs) > ZERO_THRESHOLD:
             return AlphaSequence(T=float(T), H=float(H), k=k, eta=eta,
-                                 beta=beta, alphas=alphas, Hk=hk)
+                                 beta=beta, alphas=alphas, Hk=hk,
+                                 zeta_abs=zeta_abs)
         _log.debug("beta candidate %d rejected: |zeta| = %.3g within the "
-                   "zero threshold", tried, smallest)
+                   "zero threshold", tried, min(zeta_abs))
     raise DegenerateConfigurationError(
         f"all {tried} mean-value candidates at T = {T:g}, H = {H:g}, "
         f"k = {k} sit too close to a zeta zero", retries=tried)
@@ -368,11 +371,10 @@ def factorize(T: float, H: float, k: int, cfg: LadderConfig,
     """
     seq = build_alpha_sequence(T, H, k, cfg, table)
     lam = lambda_factor(H, seq.Hk, k, T)
-    zeta_abs = [abs(em_zeta_half(x)) for x in seq.alphas]
-    lhs = math.sqrt(lam / zeta_abs[0])
-    rhs = math.prod(zeta_abs[1:])
+    lhs = math.sqrt(lam / seq.zeta_abs[0])
+    rhs = math.prod(seq.zeta_abs[1:])
     ratio = lhs / rhs
-    z_abs = [abs(riemann_siegel_z(x).z) for x in seq.alphas]
+    z_abs = np.abs(riemann_siegel_z(np.array(seq.alphas)).z).tolist()
     ratio_rs = math.sqrt(lam / z_abs[0]) / math.prod(z_abs[1:])
     residual = abs(ratio - ratio_rs) / ratio
     return FactorizationReport(seq=seq, lam=lam, lhs=lhs, rhs=rhs,
@@ -385,7 +387,7 @@ def multiform_G(xs: Sequence[float]) -> float:
         raise DomainError(f"multiform needs >= 2 heights, got {len(xs)}")
     if min(xs) < RS_MIN:
         raise DomainError("all heights must be >= 8pi")
-    return math.prod(abs(riemann_siegel_z(float(x)).z) for x in xs)
+    return math.prod(np.abs(riemann_siegel_z(np.array(xs, float)).z).tolist())
 
 
 def local_spectrum(x: float) -> List[SpectrumEntry]:

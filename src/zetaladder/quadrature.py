@@ -349,7 +349,7 @@ def z_values(ts: np.ndarray, dts: np.ndarray = None) -> np.ndarray:
             ts[hi], None if dts is None else np.asarray(dts)[hi])
     if not hi.all():
         phase = special.z_phases(ts[~hi])
-        zeta = np.array([special.em_zeta_half(t) for t in ts[~hi].tolist()])
+        zeta = special.em_zeta_half(ts[~hi])
         # Re(phase * zeta) written out: numpy's complex product fuses a
         # multiply-add, which moves the last bit against Python's product
         out[~hi] = phase.real * zeta.real - phase.imag * zeta.imag

@@ -18,7 +18,8 @@ from zetaladder import cli
 from zetaladder import factorization as fz
 from zetaladder import ladder as ld
 from zetaladder.quadrature import adaptive_integrate, hl_moment, save_table, z2_values
-from zetaladder.special import em_zeta_half, riemann_siegel_z, z_phase
+from zetaladder.special import (em_zeta_half, riemann_siegel_z, z_phase,
+                                z_phases)
 
 GAMMA_1 = 14.134725141734695
 SWEEP_TS = tuple(float(v) for v in np.geomspace(1.0e4, 1.0e5, 5))
@@ -38,13 +39,10 @@ def oracle_sample():
     rng = np.random.default_rng(2024)
     ts = np.sort(rng.uniform(50.0, 1.0e5, 1000))
     t0 = time.perf_counter()
-    rows = []
-    for t in ts:
-        t = float(t)
-        rows.append((t, riemann_siegel_z(t).z,
-                     z_phase(t) * em_zeta_half(t)))
+    zs = riemann_siegel_z(ts).z
+    rotated = z_phases(ts) * em_zeta_half(ts)
     elapsed = time.perf_counter() - t0
-    return rows, elapsed
+    return list(zip(ts.tolist(), zs.tolist(), rotated.tolist())), elapsed
 
 
 @pytest.fixture(scope="module")

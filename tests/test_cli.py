@@ -7,6 +7,7 @@ first-run table build.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -22,7 +23,19 @@ from zetaladder import cli, kernels, quadrature, svgplot
 from zetaladder import ladder as ld
 from zetaladder.ladder import save_calibration
 from zetaladder.quadrature import PanelChain, save_table
-from zetaladder.special import riemann_siegel_z
+from zetaladder.special import TWO_PI, em_zeta_half, riemann_siegel_z
+
+# sha256 of the t, Z and theta columns of `zl eval` rows (each row's first
+# three cells, comma-joined, one line each), from the per-row evaluation
+# that the array path replaced
+EVAL_TZT_SHA = {
+    ("100", "110", "0.5"):
+        "2ea960c870605e18655a3da1a4e16309f73ba61120545e416e83c37567f15248",
+    ("100000", "100010", "0.5"):
+        "b499a6af04e72a101ce95136e2b32a0f211958ed5cffc8f55a9cc96a49a330cf",
+}
+# |zeta| of the first row of each, from the oracle's exact-sum form
+EVAL_ABS_ZETA = {"100": 2.692697056664419, "100000": 5.879592468681768}
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +77,20 @@ class TestEval:
             "--out", str(out))
         row = out.read_text().splitlines()[1].split(",")
         assert float(row[1]) == riemann_siegel_z(1000.0).z
+
+    @pytest.mark.parametrize("argv", sorted(EVAL_TZT_SHA))
+    def test_columns_keep_their_bytes(self, cli_cache, tmp_path, argv):
+        out = tmp_path / "eval.csv"
+        assert run(cli_cache, "eval", "--from", argv[0], "--to", argv[1],
+                   "--step", argv[2], "--out", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        cols = "".join(",".join(r[:3]) + "\n" for r in rows)
+        assert hashlib.sha256(cols.encode()).hexdigest() == EVAL_TZT_SHA[argv]
+        # only the oracle columns may move, within the oracle's tolerance
+        ref = EVAL_ABS_ZETA[argv[0]]
+        assert abs(float(rows[0][3]) - ref) <= 4e-15 * max(1.0, ref)
+        for r in rows:
+            assert float(r[3]) == abs(em_zeta_half(float(r[0])))
 
     def test_empty_range_header_only(self, cli_cache, tmp_path):
         out = tmp_path / "eval.csv"
@@ -331,6 +358,28 @@ class TestSpectrum:
         out = tmp_path / "spectrum.csv"
         assert run(cli_cache, "spectrum", "--x", x, "--out", str(out)) == 2
         assert not out.exists()
+
+    def test_huge_x_exits_2(self, cli_cache, tmp_path):
+        # about 4e14 rows: refused before any is built
+        out = tmp_path / "spectrum.csv"
+        assert run(cli_cache, "spectrum", "--x", "1e30", "--out",
+                   str(out)) == 2
+        assert not out.exists()
+
+    def test_row_cap_arithmetic(self, cli_cache, tmp_path, monkeypatch):
+        # floor(tau(x)) rows; the list is stubbed, so nothing large is built
+        asked = []
+        monkeypatch.setattr(cli.fz, "local_spectrum",
+                            lambda x: asked.append(x) or [])
+        out = tmp_path / "spectrum.csv"
+        below = TWO_PI * (cli._MAX_ROWS - 0.5) ** 2
+        assert run(cli_cache, "spectrum", "--x", repr(below),
+                   "--out", str(out)) == 0
+        assert asked == [below]
+        at = TWO_PI * cli._MAX_ROWS ** 2 * (1.0 + 1e-12)
+        assert run(cli_cache, "spectrum", "--x", repr(at),
+                   "--out", str(tmp_path / "at.csv")) == 2
+        assert asked == [below]
 
 
 class TestCalibrate:

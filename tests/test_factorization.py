@@ -226,11 +226,13 @@ class TestFactorize:
     def test_constant_injection_balances_exactly(self, ladder_cfg, smtable,
                                                  monkeypatch):
         # pin every factor to 4 and the normalization to 4^3; the identity
-        # then balances in exact float arithmetic regardless of the chain
+        # then balances in exact float arithmetic regardless of the chain.
+        # Both evaluators take the alphas as one array.
         monkeypatch.setattr(fz, "em_zeta_half",
-                            lambda x: complex(4.0, 0.0))
+                            lambda x: np.full(np.shape(x), 4.0 + 0.0j))
         monkeypatch.setattr(fz, "riemann_siegel_z",
-                            lambda x: SimpleNamespace(z=4.0))
+                            lambda x: SimpleNamespace(
+                                z=np.full(np.shape(x), 4.0)))
         monkeypatch.setattr(fz, "lambda_factor",
                             lambda H, Hk, k, T: 64.0)
         rep = fz.factorize(1.0e4, 2.0, 1, ladder_cfg, smtable)

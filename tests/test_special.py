@@ -7,6 +7,7 @@ and frozen here; the suite never imports mpmath at run time.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zetaladder import kernels, special
-from zetaladder.errors import DomainError
+from zetaladder.errors import DomainError, PrecisionError
 from zetaladder.quadrature import (_panel_freq, adaptive_integrate,
                                    z2_values, z_values)
 from zetaladder.special import (RS_MIN, CriticalPoint, TWO_PI,
@@ -76,6 +77,20 @@ Z_DD_REF = {
     (1000003.1416, 3.3760443329811094e-11): "2.68367024113484593790680699316",
 }
 GAMMA_1 = 14.134725141734695
+# em_zeta_half before the blocked main sum, when it summed exactly with
+# fsum; the blocked sum stays within ORACLE_MOVE * max(1, |zeta|) of it
+# (2.7e-15 at most over 1,240 random heights up to 1e6)
+ORACLE_FSUM = {
+    0.0: -1.4603545088095864 + 0j,
+    7.5: 1.1291091838090646 + 0.392406583197541j,
+    20.0: 0.4299138604378438 - 1.064291443080589j,
+    100.0: 2.692619885681279 - 0.02038602960264909j,
+    1000.0: 0.3563343671944005 + 0.931997831232975j,
+    10000.5: -0.04858349226682391 - 0.2945604625647413j,
+    100000.25: 7.574572221342719 + 1.361800573062559j,
+    1000000.0: 0.07608906973827999 + 2.8051021010193j,
+}
+ORACLE_MOVE = 4e-15
 # C in the Riemann-Siegel remainder envelope C * t^(-1/4) that the checks
 # against the oracle allow
 RS_BAND_C = 2.0
@@ -210,6 +225,20 @@ class TestRiemannSiegelZ:
             assert point.z == riemann_siegel_z_values(np.array([t]))[0]
             assert point.theta == theta(t)
 
+    def test_array_call_bit_equal_to_one_point_calls(self):
+        rng = np.random.default_rng(11)
+        ts = np.concatenate((rng.uniform(TWO_PI, RS_MIN, 10),
+                             np.geomspace(RS_MIN, 1e6, 30)))
+        rng.shuffle(ts)
+        point = riemann_siegel_z(ts)
+        assert point.z.shape == point.theta.shape == ts.shape
+        for i, t in enumerate(ts.tolist()):
+            one = riemann_siegel_z(t)
+            assert point.z[i] == one.z and point.theta[i] == one.theta
+        grid = riemann_siegel_z(ts.reshape(5, 8))
+        assert np.array_equal(grid.z, point.z.reshape(5, 8))
+        assert np.array_equal(grid.theta, point.theta.reshape(5, 8))
+
     def test_below_two_pi_refused(self):
         for bad in (6.0, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
@@ -303,6 +332,81 @@ class TestEmZetaHalf:
         for t in (-1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 em_zeta_half(t)
+            for at in range(3):
+                ts = np.array([5.0, 100.0, 1e4])
+                ts[at] = t
+                with pytest.raises(DomainError):
+                    em_zeta_half(ts)
+
+    def test_within_tolerance_of_exact_sum(self):
+        for t, ref in ORACLE_FSUM.items():
+            assert abs(em_zeta_half(t) - ref) \
+                <= ORACLE_MOVE * max(1.0, abs(ref)), t
+
+    def test_batch_invariant(self):
+        # a point's cutoff, blocks and tail depend on its own t alone
+        rng = np.random.default_rng(23)
+        ts = np.concatenate(([0.0], rng.uniform(0.0, RS_MIN, 6),
+                             rng.uniform(RS_MIN, 1e3, 6),
+                             1e3 * rng.uniform(1.0, 1.01, 3),
+                             1e4 * rng.uniform(1.0, 1.01, 3),
+                             1e5 * rng.uniform(1.0, 1.01, 2),
+                             1e6 * rng.uniform(1.0, 1.01, 2)))
+        rng.shuffle(ts)
+        batch = em_zeta_half(ts)
+        assert batch.dtype == np.complex128
+        alone = np.array([em_zeta_half(t) for t in ts.tolist()])
+        assert np.array_equal(batch, alone)
+        for part in np.array_split(np.arange(ts.size), 4):
+            assert np.array_equal(em_zeta_half(ts[part]), batch[part])
+
+    def test_cutoff_doubles_then_refuses(self, monkeypatch):
+        # at t = 1e5 the bound at N = ceil(3t/2pi) is about 7e-12; under a
+        # tighter EM_TOL the cutoff doubles, and where even that bound is
+        # above it the call is refused
+        ts = np.array([50.0, 1e5])
+        base = em_zeta_half(ts)
+        monkeypatch.setattr(special, "EM_TOL", 1e-12)
+        doubled = em_zeta_half(ts)
+        assert doubled[0] == base[0]
+        assert doubled[1] != base[1]
+        assert abs(doubled[1] - base[1]) <= 1e-11
+        monkeypatch.setattr(special, "EM_TOL", 1e-40)
+        with pytest.raises(PrecisionError):
+            em_zeta_half(ts)
+
+    def test_refused_past_exact_phases(self, monkeypatch):
+        # beyond t ~ 2.4e7 the phase split loses exactness; the call is
+        # refused before any term table grows (a table for 1e12 would need
+        # about 1e12 entries)
+        def no_tables(n):
+            raise AssertionError(f"term tables grown to {n}")
+        monkeypatch.setattr(special._tables, "ln_n_turns", no_tables)
+        for t in (3e7, 1e12, 1e308):
+            with pytest.raises(PrecisionError), np.errstate(all="ignore"):
+                em_zeta_half(np.array([100.0, t]))
+
+    def test_shapes(self):
+        empty = em_zeta_half(np.array([]))
+        assert empty.shape == (0,) and empty.dtype == np.complex128
+        ts = np.array([[0.0, 10.0, 100.0], [1000.0, 30.0, 5.0]])
+        grid = em_zeta_half(ts)
+        assert grid.shape == (2, 3)
+        assert np.array_equal(grid.ravel(), em_zeta_half(ts.ravel()))
+        assert isinstance(em_zeta_half(100.0), complex)
+
+    def test_scratch_memory_stays_small(self):
+        # the sum runs a few rows at a time: 20,000 heights near 1e3 hold
+        # about 9.6 million terms, 73 MiB as one float64 array
+        ts = 1e3 + np.random.default_rng(3).uniform(0.0, 10.0, 20000)
+        em_zeta_half(ts[:4])
+        tracemalloc.start()
+        try:
+            em_zeta_half(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20
 
     def test_phase_is_unimodular(self):
         for t in (10.0, 123.4, 9999.0, 7.5e5):
