@@ -8,19 +8,21 @@ the oracle cross-check), `moment` (windowed second moment), `ladder`
 any emitted CSV).
 
 Every command writes a JSON run manifest next to its primary output
-recording the command, its parameters, the quadrature fingerprint and the
-files produced.  Primary outputs are deterministic: numbers are emitted in
-round-trip decimal form, sweep rows are buffered and written in input
-order no matter how many workers computed them, and cache hits replay the
-exact bytes that were first written.  The manifest carries the only
-timestamp.  Every file is written whole (`write_atomic`), so a failed or
-killed run leaves the old file or the whole new one.
+recording the command, its parameters, the artifact key `quadrature.KEY`
+(as `config_fingerprint`) and the files produced.  Primary outputs are
+deterministic: numbers are emitted in round-trip decimal form, sweep rows
+are buffered and written in input order no matter how many workers
+computed them, and cache hits replay the exact bytes that were first
+written.  The manifest carries the only timestamp.  Every file is written
+whole (`write_atomic`), so a failed or killed run leaves the old file or
+the whole new one.
 
 The tolerances are the constants of `quadrature` and no flag changes
 them; `factorize --workers` sets the sweep's thread count, the one setting,
 at most `_MAX_WORKERS`; the pool has no more threads than the sweep has jobs.
 The checkpoint table, calibration artifact and moment memos live in the
-cache directory (`./.zlcache`, or `ZL_CACHE_DIR`, or `--cache-dir`).
+cache directory (`./.zlcache`, or `ZL_CACHE_DIR`, or `--cache-dir`); one
+that `quadrature.read_artifact` refuses is rebuilt with a warning.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ from . import ladder as ld
 from . import svgplot
 from .errors import (CalibrationError, DegenerateConfigurationError,
                      DomainError, PrecisionError, TableIntegrityError)
-from .quadrature import (FINGERPRINT, TABLE_KEY, U0_EXPONENT,
-                         SecondMomentTable, admissible_h_range, hl_moment,
-                         load_table, save_table, write_atomic)
+from .quadrature import (KEY, SecondMomentTable, hl_moment, load_table,
+                         read_artifact, save_table, write_artifact,
+                         write_atomic)
 from .special import em_zeta_half, riemann_siegel_z, z_phases
 
 _log = logging.getLogger(__name__)
@@ -67,10 +69,10 @@ _MAX_WORKERS = 64
 def _write_manifest(command: str, out: Path, params: Dict[str, object],
                     *extra: Path) -> None:
     """Write the provenance record of a run beside its primary output
-    `out`: command, parameters, the quadrature fingerprint, a UTC
+    `out`: command, parameters, the artifact key `KEY`, a UTC
     timestamp and the files produced (`out`, then `extra`)."""
     doc = {"command": command, "parameters": params,
-           "config_fingerprint": FINGERPRINT,
+           "config_fingerprint": KEY,
            "timestamp": datetime.now(timezone.utc).isoformat(
                timespec="seconds"),
            "outputs": [str(p) for p in (out,) + extra]}
@@ -86,14 +88,21 @@ def _cache_dir(args: argparse.Namespace) -> Path:
     return cache
 
 
+def _read_cached(path: Path, read):
+    """read(path), or None when path is missing or refused, with a
+    warning in the second case."""
+    if not path.exists():
+        return None
+    try:
+        return read(path)
+    except (TableIntegrityError, ValueError) as exc:
+        _log.warning("ignoring cached %s: %s", path.name, exc)
+        return None
+
+
 def _load_or_new_table(cache: Path) -> SecondMomentTable:
-    path = cache / _TABLE_FILE
-    if path.exists():
-        try:
-            return load_table(path)
-        except (TableIntegrityError, ValueError) as exc:
-            _log.warning("ignoring cached table %s: %s", path, exc)
-    return SecondMomentTable()
+    return _read_cached(cache / _TABLE_FILE, load_table) \
+        or SecondMomentTable()
 
 
 def _calibrated_context(args):
@@ -101,23 +110,13 @@ def _calibrated_context(args):
     cache = _cache_dir(args)
     table = _load_or_new_table(cache)
     art = cache / _CALIB_FILE
-    cfg = None
-    if art.exists():
-        try:
-            loaded, fingerprint, _ = ld.load_calibration(art)
-            if fingerprint == table.fingerprint:
-                cfg = loaded
-            else:
-                _log.warning("calibration %s was fit against a table with "
-                             "another key; refitting", art)
-        except TableIntegrityError as exc:
-            _log.warning("ignoring calibration artifact: %s", exc)
-    if cfg is None:
-        anchors = ld.CALIBRATION_ANCHORS
-        _log.info("calibrating c0 at %d anchors (extends the checkpoint "
-                  "table to the top anchor first)", len(anchors))
-        cfg = _calibrate(cache, table, anchors, art)
-    return cache, table, cfg
+    loaded = _read_cached(art, ld.load_calibration)
+    if loaded is not None:
+        return cache, table, loaded[0]
+    anchors = ld.CALIBRATION_ANCHORS
+    _log.info("calibrating c0 at %d anchors (extends the checkpoint "
+              "table to the top anchor first)", len(anchors))
+    return cache, table, _calibrate(cache, table, anchors, art)
 
 
 def _calibrate(cache: Path, table: SecondMomentTable,
@@ -199,56 +198,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _moment_cache_key(T: float, H: float) -> str:
-    # outer=gl16 names the outer integral's rule: a memo of the adaptive
-    # rule differs in jbar's last digits and is recomputed, not replayed
-    blob = "|".join(["moment", repr(float(T)), repr(float(H)),
-                     repr(U0_EXPONENT), TABLE_KEY, "outer=gl16"])
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-_MOMENT_KEYS = ("T", "H", "U0", "jbar", "ratio")
-
-
-def _replayable_memo(memo: Path, T: float, H: float) -> Optional[str]:
-    """The text of a cached moment memo if it is a whole moment-v1 report
-    for exactly (T, H); otherwise None, with the reason logged."""
-    try:
-        text = memo.read_text()
-        doc = json.loads(text)
-    except (OSError, ValueError) as exc:
-        why = f"unreadable ({exc})"
-    else:
-        if not (isinstance(doc, dict) and doc.get("schema") == "moment-v1"
-                and all(isinstance(doc.get(k), float)
-                        for k in _MOMENT_KEYS)):
-            why = "not a whole moment-v1 report"
-        elif (doc["T"], doc["H"]) != (T, H):
-            why = f"it holds T={doc['T']!r}, H={doc['H']!r}"
-        else:
-            _log.info("moment cache hit: %s", memo.name)
-            return text
-    _log.warning("moment memo %s recomputed: %s", memo.name, why)
-    return None
+    return hashlib.sha256(f"{T!r}|{H!r}|{KEY}".encode()).hexdigest()[:16]
 
 
 def cmd_moment(args: argparse.Namespace) -> int:
     cache = _cache_dir(args)
     out = Path(args.out)
-    h_lo, h_hi = admissible_h_range(args.T)
-    if not h_lo < args.H < h_hi:
-        raise DomainError(
-            f"H = {args.H:g} inadmissible at T = {args.T:g}: needs "
-            f"ln ln T / ln T < H < T^(1/ln ln T), i.e. ({h_lo:.6g}, "
-            f"{h_hi:.6g})")
-    key = _moment_cache_key(args.T, args.H)
-    memo = cache / f"moment-{key}.json"
-    text = None
-    if memo.exists() and not args.no_cache:
-        text = _replayable_memo(memo, args.T, args.H)
+    memo = cache / f"moment-{_moment_cache_key(args.T, args.H)}.json"
+    header = f"moment-v1,T={args.T!r},H={args.H!r}"
+    text = None if args.no_cache \
+        else _read_cached(memo, lambda p: read_artifact(p, header))
     if text is None:
         report = hl_moment(args.T, args.H)
         text = json.dumps(report.as_dict(), indent=2) + "\n"
-        write_atomic(memo, text)
+        write_artifact(memo, header, text)
     write_atomic(out, text)
     _write_manifest("moment", out, {"T": args.T, "H": args.H}, memo)
     print(f"moment: T={args.T:g} H={args.H:g} -> {out}")
@@ -312,11 +275,8 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         if workers <= 0:
             workers = min(8, os.cpu_count() or 1)
         workers = min(workers, len(ts))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(job, ts))     # input order preserved
-        else:
-            rows = [job(t) for t in ts]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(job, ts))     # input order preserved
         _write_rows(out, fz.FactorizationReport.csv_header(args.k), rows)
         params = {"sweep": args.sweep, "H": args.H, "k": args.k,
                   "workers": workers}

@@ -21,7 +21,7 @@ class RangeError(DomainError):
 
 
 class TableIntegrityError(ZetaLadderError):
-    """A persisted table or artifact failed validation (fingerprint, order)."""
+    """A cached artifact was refused: key, header, checksum or contents."""
 
 
 class PrecisionError(ZetaLadderError):

@@ -53,7 +53,7 @@ from .errors import DegenerateConfigurationError, DomainError, PrecisionError
 from .ladder import (EULER_C, LadderConfig, brentq, inverse_levels,
                      invert_profile)
 from .quadrature import (U0_EXPONENT, SecondMomentTable, adaptive_integrate,
-                         admissible_h_range, z2_values, z_chain, z_values)
+                         check_admissible, z2_values, z_chain, z_values)
 # no longer called here; kept because the benchmark's layer tracer wraps them
 from .ladder import phi1, phi1_iterates  # noqa: F401
 from .quadrature import cumulative_I, z2_chain  # noqa: F401
@@ -155,11 +155,7 @@ def find_eta(T: float, H: float) -> float:
     (T, T+U0) with U0 = T^U0_EXPONENT."""
     if T < RS_MIN:
         raise DomainError(f"find_eta needs T >= 8pi, got {T}")
-    h_lo, h_hi = admissible_h_range(T)
-    if not h_lo < H < h_hi:
-        raise DomainError(
-            f"H = {H:g} outside the admissible range ({h_lo:.4g}, "
-            f"{h_hi:.4g}) at T = {T:g}")
+    check_admissible(T, H)
     u0 = T ** U0_EXPONENT
     chain = z_chain(T, T + u0 + H)
     target = TWO_PI * H

@@ -51,6 +51,9 @@ TWO_PI = 6.283185307179586476925286766559
 
 ANCHORS_PER_UNIT = 1.0
 _TRUNCATION = 1e-17
+# the kernel's numeric form, one part of every cached artifact's key
+VERSION = (f"kernel-centred-v1,ANCHORS_PER_UNIT={ANCHORS_PER_UNIT!r},"
+           f"_TRUNCATION={_TRUNCATION!r}")
 _CHUNK_FLOATS = 1 << 16
 _RE_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 _IM_SIGN = np.array([-1.0, -1.0, 1.0, 1.0])

@@ -44,8 +44,8 @@ import numpy as np
 
 from .errors import (CalibrationError, DomainError, PrecisionError,
                      RangeError, TableIntegrityError)
-from .quadrature import (SecondMomentTable, cumulative_I, write_atomic,
-                         z2_chain)
+from .quadrature import (KEY, SecondMomentTable, cumulative_I, read_artifact,
+                         write_artifact, z2_chain)
 from .special import TWO_PI
 # not called here; kept because the benchmark's layer tracer wraps it
 from .special import riemann_siegel_z  # noqa: F401
@@ -519,45 +519,26 @@ def calibrate_c0(anchors: Sequence[float], cfg: LadderConfig,
 
 def save_calibration(path, cfg: LadderConfig, table: SecondMomentTable,
                      anchors: Sequence[float]) -> None:
-    """Write the calibration artifact as plain key=value lines.  It names
-    `EULER_C`, which the fit used, so a reader can check it."""
-    lines = [
-        f"euler_c={EULER_C!r}",
-        f"c0={cfg.c0!r}",
-        f"smtable_fingerprint={table.fingerprint}",
-        "calibrated_at_anchors=" + ",".join(repr(float(a)) for a in anchors),
-    ]
-    write_atomic(path, "\n".join(lines) + "\n")
+    """Write the calibration artifact: `EULER_C`, which the fit used, c0
+    and the anchors as key=value lines, under a header naming the key of
+    the table the fit read."""
+    write_artifact(path, f"calibration-v2,smtable={table.fingerprint}",
+                   f"euler_c={EULER_C!r}\nc0={cfg.c0!r}\n"
+                   "calibrated_at_anchors="
+                   + ",".join(repr(float(a)) for a in anchors) + "\n")
 
 
-def load_calibration(path) -> Tuple[LadderConfig, str, List[float]]:
-    """Read a calibration artifact; returns (config, fingerprint, anchors).
+def load_calibration(path) -> Tuple[LadderConfig, List[float]]:
+    """Read a calibration artifact; returns (config, anchors).
 
-    A file cut short (no final newline), or fit with another Euler
-    constant than `EULER_C`, is refused.  The caller is responsible for
-    refusing a fingerprint that does not match the table it plans to use.
+    TableIntegrityError unless `read_artifact` accepts the file for a table
+    under `KEY` and the fit used `EULER_C`.
     """
-    with open(path) as fh:
-        text = fh.read()
-    if not text.endswith("\n"):
-        raise TableIntegrityError(
-            f"calibration file {path} is cut short (no final newline)")
-    fields = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, val = line.partition("=")
-        fields[key.strip()] = val.strip()
-    try:
-        if float(fields["euler_c"]) != EULER_C:
-            raise DomainError(f"euler_c={fields['euler_c']} is not "
-                              f"{EULER_C!r}")
-        cfg = LadderConfig(c0=float(fields["c0"]))
-        fingerprint = fields["smtable_fingerprint"]
-        anchors = [float(a) for a in
-                   fields["calibrated_at_anchors"].split(",") if a]
-    except (KeyError, ValueError, DomainError) as exc:
-        raise TableIntegrityError(
-            f"calibration file {path} failed validation: {exc}") from exc
-    return cfg, fingerprint, anchors
+    fields = dict(line.partition("=")[::2] for line in read_artifact(
+        path, f"calibration-v2,smtable={KEY}").splitlines())
+    if fields.get("euler_c") != repr(EULER_C):
+        raise TableIntegrityError(f"calibration file {path}: euler_c="
+                                  f"{fields.get('euler_c')} is not "
+                                  f"{EULER_C!r}")
+    return LadderConfig(c0=float(fields["c0"])), [
+        float(a) for a in fields["calibrated_at_anchors"].split(",") if a]

@@ -34,11 +34,14 @@ Two consumers sit on top of the same panel machinery:
   no adaptivity.
 - SecondMomentTable: checkpoints of I(T) = int_0^T Z^2 at a fixed stride,
   extended append-only under a lock, four strides per pass of
-  `adaptive_integrate_many` and in ascending order, and persisted as
-  `smtable-v2` files keyed by `TABLE_KEY`, the fingerprint of the fixed
-  tolerances, written whole (`write_atomic`) and refused on load when
-  damaged.  Each stride integrates as it would alone, so the table's bytes
-  do not depend on the pass size.
+  `adaptive_integrate_many` and in ascending order.  Each stride integrates
+  as it would alone, so the table's bytes do not depend on the pass size.
+
+Every cached artifact (the table, the calibration, the moment memo) is
+written by `write_artifact` and refused by `read_artifact` unless its first
+line is `header,KEY,sha256=<digest of the body>`; `KEY` hashes a version
+string per numeric layer, so a cut file, a changed digit and a file of
+another algorithm are refused alike.
 
 Below t = 8pi the Riemann-Siegel route is too short to trust, so Z switches
 to the rotated Euler-Maclaurin oracle there; Z^2 is the square of that Z
@@ -134,15 +137,18 @@ _CHAIN_PHASE = 0.5
 ABS_TOL = 1e-8
 REL_TOL = 1e-8
 MAX_DEPTH = 24
-# Short stable hash of the tolerances, the panel rule's version and the
-# chain width, so cached tables invalidate when any of them changes
-FINGERPRINT = hashlib.sha256(
-    (f"panelgk31-v8|abs={ABS_TOL!r}|rel={REL_TOL!r}|depth={MAX_DEPTH}"
-     f"|osc={_CHAIN_PHASE!r}").encode()).hexdigest()[:16]
-# Key of a checkpoint table and of everything fit against it: the
-# fingerprint, which fixes every checkpoint value, and the Z^2 integrand's
-# Riemann-Siegel form, main sum plus first correction
-TABLE_KEY = f"{FINGERPRINT}-rs1"
+# Z on [T, T + U0] with U0 = T^U0_EXPONENT: the span of the windowed moment
+# and of the factorization's eta scan
+U0_EXPONENT = 0.5001
+# One version string per layer whose constants move a cached number: the
+# panels and tolerances, the kernel, Z's form, the moment's U0 and GL16 rule
+_KEY_BLOB = "|".join((
+    f"panelgk31-v8,ABS_TOL={ABS_TOL!r},REL_TOL={REL_TOL!r},"
+    f"MAX_DEPTH={MAX_DEPTH},_CHAIN_PHASE={_CHAIN_PHASE!r}",
+    kernels.VERSION, special.VERSION,
+    f"moment-gl16,U0_EXPONENT={U0_EXPONENT!r}"))
+# The key of every cached artifact and of every run manifest
+KEY = hashlib.sha256(_KEY_BLOB.encode()).hexdigest()[:16]
 
 
 def _panel_freq(t):
@@ -495,27 +501,27 @@ _STRIDES_PER_PASS = 4
 class SecondMomentTable:
     """Append-only checkpoints of I(T) = int_0^T Z^2 at a fixed stride.
 
-    Checkpoint values depend only on the stride grid and the tolerances,
-    never on which caller triggered the extension or on how its strides
-    were grouped into passes, so concurrent callers (the sweep's threads)
-    just need the lock around extension.
+    Checkpoint k sits at exactly k strides, so only the I values are kept.
+    They depend only on the stride grid and the tolerances, never on which
+    caller triggered the extension or on how its strides were grouped into
+    passes, so concurrent callers (the sweep's threads) just need the lock
+    around extension.
     """
 
     STRIDE = 64.0
-    fingerprint = TABLE_KEY
+    fingerprint = KEY
 
     def __init__(self):
-        self._ts: List[float] = [0.0]
         self._is: List[float] = [0.0]
         self._lock = threading.Lock()
 
     @property
     def top(self) -> float:
-        return self._ts[-1]
+        return (len(self._is) - 1) * self.STRIDE
 
     @property
     def checkpoints(self) -> List[Tuple[float, float]]:
-        return list(zip(self._ts, self._is))
+        return [(k * self.STRIDE, i) for k, i in enumerate(self._is)]
 
     def ensure(self, t: float) -> None:
         """Extend checkpoints so the last one is within one stride below t.
@@ -527,21 +533,17 @@ class SecondMomentTable:
         extending it.  A pass that raises appends nothing.
         """
         with self._lock:
-            n_seg = int((t - self._ts[-1]) // self.STRIDE)
+            n_seg = int((t - self.top) // self.STRIDE)
             for left in range(n_seg, 0, -_STRIDES_PER_PASS):
-                cuts = [self._ts[-1]]
-                for _ in range(min(left, _STRIDES_PER_PASS)):
-                    cuts.append(cuts[-1] + self.STRIDE)
-                results = adaptive_integrate_many(z2_values, cuts)
-                for top, res in zip(cuts[1:], results):
-                    self._ts.append(top)
+                cuts = [self.top + j * self.STRIDE
+                        for j in range(min(left, _STRIDES_PER_PASS) + 1)]
+                for res in adaptive_integrate_many(z2_values, cuts):
                     self._is.append(self._is[-1] + res.value)
 
     def value_at(self, t: float) -> Tuple[float, float]:
         """Largest checkpoint (t_i, I_i) with t_i <= t."""
-        i = int(t // self.STRIDE)
-        i = min(i, len(self._ts) - 1)
-        return self._ts[i], self._is[i]
+        i = min(int(t // self.STRIDE), len(self._is) - 1)
+        return i * self.STRIDE, self._is[i]
 
 
 def cumulative_I(T: float, table: SecondMomentTable) -> float:
@@ -574,50 +576,58 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
-def _table_header(rows: int) -> str:
-    return (f"smtable-v2,{TABLE_KEY},stride={SecondMomentTable.STRIDE!r},"
-            f"tolerance={ABS_TOL!r},rows={rows}")
+def _artifact_line(header: str, body: str) -> str:
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    return f"{header},{KEY},sha256={digest}"
+
+
+def write_artifact(path, header: str, body: str) -> None:
+    """Write body whole (`write_atomic`) under the one line
+    `header,KEY,sha256=<hex digest of body>`."""
+    write_atomic(path, f"{_artifact_line(header, body)}\n{body}")
+
+
+def read_artifact(path, header: str) -> str:
+    """The body of the artifact at path.  TableIntegrityError unless its
+    first line is the one `write_artifact` writes for header and that body,
+    so another header or key, or a body cut short or changed in any byte,
+    is refused."""
+    with open(path, errors="replace", newline="") as fh:
+        first, _, body = fh.read().partition("\n")
+    if first != _artifact_line(header, body):
+        raise TableIntegrityError(
+            f"{path}: first line {first[:120]!r} is not {header},{KEY} "
+            "with the sha256 of the body")
+    return body
+
+
+_TABLE_HEADER = (f"smtable-v3,stride={SecondMomentTable.STRIDE!r},"
+                 f"tolerance={ABS_TOL!r}")
 
 
 def save_table(table: SecondMomentTable, path) -> None:
-    lines = [_table_header(len(table._ts))]
-    for t, i in zip(table._ts, table._is):
-        lines.append(f"{t!r},{i!r}")
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_artifact(path, _TABLE_HEADER, "".join(
+        f"{t!r},{i!r}\n" for t, i in table.checkpoints))
 
 
 def load_table(path) -> SecondMomentTable:
-    """The table save_table wrote to path under `TABLE_KEY`.
+    """The table save_table wrote to path.
 
-    TableIntegrityError unless the file is whole: newline-terminated, with
-    the header save_table writes (tag, key, stride, tolerance and the row
-    count), checkpoint k at k strides (value_at finds checkpoints by
-    index) and I nondecreasing from I(0) = 0.
+    TableIntegrityError unless `read_artifact` accepts the file, checkpoint
+    k sits at k strides (value_at finds checkpoints by index) and I never
+    falls from I(0) = 0.
     """
-    with open(path) as fh:
-        text = fh.read()
-    if not text.endswith("\n"):
-        raise TableIntegrityError(f"{path}: cut short (no final newline)")
-    header, *rows = text.splitlines()
-    want = _table_header(len(rows))
-    if header != want:
-        raise TableIntegrityError(f"{path}: header {header!r} is not "
-                                  f"{want!r}")
-    pts = [tuple(map(float, ln.split(","))) for ln in rows]
+    rows = [ln.split(",") for ln in
+            read_artifact(path, _TABLE_HEADER).splitlines()]
     table = SecondMomentTable()
-    table._ts = [t for t, _ in pts]
-    table._is = [i for _, i in pts]
-    if table._ts != [k * table.STRIDE for k in range(len(pts))]:
+    table._is = [float(i) for _, i in rows]
+    if [float(t) for t, _ in rows] != [k * table.STRIDE
+                                       for k in range(len(rows))]:
         raise TableIntegrityError(f"{path}: checkpoints off the stride grid")
-    if not pts or table._is[0] != 0.0 \
+    if not rows or table._is[0] != 0.0 \
             or any(b < a for a, b in zip(table._is, table._is[1:])):
         raise TableIntegrityError(f"{path}: I must start at 0, never falling")
     return table
-
-
-# Z on [T, T + U0] with U0 = T^U0_EXPONENT: the span of the windowed moment
-# and of the factorization's eta scan
-U0_EXPONENT = 0.5001
 
 
 @dataclass(frozen=True)
@@ -646,6 +656,15 @@ def admissible_h_range(T: float) -> Tuple[float, float]:
     return llt / lt, T ** (1.0 / llt)
 
 
+def check_admissible(T: float, H: float) -> None:
+    """DomainError unless H lies in the admissible window at T."""
+    lo, hi = admissible_h_range(T)
+    if not lo < H < hi:
+        raise DomainError(
+            f"H = {H:g} inadmissible at T = {T:g}: needs "
+            f"ln ln T / ln T < H < T^(1/ln ln T), i.e. ({lo:.6g}, {hi:.6g})")
+
+
 def hl_moment(T: float, H: float) -> MomentReport:
     """Mean square of the windowed integral int_t^{t+H} Z over [T, T+U0].
 
@@ -658,10 +677,7 @@ def hl_moment(T: float, H: float) -> MomentReport:
     """
     if T < 100.0:
         raise DomainError(f"hl_moment needs T >= 100, got {T}")
-    lo, hi = admissible_h_range(T)
-    if not (lo < H < hi):
-        raise DomainError(
-            f"H={H} not admissible at T={T}: need {lo:.6g} < H < {hi:.6g}")
+    check_admissible(T, H)
     u0 = T ** U0_EXPONENT
     chain = z_chain(T, T + u0 + H)
     jbar = chain.windowed_sq_integral(T, T + u0, H)

@@ -70,6 +70,10 @@ _B2K_FACT = tuple(p / (q * math.factorial(2 * k))
 EM_TOL = 1e-10  # the oracle's remainder bound
 _EM_EDGES = (0, 64, 128, 256, 512, 1024, 2048, 4096)  # its first blocks
 
+# Z's form, one part of every cached artifact's key: the main sum plus the
+# first correction term C0 from RS_MIN up, the oracle below
+VERSION = f"z-main+c0,RS_MIN={RS_MIN!r},EM_TOL={EM_TOL!r}"
+
 
 @dataclass(frozen=True)
 class CriticalPoint:

@@ -218,6 +218,108 @@ class TestMoment:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+def _raise_digit(text: str, at: int) -> str:
+    return text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:]
+
+
+def _table_digit(text: str) -> str:
+    # the third decimal of I(256)
+    return _raise_digit(text, text.index(".", text.index("\n256.0,") + 7)
+                        + 3)
+
+
+def _calibration_digit(text: str) -> str:
+    # the second decimal of c0
+    return _raise_digit(text, text.index(".", text.index("\nc0=")) + 2)
+
+
+def _previous_table(text: str) -> str:
+    body = text.split("\n", 1)[1]
+    return ("smtable-v2,e0628b52e7bb2520-rs1,stride=64.0,tolerance=1e-08,"
+            f"rows={body.count(chr(10))}\n" + body)
+
+
+def _previous_calibration(text: str) -> str:
+    return text.split("\n", 1)[1].replace(
+        "calibrated_at", "smtable_fingerprint=e0628b52e7bb2520-rs1\n"
+        "calibrated_at")
+
+
+class TestCachedArtifacts:
+    """A cached file that read_artifact refuses is rebuilt with one warning,
+    and the command's output is the one a clean cache gives."""
+
+    @pytest.fixture(scope="class")
+    def clean_ladder(self, cli_cache, tmp_path_factory):
+        out = tmp_path_factory.mktemp("clean") / "ladder.csv"
+        assert run(cli_cache, "ladder", "--T", "4000", "--out",
+                   str(out)) == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("name, spoil", [
+        ("smtable.csv", _table_digit),
+        ("smtable.csv", lambda text: text[:-3]),
+        ("smtable.csv", lambda text: text.replace(quadrature.KEY,
+                                                  "0123456789abcdef")),
+        ("smtable.csv", _previous_table),
+        ("calibration.txt", _calibration_digit),
+        ("calibration.txt", lambda text: text.replace(quadrature.KEY,
+                                                      "0123456789abcdef")),
+        ("calibration.txt", _previous_calibration),
+    ], ids=["table-digit", "table-cut", "table-key", "table-v2",
+            "calibration-digit", "calibration-key", "calibration-v1"])
+    def test_refused_file_is_rebuilt(self, cli_cache, clean_ladder, tmp_path,
+                                     caplog, name, spoil):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        for f in ("smtable.csv", "calibration.txt"):
+            (cache / f).write_bytes((cli_cache / f).read_bytes())
+        text = (cache / name).read_text()
+        assert spoil(text) != text
+        (cache / name).write_text(spoil(text))
+        out = tmp_path / "ladder.csv"
+        assert run(cache, "ladder", "--T", "4000", "--out", str(out)) == 0
+        warned = [r.getMessage() for r in caplog.records
+                  if r.levelname == "WARNING"]
+        assert len(warned) == 1 and name in warned[0]
+        assert out.read_bytes() == clean_ladder
+        clean = (cli_cache / name).read_text()
+        rebuilt = (cache / name).read_text()
+        if name == "calibration.txt":
+            assert rebuilt == clean
+        else:
+            # rebuilt only up to T: the first rows of the clean table
+            rows = rebuilt.splitlines()
+            assert rows[0].startswith("smtable-v3,") and len(rows) > 63
+            assert rows[1:] == clean.splitlines()[1:len(rows)]
+
+    @pytest.mark.parametrize("spoil", [
+        lambda text: re.sub(r'("jbar": )([0-9.e+-]+)',
+                            lambda m: m[1] + repr(float(m[2]) * 1.001), text),
+        lambda text: text.split("\n", 1)[1],     # the memo before checksums
+    ], ids=["jbar-scaled", "previous-format"])
+    def test_refused_memo_is_recomputed(self, cli_cache, tmp_path, caplog,
+                                        spoil):
+        args = ("moment", "--T", "20000", "--H", "1.3")
+        out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"
+        assert run(cli_cache, *args, "--out", str(out1)) == 0
+        memo = Path(manifest_of(out1)["outputs"][1])
+        text = memo.read_text()
+        assert text.startswith(f"moment-v1,T=20000.0,H=1.3,{quadrature.KEY},"
+                               "sha256=")
+        assert text.split("\n", 1)[1] == out1.read_text()
+        assert spoil(text) != text
+        memo.write_text(spoil(text))
+        caplog.clear()
+        assert run(cli_cache, *args, "--out", str(out2)) == 0
+        warned = [r.getMessage() for r in caplog.records
+                  if r.levelname == "WARNING"]
+        assert len(warned) == 1 and memo.name in warned[0]
+        assert memo.read_text() == text
+        assert run(cli_cache, *args, "--no-cache", "--out", str(out1)) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+
 class TestLadder:
     def test_rows_schema_and_bands(self, cli_cache, tmp_path):
         out = tmp_path / "ladder.csv"
@@ -297,6 +399,11 @@ class TestFactorize:
                    str(out)) == 0
         assert sizes == [2]
         assert manifest_of(out)["parameters"]["workers"] == 2
+        # one worker runs on the same pool path, with one thread
+        assert run(cli_cache, "factorize", "--sweep", "T=10000:15000:2",
+                   "--H", "2", "--k", "1", "--workers", "1", "--out",
+                   str(out)) == 0
+        assert sizes == [2, 1]
 
     def test_workers_above_the_ceiling_exit_2_before_any_work(
             self, cli_cache, tmp_path, monkeypatch, capsys):
@@ -390,8 +497,8 @@ class TestCalibrate:
                    str(out)) == 0
         first = out.read_bytes()
         text = first.decode()
-        assert "euler_c=" in text and "c0=" in text \
-            and "smtable_fingerprint=" in text
+        assert text.startswith(f"calibration-v2,smtable={quadrature.KEY},")
+        assert "euler_c=" in text and "c0=" in text
         assert run(cli_cache, "calibrate", "--anchors",
                    "10000,17783,31623,56234,100000", "--out",
                    str(out)) == 0
@@ -512,7 +619,7 @@ class TestConfigPlumbing:
         # the pool size used: a one-job sweep runs on one thread
         assert docs[1]["parameters"]["workers"] == 1
         for doc in docs:
-            assert doc["config_fingerprint"] == quadrature.FINGERPRINT
+            assert doc["config_fingerprint"] == quadrature.KEY
             assert "config" not in doc and "config" not in doc["parameters"]
 
     @pytest.mark.parametrize("argv, bad", [

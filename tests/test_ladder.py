@@ -8,6 +8,7 @@ or one-sided splits measure the drift, not the fit.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from zetaladder import ladder as ld
 from zetaladder.errors import (CalibrationError, DomainError,
                                PrecisionError, RangeError,
                                TableIntegrityError)
-from zetaladder.quadrature import adaptive_integrate, cumulative_I, z2_values
+from zetaladder.quadrature import (KEY, adaptive_integrate, cumulative_I,
+                                   write_artifact, z2_values)
 
 EULER_C = 0.5772156649015329
 
@@ -362,13 +364,13 @@ class TestCalibration:
         path = tmp_path / "calibration.txt"
         anchors = [1.0e4, 3.0e4, 1.0e5]
         ld.save_calibration(path, ladder_cfg, smtable, anchors)
-        text = path.read_text()
-        assert "euler_c=" in text and "c0=" in text \
-            and "smtable_fingerprint=" in text
-        loaded, fingerprint, got_anchors = ld.load_calibration(path)
+        first, body = path.read_text().split("\n", 1)
+        assert first.startswith(
+            f"calibration-v2,smtable={smtable.fingerprint},{KEY},sha256=")
+        assert body == (f"euler_c={ld.EULER_C!r}\nc0={ladder_cfg.c0!r}\n"
+                        "calibrated_at_anchors=10000.0,30000.0,100000.0\n")
+        loaded, got_anchors = ld.load_calibration(path)
         assert loaded.c0 == ladder_cfg.c0
-        assert text.startswith(f"euler_c={ld.EULER_C!r}\n")
-        assert fingerprint == smtable.fingerprint
         assert got_anchors == anchors
 
     def test_artifact_cut_short_rejected(self, tmp_path, ladder_cfg,
@@ -379,15 +381,35 @@ class TestCalibration:
         with pytest.raises(TableIntegrityError):
             ld.load_calibration(path)
 
-    def test_artifact_rejects_foreign_euler_c(self, tmp_path, ladder_cfg,
-                                              smtable):
-        # numpy's euler_gamma, one ulp from EULER_C: a fit under it moves c0
+    @pytest.mark.parametrize("spoil", [
+        # one digit of c0 raised by one
+        lambda text: re.sub(r"(c0=-?\d+\.\d\d)(\d)",
+                            lambda m: m[1] + str((int(m[2]) + 1) % 10),
+                            text),
+        lambda text: text.replace(KEY, "0123456789abcdef"),
+        # the format before the checksum: key=value lines alone
+        lambda text: text.split("\n", 1)[1].replace(
+            "calibrated_at", "smtable_fingerprint=e0628b52e7bb2520-rs1\n"
+            "calibrated_at"),
+    ], ids=["c0-digit", "another-key", "previous-format"])
+    def test_artifact_damaged_or_foreign_rejected(self, tmp_path, ladder_cfg,
+                                                  smtable, spoil):
         path = tmp_path / "calibration.txt"
         ld.save_calibration(path, ladder_cfg, smtable, [1.0e4, 3.0e4, 1.0e5])
         text = path.read_text()
+        assert spoil(text) != text
+        path.write_text(spoil(text))
+        with pytest.raises(TableIntegrityError, match="sha256"):
+            ld.load_calibration(path)
+
+    def test_artifact_rejects_foreign_euler_c(self, tmp_path, ladder_cfg):
+        # numpy's euler_gamma, one ulp from EULER_C: a fit under it moves
+        # c0, so it is refused even under a valid checksum
+        path = tmp_path / "calibration.txt"
         assert np.euler_gamma != ld.EULER_C
-        path.write_text(text.replace(f"euler_c={ld.EULER_C!r}",
-                                     f"euler_c={np.euler_gamma!r}"))
+        write_artifact(path, f"calibration-v2,smtable={KEY}",
+                       f"euler_c={np.euler_gamma!r}\nc0={ladder_cfg.c0!r}\n"
+                       "calibrated_at_anchors=10000.0\n")
         with pytest.raises(TableIntegrityError, match="euler_c"):
             ld.load_calibration(path)
 

@@ -23,17 +23,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaladder import cli, quadrature
+from zetaladder import cli, kernels, quadrature, special
 from zetaladder.errors import (DomainError, PrecisionError, RangeError,
                                TableIntegrityError)
 from zetaladder.ladder import euler_constant
-from zetaladder.quadrature import (ABS_TOL, MAX_DEPTH, TABLE_KEY,
+from zetaladder.quadrature import (ABS_TOL, KEY, MAX_DEPTH,
                                    MomentReport, PanelChain, QuadResult,
                                    SecondMomentTable, adaptive_integrate,
                                    adaptive_integrate_many,
                                    admissible_h_range, cumulative_I,
-                                   hl_moment, load_table, save_table,
-                                   z2_chain, z2_values, z_chain, z_values)
+                                   hl_moment, load_table, read_artifact,
+                                   save_table, write_artifact, z2_chain,
+                                   z2_values, z_chain, z_values)
 from zetaladder.quadrature import (_FIRST_LEVEL_PHASE, _GL_W, _GL_X,
                                    _K31_W, _K31_X, _initial_edges,
                                    _panel_freq, _panel_sums, _panel_values,
@@ -50,17 +51,56 @@ def _int_z2(a, b):
 
 
 class TestQuadConfig:
-    """The keys derived from the fixed quadrature settings."""
+    """The keys derived from the fixed numeric constants."""
 
     def test_default_table_key_is_frozen(self):
         # every cached table, calibration and moment memo is keyed on this;
-        # a numeric change updates it on purpose, with its tag bump
-        assert TABLE_KEY == "e0628b52e7bb2520-rs1"
+        # a numeric change updates it on purpose, with its version bump
+        assert KEY == "fa801b3d995487f0"
 
     def test_default_moment_memo_key_is_frozen(self):
-        # moment memo file names are keyed on (T, H), U0's exponent and the
-        # table key; replaying a memo needs the same name across versions
-        assert cli._moment_cache_key(1e5, 2.0) == "7b0ea6a9d6c9cb24"
+        # moment memo file names are keyed on (T, H) and KEY; replaying a
+        # memo needs the same name across versions
+        assert cli._moment_cache_key(1e5, 2.0) == "5196fbbf0f710850"
+
+    @pytest.mark.parametrize("module, name", [
+        (quadrature, "ABS_TOL"), (quadrature, "REL_TOL"),
+        (quadrature, "MAX_DEPTH"), (quadrature, "_CHAIN_PHASE"),
+        (quadrature, "U0_EXPONENT"), (kernels, "ANCHORS_PER_UNIT"),
+        (kernels, "_TRUNCATION"), (special, "RS_MIN"), (special, "EM_TOL"),
+    ])
+    def test_key_names_every_numeric_constant(self, module, name):
+        # a change to any of these moves cached numbers, so it must rename
+        # every artifact; the blob spells each as name=value
+        assert f"{name}={getattr(module, name)!r}" in quadrature._KEY_BLOB
+        assert KEY == hashlib.sha256(
+            quadrature._KEY_BLOB.encode()).hexdigest()[:16]
+
+
+class TestArtifact:
+    """write_artifact / read_artifact: one framing for every cached file."""
+
+    def test_round_trip_and_first_line(self, tmp_path):
+        path = tmp_path / "a.txt"
+        write_artifact(path, "demo-v1,x=1", "a,b\n1,2\n")
+        digest = hashlib.sha256(b"a,b\n1,2\n").hexdigest()
+        assert path.read_text() == f"demo-v1,x=1,{KEY},sha256={digest}\n" \
+            "a,b\n1,2\n"
+        assert read_artifact(path, "demo-v1,x=1") == "a,b\n1,2\n"
+
+    @pytest.mark.parametrize("spoil", [
+        lambda text: text.replace("1,2", "1,3"),          # a changed digit
+        lambda text: text[:-2],                           # cut short
+        lambda text: text.replace(KEY, "0123456789abcdef"),  # another key
+        lambda text: text.replace("x=1", "x=2"),          # another header
+        lambda text: text.split("\n", 1)[1],              # no first line
+    ], ids=["digit", "cut", "key", "header", "headless"])
+    def test_refuses_any_change(self, tmp_path, spoil):
+        path = tmp_path / "a.txt"
+        write_artifact(path, "demo-v1,x=1", "a,b\n1,2\n")
+        path.write_text(spoil(path.read_text()))
+        with pytest.raises(TableIntegrityError):
+            read_artifact(path, "demo-v1,x=1")
 
 
 class TestAdaptiveIntegrate:
@@ -466,9 +506,12 @@ class TestSecondMomentTable:
         table = SecondMomentTable()
         table.ensure(1024.0)
         save_table(table, tmp_path / "t.csv")
-        digest = hashlib.sha256((tmp_path / "t.csv").read_bytes())
-        assert digest.hexdigest() == ("9e34cc1acfff7265b3f43741575d0b27"
-                                      "92a4b7fdec431ccfe139b3e7584ac69e")
+        first, body = (tmp_path / "t.csv").read_bytes().split(b"\n", 1)
+        digest = ("c05b8798ee0eed7b01d59ac5bbcb2a7d"
+                  "a78721701aff2c28f3bd9f9b927770e7")
+        assert hashlib.sha256(body).hexdigest() == digest
+        assert first.decode() == ("smtable-v3,stride=64.0,tolerance=1e-08,"
+                                  f"{KEY},sha256={digest}")
 
     def test_failed_pass_appends_nothing(self, monkeypatch):
         table = SecondMomentTable()
@@ -494,9 +537,13 @@ class TestSecondMomentTable:
         path = tmp_path / "table.csv"
         save_table(table, path)
         text = path.read_text()
-        assert text.startswith(f"smtable-v2,{table.fingerprint},")
+        assert text.startswith(f"smtable-v3,stride=64.0,tolerance=1e-08,"
+                               f"{table.fingerprint},sha256=")
+        assert table.fingerprint == KEY
         loaded = load_table(path)
         assert loaded.checkpoints == table.checkpoints
+        assert loaded.top == table.top == 256.0
+        assert loaded.value_at(200.0) == table.checkpoints[3]
 
     def test_load_rejects_wrong_fingerprint(self, tmp_path):
         table = SecondMomentTable()
@@ -504,10 +551,35 @@ class TestSecondMomentTable:
         path = tmp_path / "table.csv"
         save_table(table, path)
         header, rest = path.read_text().split("\n", 1)
-        assert TABLE_KEY in header
-        path.write_text(header.replace(TABLE_KEY, "0123456789abcdef-rs1")
+        assert KEY in header
+        path.write_text(header.replace(KEY, "0123456789abcdef")
                         + "\n" + rest)
         with pytest.raises(TableIntegrityError, match="0123456789abcdef"):
+            load_table(path)
+
+    def test_load_rejects_a_changed_digit(self, tmp_path):
+        # one digit of I(256) = 994.6887624730477 raised by one
+        table = SecondMomentTable()
+        table.ensure(256.0)
+        path = tmp_path / "table.csv"
+        save_table(table, path)
+        text = path.read_text()
+        row = f"256.0,{table.checkpoints[4][1]!r}\n"
+        assert row in text
+        path.write_text(text.replace(
+            row, row[:13] + str((int(row[13]) + 1) % 10) + row[14:]))
+        with pytest.raises(TableIntegrityError, match="sha256"):
+            load_table(path)
+
+    def test_load_rejects_the_previous_format(self, tmp_path):
+        table = SecondMomentTable()
+        table.ensure(256.0)
+        path = tmp_path / "table.csv"
+        save_table(table, path)
+        body = path.read_text().split("\n", 1)[1]
+        path.write_text("smtable-v2,e0628b52e7bb2520-rs1,stride=64.0,"
+                        "tolerance=1e-08,rows=5\n" + body)
+        with pytest.raises(TableIntegrityError, match="smtable-v2"):
             load_table(path)
 
     def test_load_rejects_foreign_header(self, tmp_path):
@@ -521,10 +593,13 @@ class TestSecondMomentTable:
         table.ensure(192.0)
         path = tmp_path / "table.csv"
         save_table(table, path)
-        lines = path.read_text().splitlines()
-        lines[2], lines[3] = lines[3], lines[2]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(TableIntegrityError):
+        rows = path.read_text().splitlines()[1:]
+        # I values swapped under a valid checksum, so the order check fires
+        (t1, i1), (t2, i2) = rows[1].split(","), rows[2].split(",")
+        rows[1:3] = [f"{t1},{i2}", f"{t2},{i1}"]
+        write_artifact(path, quadrature._TABLE_HEADER,
+                       "\n".join(rows) + "\n")
+        with pytest.raises(TableIntegrityError, match="never falling"):
             load_table(path)
 
     @pytest.mark.parametrize("cut", [
@@ -545,11 +620,13 @@ class TestSecondMomentTable:
         table.ensure(192.0)
         path = tmp_path / "table.csv"
         save_table(table, path)
-        lines = path.read_text().splitlines()
-        _, i_str = lines[3].split(",")
-        lines[3] = f"{130.0!r},{i_str}"      # checkpoint 2 belongs at 128
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(TableIntegrityError):
+        rows = path.read_text().splitlines()[1:]
+        _, i_str = rows[2].split(",")
+        rows[2] = f"{130.0!r},{i_str}"      # checkpoint 2 belongs at 128
+        # under a valid checksum, so the grid check fires
+        write_artifact(path, quadrature._TABLE_HEADER,
+                       "\n".join(rows) + "\n")
+        with pytest.raises(TableIntegrityError, match="stride grid"):
             load_table(path)
 
 
