@@ -11,12 +11,11 @@ Math. 18, 1971), next to float64 1/sqrt(n).  Nothing depends on the
 platform's long double.  `turns` forms t * ln n / 2pi mod 1 against the table
 to ~1e-16 turns; the tables are grown on demand.  The kernel's Taylor moments
 read one more table per truncation length n, the powers of ln m - c centred
-at c = (ln n) / 2, from a small cache.
+at c = (ln n) / 2, which the kernel keeps in its own small cache.
 """
 
 from __future__ import annotations
 
-import functools
 import threading
 
 import numpy as np
@@ -189,19 +188,15 @@ def rsqrt_n(n: int) -> np.ndarray:
     return _tab[2][:n]
 
 
-@functools.lru_cache(maxsize=16)
 def centred_powers(k: int, n: int):
-    """The centre c = (ln n) / 2 and a read-only (k, n) table of
-    (ln m - c)^j / j! for j < k and m = 1..n, each entry the product of
-    (ln m - c) / i over i = 1..j in ascending i, with ln m the double-double
-    ln m / 2pi times 2pi.  An entry depends on its j, m and n alone, so the
-    cache may drop and rebuild a table without changing a bit; it keeps the
-    last 16, the truncation lengths a batch of nearby heights visits."""
+    """The centre c = (ln n) / 2 and a (k, n) table of (ln m - c)^j / j!
+    for j < k and m = 1..n, each entry the product of (ln m - c) / i over
+    i = 1..j in ascending i, with ln m the double-double ln m / 2pi times
+    2pi.  An entry depends on its j, m and n alone, so a cache may drop and
+    rebuild a table without changing a bit."""
     ln_hi, ln_lo = dd_mul(*ln_n_turns(n), *TWO_PI_DD)
     c = 0.5 * float(ln_hi[-1])
     steps = np.empty((k, n))
     steps[0] = 1.0
     steps[1:] = ((ln_hi - c) + ln_lo) / np.arange(1.0, k)[:, None]
-    powers = np.cumprod(steps, axis=0)
-    powers.flags.writeable = False
-    return c, powers
+    return c, np.cumprod(steps, axis=0)

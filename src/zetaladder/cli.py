@@ -9,7 +9,8 @@ any emitted CSV).
 
 Every command writes a JSON run manifest next to its primary output
 recording the command, its parameters, the artifact key `quadrature.KEY`
-(as `config_fingerprint`) and the files produced.  Primary outputs are
+(as `config_fingerprint`), the numpy and BLAS behind the kernel (as
+`backend`) and the files produced.  Primary outputs are
 deterministic: numbers are emitted in round-trip decimal form, sweep rows
 are buffered and written in input order no matter how many workers
 computed them, and cache hits replay the exact bytes that were first
@@ -21,8 +22,10 @@ The tolerances are the constants of `quadrature` and no flag changes
 them; `factorize --workers` sets the sweep's thread count, the one setting,
 at most `_MAX_WORKERS`; the pool has no more threads than the sweep has jobs.
 The checkpoint table, calibration artifact and moment memos live in the
-cache directory (`./.zlcache`, or `ZL_CACHE_DIR`, or `--cache-dir`); one
-that `quadrature.read_artifact` refuses is rebuilt with a warning.
+cache directory (`./.zlcache`, or `ZL_CACHE_DIR`, or `--cache-dir`) under
+names that do not depend on `KEY`; one that `quadrature.read_artifact`
+refuses, an artifact of another key included, is rebuilt in place with a
+warning.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from . import ladder as ld
 from . import svgplot
 from .errors import (CalibrationError, DegenerateConfigurationError,
                      DomainError, PrecisionError, TableIntegrityError)
+from .kernels import backend_name
 from .quadrature import (KEY, SecondMomentTable, hl_moment, load_table,
                          read_artifact, save_table, write_artifact,
                          write_atomic)
@@ -69,10 +73,11 @@ _MAX_WORKERS = 64
 def _write_manifest(command: str, out: Path, params: Dict[str, object],
                     *extra: Path) -> None:
     """Write the provenance record of a run beside its primary output
-    `out`: command, parameters, the artifact key `KEY`, a UTC
-    timestamp and the files produced (`out`, then `extra`)."""
+    `out`: command, parameters, the artifact key `KEY`, the numpy and
+    BLAS that computed the kernel's bits, a UTC timestamp and the files
+    produced (`out`, then `extra`)."""
     doc = {"command": command, "parameters": params,
-           "config_fingerprint": KEY,
+           "config_fingerprint": KEY, "backend": backend_name(),
            "timestamp": datetime.now(timezone.utc).isoformat(
                timespec="seconds"),
            "outputs": [str(p) for p in (out,) + extra]}
@@ -198,7 +203,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _moment_cache_key(T: float, H: float) -> str:
-    return hashlib.sha256(f"{T!r}|{H!r}|{KEY}".encode()).hexdigest()[:16]
+    """The memo's name hashes (T, H) alone: a memo of another `KEY` has
+    the same name, so `read_artifact` refuses it and it is rewritten in
+    place."""
+    return hashlib.sha256(f"{T!r}|{H!r}".encode()).hexdigest()[:16]
 
 
 def cmd_moment(args: argparse.Namespace) -> int:

@@ -29,17 +29,25 @@ mod 2pi.  A height may also arrive as a float t plus an exact remainder dt,
 the form a quadrature node takes when it must not be rounded to the ulp of
 t; dt then joins delta.
 
-Anchors, orders and centres come from t alone.  The moments are summed along
-the contiguous n axis and the Taylor terms along the contiguous k axis, both
-in an order fixed by the row length, and the scratch arrays are cut into
-blocks of about `_CHUNK_FLOATS` floats.  So a point's value depends only on
-its own t, remainder and theta, never on the other points in its call, and
-scalar and batched evaluation agree bit for bit.  No BLAS product is used:
-its summation order depends on the shape of the call.
+Anchors, orders and centres come from t alone.  The moments are a matrix
+product, and BLAS picks a product's summation order from the shape of its
+call, so that shape is fixed in advance: n runs in blocks of `_NBLK` (the
+powers are zero past nv), the rows are padded with zeros to tiles of
+`_TILE`, each (tile, block) pair is one (_TILE, _NBLK) x (_NBLK, K)
+product, and the block partials are added in ascending order
+(`_tile_product`).  Short blocks keep each sequential sum short: one
+product over all n at once missed the 5e-15 bound above.  The Taylor sum
+is taken by Horner in delta, to the largest order in the call: a point's
+extra leading coefficients are zero, which Horner passes through exactly.
+Scratch arrays hold about `_CHUNK_FLOATS` floats.  So a point's value
+depends only on its own t, remainder and theta (and on the BLAS build,
+which `backend_name` names), never on the other points in its call, and
+scalar and batched evaluation agree bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -51,18 +59,29 @@ TWO_PI = 6.283185307179586476925286766559
 
 ANCHORS_PER_UNIT = 1.0
 _TRUNCATION = 1e-17
+# moments by fixed-shape products: n in blocks of _NBLK, rows in tiles of
+# _TILE
+_NBLK = 8
+_TILE = 64
 # the kernel's numeric form, one part of every cached artifact's key
-VERSION = (f"kernel-centred-v1,ANCHORS_PER_UNIT={ANCHORS_PER_UNIT!r},"
-           f"_TRUNCATION={_TRUNCATION!r}")
+VERSION = (f"kernel-gemm-horner-v2,ANCHORS_PER_UNIT={ANCHORS_PER_UNIT!r},"
+           f"_TRUNCATION={_TRUNCATION!r},_NBLK={_NBLK!r},_TILE={_TILE!r}")
 _CHUNK_FLOATS = 1 << 16
-_RE_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
-_IM_SIGN = np.array([-1.0, -1.0, 1.0, 1.0])
+# sigma_k = (-1)^floor(k/2) by k mod 4
+_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 def backend_name() -> str:
-    """Name of the kernel implementation, recorded in benchmark provenance;
-    numpy is the only one."""
-    return "python"
+    """numpy's version and the BLAS that computes the moment products, as
+    "numpy 2.4.6, scipy-openblas 0.3.31.188.0", read from
+    numpy.__config__.CONFIG; "unknown" stands for a BLAS that numpy does
+    not name with its version.  A point's bits depend on its own t and
+    on this pair."""
+    config = getattr(getattr(np, "__config__", None), "CONFIG", None) or {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    name, version = blas.get("name"), blas.get("version")
+    lib = f"{name} {version}" if name and version else "unknown"
+    return f"numpy {np.__version__}, {lib}"
 
 
 def anchors(ts: np.ndarray) -> np.ndarray:
@@ -111,25 +130,87 @@ def _psi(p: np.ndarray) -> np.ndarray:
     return np.where(zero, 0.5, num / np.where(zero, 1.0, den))
 
 
-def _moments(a: np.ndarray, powers: np.ndarray):
-    """Real and imaginary parts (m, K) of (-i)^k M_k at the m anchors a,
-    with M_k = sum_{n <= nv} n^{-1/2} e^{-i a ln n} (ln n - c)^k / k!, from
-    the (K, nv) table `powers` of (ln n - c)^k / k!."""
-    k, nv = powers.shape
-    lt_hi, lt_lo = _tables.ln_n_turns(nv)
+@functools.lru_cache(maxsize=16)
+def _signed_blocks(nv: int):
+    """The centre c and the read-only (nb, _NBLK, K) right-hand blocks of
+    the moment product: row n of the stacked blocks holds
+    sigma_k (ln n - c)^k / k!, sigma_k = (-1)^floor(k/2), for n <= nv, and
+    zeros past nv up to nb * _NBLK.  Negation is exact, so the signs cost
+    no bit, and a dropped entry is rebuilt bit for bit; the cache keeps
+    the last 16, the truncation lengths a batch of nearby heights visits."""
+    centre, powers = _tables.centred_powers(_taylor_order(nv), nv)
+    k = powers.shape[0]
+    nb = -(-nv // _NBLK)
+    blocks = np.zeros((nb * _NBLK, k))
+    np.multiply(powers.T, _SIGN[np.arange(k) % 4], out=blocks[:nv])
+    blocks.flags.writeable = False
+    return centre, blocks.reshape(nb, _NBLK, k)
+
+
+def _tile_product(rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """rows (r, nb * _NBLK) times the stacked `blocks` (nb, _NBLK, K), as
+    (r, K).  The rows are padded with zeros to whole tiles of _TILE, each
+    (tile, block) pair is one (_TILE, _NBLK) x (_NBLK, K) matmul, whatever
+    r is, and the block partials are added in ascending block order; so a
+    row's product depends on that row alone.  Unpadded, a single row would
+    be a vector product, which BLAS sums in another order."""
+    r, n = rows.shape
+    nb, _, k = blocks.shape
+    tiles = -(-r // _TILE)
+    padded = np.empty((tiles * _TILE, n))
+    padded[:r] = rows
+    padded[r:] = 0.0
+    # (nb, tiles, _TILE, _NBLK) @ (nb, 1, _NBLK, K), one call per pair,
+    # into block-major partials (numpy would order them like the rows)
+    padded = padded.reshape(tiles, _TILE, nb, _NBLK).transpose(2, 0, 1, 3)
+    part = np.empty((nb, tiles, _TILE, k))
+    np.matmul(padded, blocks[:, None], out=part)
+    return np.add.reduce(part.reshape(nb, -1, k)[:, :r], axis=0)
+
+
+def _moments(a: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The (K, 2, m) real and imaginary parts of (-i)^k M_k at the m
+    anchors a, with M_k = sum_{n <= nv} n^{-1/2} e^{-i a ln n}
+    (ln n - c)^k / k!, from `_signed_blocks`: the rows
+    n^{-1/2} cos(a ln n), then the rows n^{-1/2} sin(a ln n), times the
+    blocks by `_tile_product`."""
+    nb, _, k = blocks.shape
+    m, n = a.size, nb * _NBLK
+    lt_hi, lt_lo = _tables.ln_n_turns(n)
     ang = TWO_PI * _tables.turns(a[:, None], lt_hi, lt_lo)
-    c = np.empty((a.size, 2, 1, nv))
-    rsqrt = _tables.rsqrt_n(nv)
-    np.multiply(np.cos(ang), rsqrt, out=c[:, 0, 0])
-    np.multiply(np.sin(ang), rsqrt, out=c[:, 1, 0])
-    # C_k and S_k (m, 2, K), each summed along the contiguous n axis
-    cs = np.multiply(c, powers).sum(axis=-1)
-    # M_k = C_k - i S_k, and (-i)^k cycles through 1, -i, -1, i, so
-    # (-i)^k M_k = (C, -S), (-S, -C), (-C, S), (S, C) by k mod 4
-    ks = np.arange(k)
-    odd = ks % 2
-    return (cs[:, odd, ks] * _RE_SIGN[ks % 4],
-            cs[:, 1 - odd, ks] * _IM_SIGN[ks % 4])
+    rsqrt = _tables.rsqrt_n(n)
+    rows = np.empty((2 * m, n))
+    np.multiply(np.cos(ang), rsqrt, out=rows[:m])
+    np.multiply(np.sin(ang), rsqrt, out=rows[m:])
+    cs = _tile_product(rows, blocks)
+    # sigma_k C_k and sigma_k S_k, with M_k = C_k - i S_k; (-i)^k M_k is
+    # (C, -S), (-S, -C), (-C, S), (S, C) by k mod 4, so its real part is
+    # sigma_k C_k at even k and sigma_k S_k at odd k, and its imaginary
+    # part -sigma_k S_k at even k and sigma_k C_k at odd k
+    c, s = cs[:m].T, cs[m:].T
+    out = np.empty((k, 2, m))
+    out[0::2, 0] = c[0::2]
+    out[1::2, 0] = s[1::2]
+    np.negative(s[0::2], out=out[0::2, 1])
+    out[1::2, 1] = c[1::2]
+    return out
+
+
+def _coefficients(a: np.ndarray, nv: np.ndarray, k: int):
+    """Centres (m,) and Taylor coefficients (k, 2, m) of the m anchor
+    groups with anchors a and truncation lengths nv (ascending, all
+    positive), each group's own order followed by zeros up to k.  Horner
+    passes a leading zero through exactly, so the padding moves no bit."""
+    centres = np.empty(a.size)
+    coef = np.zeros((k, 2, a.size))
+    runs = np.append(np.flatnonzero(run_starts(nv)), a.size).tolist()
+    for r0, r1 in zip(runs[:-1], runs[1:]):
+        centres[r0:r1], blocks = _signed_blocks(int(nv[r0]))
+        per = max(1, _CHUNK_FLOATS // (2 * blocks.shape[0] * _NBLK))
+        for c0 in range(r0, r1, per):
+            c1 = min(r1, c0 + per)
+            coef[:blocks.shape[2], :, c0:c1] = _moments(a[c0:c1], blocks)
+    return centres, coef
 
 
 def z_main_sum(ts: np.ndarray, thetas: np.ndarray,
@@ -147,7 +228,7 @@ def z_main_sum(ts: np.ndarray, thetas: np.ndarray,
     if ts.shape != thetas.shape or (dts is not None
                                     and np.shape(dts) != ts.shape):
         raise ValueError("ts, thetas and dts must have matching shapes")
-    out = np.empty_like(ts)
+    out = np.zeros_like(ts)
     if ts.size == 0:
         return out
     t_top = float(ts.max())
@@ -157,9 +238,11 @@ def z_main_sum(ts: np.ndarray, thetas: np.ndarray,
         raise RangeError(
             f"t = {t_top:.3e} exceeds the exact-phase-reduction range")
     nmax = np.floor(np.sqrt(ts / TWO_PI)).astype(np.int64)
+    if nmax.max() == 0:
+        return out
 
     # points sorted by t fall in runs of equal (nv, anchor), and the runs
-    # of one nv are contiguous
+    # of one nv are contiguous; those with nv = 0 come first and stay 0
     perm = np.argsort(ts, kind="stable")
     t_s = ts[perm]
     a_s = anchors(t_s)
@@ -174,31 +257,30 @@ def z_main_sum(ts: np.ndarray, thetas: np.ndarray,
     th = thetas[perm]
     z = np.zeros(t_s.size)
     g_nv = nv_s[starts]
-    blocks = np.append(np.flatnonzero(run_starts(g_nv)), starts.size).tolist()
-    for b0, b1 in zip(blocks[:-1], blocks[1:]):
-        nv = int(g_nv[b0])
-        if nv == 0:
-            continue
-        centre, powers = _tables.centred_powers(_taylor_order(nv), nv)
-        k = powers.shape[0]
-        per = max(1, _CHUNK_FLOATS // (2 * k * nv))
-        rows = max(1, _CHUNK_FLOATS // (2 * k))
-        for c0 in range(b0, b1, per):
-            c1 = min(b1, c0 + per)
-            re, im = _moments(a_s[starts[c0:c1]], powers)
-            for p0 in range(bounds[c0], bounds[c1], rows):
-                p = slice(p0, min(bounds[c1], p0 + rows))
-                g = group[p] - c0
-                # delta^k, k < K, by repeated products along the row
-                dk = np.empty((g.size, k))
-                dk[:] = delta[p, None]
-                dk[:, 0] = 1.0
-                np.cumprod(dk, axis=1, out=dk)
-                s_re = (re[g] * dk).sum(axis=1)
-                s_im = (im[g] * dk).sum(axis=1)
-                # theta' = theta - delta c carries the factor e^{-i delta c}
-                ph = th[p] - centre * delta[p]
-                z[p] = 2.0 * (np.cos(ph) * s_re - np.sin(ph) * s_im)
+    # the largest order of the call, and the anchor groups per window of
+    # coefficients and points per Horner block
+    k = _taylor_order(int(g_nv[-1]))
+    per = max(1, _CHUNK_FLOATS // (2 * k))
+    for w0 in range(int(np.searchsorted(g_nv, 1)), starts.size, per):
+        w1 = min(starts.size, w0 + per)
+        centres, coef = _coefficients(a_s[starts[w0:w1]], g_nv[w0:w1], k)
+        for p0 in range(bounds[w0], bounds[w1], per):
+            p = slice(p0, min(bounds[w1], p0 + per))
+            g = group[p] - w0
+            d = delta[p]
+            # the Taylor sum in delta by Horner, the real parts and then the
+            # imaginary parts in one flat row: take, unlike fancy indexing,
+            # gathers C-contiguous, and operands of one shape skip numpy's
+            # broadcasting, which doubles the cost of a step
+            terms = coef.take(g, axis=2).reshape(k, -1)
+            dd = np.concatenate((d, d))
+            s = terms[-1]
+            for j in range(k - 2, -1, -1):
+                s *= dd
+                s += terms[j]
+            # theta' = theta - delta c carries the factor e^{-i delta c}
+            ph = th[p] - centres[g] * d
+            z[p] = 2.0 * (np.cos(ph) * s[:d.size] - np.sin(ph) * s[d.size:])
     out[perm] = z
     return out
 

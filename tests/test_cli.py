@@ -26,13 +26,13 @@ from zetaladder.quadrature import PanelChain, save_table
 from zetaladder.special import TWO_PI, em_zeta_half, riemann_siegel_z
 
 # sha256 of the t, Z and theta columns of `zl eval` rows (each row's first
-# three cells, comma-joined, one line each), from the per-row evaluation
-# that the array path replaced
+# three cells, comma-joined, one line each), from the kernel whose moments
+# are fixed-shape block products and whose Taylor sum is taken by Horner
 EVAL_TZT_SHA = {
     ("100", "110", "0.5"):
-        "2ea960c870605e18655a3da1a4e16309f73ba61120545e416e83c37567f15248",
+        "6f78addbfb2961cfc117dda5776aad6e03bd2459088e30c7a87e95e074568900",
     ("100000", "100010", "0.5"):
-        "b499a6af04e72a101ce95136e2b32a0f211958ed5cffc8f55a9cc96a49a330cf",
+        "575f387cf1cd65eaba36c1585c3fb1ab7efb9258e0866a3fcdafd20ae03018a9",
 }
 # |zeta| of the first row of each, from the oracle's exact-sum form
 EVAL_ABS_ZETA = {"100": 2.692697056664419, "100000": 5.879592468681768}
@@ -124,6 +124,17 @@ class TestEval:
         assert doc["config_fingerprint"]
         assert doc["timestamp"]
 
+    def test_manifest_names_the_backend(self, cli_cache, tmp_path):
+        # the numpy and BLAS that computed the kernel's bits; the primary
+        # output does not name them
+        out = tmp_path / "eval.csv"
+        run(cli_cache, "eval", "--from", "100", "--to", "100",
+            "--out", str(out))
+        backend = manifest_of(out)["backend"]
+        assert backend == kernels.backend_name()
+        assert backend.startswith(f"numpy {np.__version__}, ")
+        assert "numpy" not in out.read_text()
+
     def test_rerun_byte_identical(self, cli_cache, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         run(cli_cache, "eval", "--from", "500", "--to", "502",
@@ -194,20 +205,44 @@ class TestMoment:
 
     def test_memo_of_the_adaptive_outer_rule_is_recomputed(self, cli_cache,
                                                            tmp_path):
-        # bd51b711110f3131 is the key of (T, H) = (2e4, 1.75) under the
-        # default config when the memo key named no outer rule, as it did
-        # while the outer integral was adaptive; such a memo is never read
+        # a memo in the format of the adaptive outer integral, a bare JSON
+        # report, under the name of (T, H) = (2e4, 1.75): it is refused and
+        # rewritten in place
         out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"
         args = ("moment", "--T", "20000", "--H", "1.75")
         planted = {"schema": "moment-v1", "T": 20000.0, "H": 1.75,
                    "U0": 20000.0 ** 0.5001, "jbar": 1.5, "ratio": 0.5}
-        stale = cli_cache / "moment-bd51b711110f3131.json"
+        stale = cli_cache / f"moment-{cli._moment_cache_key(2e4, 1.75)}.json"
         stale.write_text(json.dumps(planted, indent=2) + "\n")
         assert run(cli_cache, *args, "--out", str(out1)) == 0
-        assert manifest_of(out1)["outputs"][1] != str(stale)
+        assert manifest_of(out1)["outputs"][1] == str(stale)
         assert json.loads(out1.read_text())["jbar"] != planted["jbar"]
+        assert stale.read_text().split("\n", 1)[1] == out1.read_text()
         assert run(cli_cache, *args, "--no-cache", "--out", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_memo_of_another_key_is_rewritten_in_place(self, tmp_path,
+                                                       monkeypatch):
+        # a memo written under an earlier KEY has the name a run looks up,
+        # so the cache keeps one memo per (T, H) across key changes
+        cache, out1, out2 = (tmp_path / "cache", tmp_path / "m1.json",
+                             tmp_path / "m2.json")
+        cache.mkdir()
+        args = ("moment", "--T", "20000", "--H", "1.6")
+        memo = cache / f"moment-{cli._moment_cache_key(2e4, 1.6)}.json"
+        header = "moment-v1,T=20000.0,H=1.6"
+        planted = {"schema": "moment-v1", "T": 20000.0, "H": 1.6,
+                   "U0": 20000.0 ** 0.5001, "jbar": 1.5, "ratio": 0.5}
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "KEY", "fa801b3d995487f0")
+            quadrature.write_artifact(memo, header,
+                                      json.dumps(planted, indent=2) + "\n")
+        assert run(cache, *args, "--out", str(out1)) == 0
+        assert sorted(cache.glob("moment-*.json")) == [memo]
+        assert memo.read_text().startswith(f"{header},{quadrature.KEY},")
+        assert run(cache, *args, "--no-cache", "--out", str(out2)) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert json.loads(out1.read_text())["jbar"] != planted["jbar"]
 
     def test_no_cache_recomputes_same_bytes(self, cli_cache, tmp_path):
         out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"

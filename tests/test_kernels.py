@@ -147,7 +147,7 @@ class TestPhaseTables:
         # doubling: one entry past the end grows the table to twice its size
         assert _tables._extend(tab, 70001)[0].shape == (140000,)
         # (ln m - c)^j / j!: an entry does not depend on the table's order
-        build = _tables.centred_powers.__wrapped__
+        build = _tables.centred_powers
         c, powers = build(20, 3000)
         assert np.array_equal(powers[:7], build(7, 3000)[1])
         assert build(7, 3000)[0] == c
@@ -171,9 +171,8 @@ class TestPhaseTables:
         # the sweep's pool threads grow and read the shared tables at once
         ref = _tables._build(0, 40000)
         ms = (1, 2, 43, 178, 399, 1023, 1025, 1500, 2047, 2049, 2500, 3000)
-        ref_pow = {m: _tables.centred_powers.__wrapped__(24, m) for m in ms}
+        ref_pow = {m: _tables.centred_powers(24, m) for m in ms}
         monkeypatch.setattr(_tables, "_tab", _tables._build(0, 1024))
-        _tables.centred_powers.cache_clear()
         bad = []
 
         def reader(seed):
@@ -206,11 +205,12 @@ class TestPhaseTables:
         assert bad == []
 
     def test_centred_cache_is_bounded_and_read_only(self):
-        # a table build to 1e6 visits every nv up to 399 in one process
+        # a table build to 1e6 visits every nv up to 399 in one process; the
+        # kernel keeps the centred powers as its signed product blocks
         for nv in range(1, 400):
-            _, powers = _tables.centred_powers(kernels._taylor_order(nv), nv)
-        assert _tables.centred_powers.cache_info().currsize <= 16
-        assert not powers.flags.writeable
+            _, blocks = kernels._signed_blocks(nv)
+        assert kernels._signed_blocks.cache_info().currsize <= 16
+        assert not blocks.flags.writeable
 
     def test_main_sum_frozen(self):
         ts = np.array([t for t, _ in MAIN_SUM_REF])
@@ -342,6 +342,34 @@ class TestZMainSum:
         a = 64.0 * 188
         adaptive_integrate(z2_values, a, a + 64.0)
         assert 0 < sum(rows) <= 65
+
+    @pytest.mark.parametrize("nv", [43, 126, 398])
+    def test_moments_do_not_depend_on_tile_position(self, nv):
+        # an anchor's moments are the same bits alone and with its cosine
+        # row at tile positions 0, 13, 40 and 63 among random neighbours,
+        # and a row's product is the same alone (one row, 63 of padding)
+        # as among 200: every BLAS call has one shape.  Unpadded, one row
+        # would be a vector product, summed in another order.
+        rng = np.random.default_rng(nv)
+        _, blocks = kernels._signed_blocks(nv)
+        lo, hi = TWO_PI * nv ** 2, TWO_PI * (nv + 1) ** 2
+        a = np.rint(rng.uniform(lo, hi, 1))
+        alone = kernels._moments(a, blocks)[:, :, 0]
+        rows = rng.standard_normal((200, blocks.shape[0] * kernels._NBLK))
+        full = kernels._tile_product(rows, blocks)
+        for pos in (0, 13, 40, 63):
+            batch = np.rint(rng.uniform(lo, hi, 150))
+            batch[pos] = a[0]
+            got = kernels._moments(batch, blocks)[:, :, pos]
+            assert np.array_equal(got, alone), pos
+            row = kernels._tile_product(rows[pos:pos + 1], blocks)
+            assert np.array_equal(row[0], full[pos]), pos
+
+    def test_backend_names_numpy_and_its_blas(self, monkeypatch):
+        numpy_part = f"numpy {np.__version__}, "
+        assert kernels.backend_name().startswith(numpy_part)
+        monkeypatch.setattr(np.__config__, "CONFIG", {})
+        assert kernels.backend_name() == numpy_part + "unknown"
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)

